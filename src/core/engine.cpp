@@ -157,6 +157,10 @@ void Engine::Init(int num_ranks) {
     }
   }
 
+  // GPUDirect promotions read the stores straight into device memory, so
+  // only the staged path gets a stage-in worker.
+  stage_in_ = ncache >= 2 && !(options_.gpudirect && stack_.is_device(0));
+
   // Drain-bandwidth estimate per cache tier, toward the next tier down:
   // device tiers drain over their PCIe link, host->host over DDR, and the
   // last cache tier into the NVMe-backed first durable tier.
@@ -283,13 +287,17 @@ void Engine::Init(int num_ranks) {
     c->metrics.init_s = init_sw.ElapsedSec();
 
     // Dedicated background threads (§4.3.1): one flush stage per cache
-    // tier plus the prefetcher.
+    // tier plus the prefetcher, whose store reads get their own worker on
+    // a multi-level stack.
     RankCtx* ctx_ptr = c.get();
     for (int i = 0; i < ncache; ++i) {
       c->tiers[static_cast<std::size_t>(i)]->worker =
           std::jthread([this, ctx_ptr, i] { FlushStageLoop(*ctx_ptr, i); });
     }
     c->t_pf = std::jthread([this, ctx_ptr] { PrefetchLoop(*ctx_ptr); });
+    if (stage_in_) {
+      c->t_stage = std::jthread([this, ctx_ptr] { StageInLoop(*ctx_ptr); });
+    }
 
     ranks_.push_back(std::move(c));
   }
@@ -318,6 +326,7 @@ void Engine::Shutdown() {
       if (t->worker.joinable()) t->worker.join();
     }
     if (c->t_pf.joinable()) c->t_pf.join();
+    if (c->t_stage.joinable()) c->t_stage.join();
   }
   // Release the device cache arenas back to the devices.
   for (auto& c : ranks_) {
@@ -340,7 +349,8 @@ const Engine::RankCtx& Engine::ctx(sim::Rank rank) const {
 std::mt19937_64 Engine::RngFor(const RankCtx& ctx_, std::uint64_t stream,
                                std::uint64_t salt) const {
   // Distinct deterministic stream per rank and per worker: flush stage i
-  // uses stream i, the prefetcher num_cache, direct paths num_cache + 1.
+  // uses stream i, the prefetch side's store reads num_cache (T_PF's, or
+  // the stage-in worker's when it owns them), direct paths num_cache + 1.
   const auto stride =
       static_cast<std::uint64_t>(stack_.num_cache_tiers()) + 2;
   return util::MakeRng(options_.retry_seed ^ salt,
@@ -410,6 +420,10 @@ bool Engine::SafeBelow(const Record& rec, TierIndex tier) const {
 bool Engine::ExcludedOn(const Record& rec, TierIndex tier) const {
   const Residency& res = rec.res[static_cast<std::size_t>(tier)];
   if (res.busy()) return true;
+  // A Restore() is about to read this version. Between a stage-in landing
+  // and the woken Restore re-taking the lock, the fresh copy would be the
+  // cheapest victim of any reservation, and its loss costs a second read.
+  if (rec.restore_waiting) return true;
   // Condition (4): a prefetched checkpoint is pinned on the fast tier until
   // consumed.
   if (tier == 0 && StatePinsFastTier(rec.state)) return true;
@@ -445,8 +459,9 @@ CacheBuffer& Engine::BufferFor(RankCtx& ctx_, TierIndex tier,
   return pf ? *t.prefetch_buf : *t.write_buf;
 }
 
-CacheBuffer::MetaFn Engine::MakeMetaFn(RankCtx& ctx_, TierIndex tier) {
-  return [this, &ctx_, tier](EntryId id, FragmentView& v) {
+CacheBuffer::MetaFn Engine::MakeMetaFn(
+    RankCtx& ctx_, TierIndex tier, const std::optional<std::uint64_t>& guard) {
+  return [this, &ctx_, tier, &guard](EntryId id, FragmentView& v) {
     CKPT_ASSERT_HELD(ctx_.mu);
     auto it = ctx_.records.find(id);
     if (it == ctx_.records.end()) {
@@ -455,14 +470,21 @@ CacheBuffer::MetaFn Engine::MakeMetaFn(RankCtx& ctx_, TierIndex tier) {
     }
     const Record& rec = it->second;
     v.excluded = ExcludedOn(rec, tier);
-    v.eta = v.excluded ? 0.0 : EtaSeconds(ctx_, rec, tier);
     if (rec.state == CkptState::kConsumed) {
       v.distance = kConsumedDistance;
     } else if (auto d = ctx_.hints.DistanceOf(rec.version)) {
       v.distance = static_cast<double>(*d);
+      // Belady guard: staging must not evict a copy needed sooner than the
+      // one it brings in — unless a promotion already pinned that version
+      // on the fast tier, so this copy is no longer its source.
+      if (guard && *d < *guard &&
+          !(rec.res[0].valid && StatePinsFastTier(rec.state))) {
+        v.excluded = true;
+      }
     } else {
       v.distance = kUnhintedDistance;
     }
+    v.eta = v.excluded ? 0.0 : EtaSeconds(ctx_, rec, tier);
     v.lru_seq = rec.lru_seq;
     v.fifo_seq = rec.fifo_seq;
   };
@@ -492,8 +514,39 @@ util::Status Engine::EvictVictims(RankCtx& ctx_, TierIndex tier,
                 trace::FlowPhase::kStep, static_cast<int>(tier), rec.version,
                 rec.size);
     }
+    NoteStageable(ctx_, rec);
   }
   return util::OkStatus();
+}
+
+Engine::Record* Engine::NextStageTarget(RankCtx& ctx_) {
+  CKPT_ASSERT_HELD(ctx_.mu);
+  if (!ctx_.prefetch_started) return nullptr;
+  for (std::size_t i = 0; const auto v = ctx_.hints.Peek(i); ++i) {
+    auto it = ctx_.records.find(*v);
+    if (it == ctx_.records.end()) continue;  // not written yet
+    Record& rec = it->second;
+    if (rec.AnyDurable() && !rec.AnyCached() && !rec.AnyCacheBusy() &&
+        !rec.stage_claimed && !rec.prefetch_claimed && !rec.restore_waiting) {
+      return &rec;
+    }
+  }
+  return nullptr;
+}
+
+void Engine::NoteStageable(RankCtx& ctx_, const Record& rec) {
+  CKPT_ASSERT_HELD(ctx_.mu);
+  if (!stage_in_ || !ctx_.prefetch_started || rec.AnyCached()) return;
+  const auto d = ctx_.hints.DistanceOf(rec.version);
+  if (!d) return;
+  NotifyStage(ctx_);
+  if (!ctx_.stage_target) return;
+  const auto target = ctx_.hints.DistanceOf(*ctx_.stage_target);
+  if (!target || *d < *target) {
+    ctx_.stage_target.reset();
+    // The worker's reservation waits on the deepest tier's channel.
+    NotifyReserve(ctx_, stack_.num_cache_tiers() - 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -605,13 +658,16 @@ bool Engine::DrainHints(RankCtx& ctx_) {
     ctx_.hints.Enqueue(*v);
     any = true;
   }
+  // Appended hints are never sooner than a target already picked: only an
+  // idle stage-in worker needs waking.
+  if (any && ctx_.prefetch_started) NotifyStage(ctx_);
   return any;
 }
 
 util::StatusOr<std::uint64_t> Engine::ReserveOn(
     RankCtx& ctx_, std::unique_lock<util::CheckedMutex>& lock, TierIndex tier,
     ReservePurpose purpose, Version v, std::uint64_t size,
-    const std::function<bool()>& abort) {
+    const std::function<bool()>& abort, bool belady_guard) {
   CKPT_ASSERT_HELD(ctx_.mu);
   CacheTierRt& t = *ctx_.tiers[static_cast<std::size_t>(tier)];
   if (!t.ready.load(std::memory_order_acquire)) {
@@ -622,7 +678,10 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     if (ctx_.shutdown) return util::ShutdownError("engine stopping");
   }
   CacheBuffer& buf = BufferFor(ctx_, tier, purpose);
-  const CacheBuffer::MetaFn meta = MakeMetaFn(ctx_, tier);
+  // The guard distance is `v`'s own, refreshed every round: T_PF pops and
+  // Restore drops hints while this call waits.
+  std::optional<std::uint64_t> guard;
+  const CacheBuffer::MetaFn meta = MakeMetaFn(ctx_, tier, guard);
   const Stopwatch wait_sw;
   double& wait_metric = purpose == ReservePurpose::kPrefetch
                             ? ctx_.metrics.reserve_wait_prefetch_s
@@ -649,6 +708,13 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       charge_wait();
       return util::Cancelled("reservation aborted");
     }
+    if (belady_guard) {
+      guard = ctx_.hints.DistanceOf(v);
+      if (!guard) {
+        charge_wait();
+        return util::Cancelled("staged version no longer hinted");
+      }
+    }
     // Tenant admission (DESIGN.md §12): before competing for space, the
     // rank's tenant must have quota headroom across ALL its cache bytes.
     // Over quota, first shed this tenant's own evictable copies on this
@@ -656,7 +722,8 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     // buffers are single-tenant), then wait boundedly for its in-flight
     // transfers to settle.
     if (OverTenantQuota(ctx_, size)) {
-      ShedForQuota(ctx_, lock, tier, purpose, size);
+      // Shedding ignores hint distances, so guarded reservations only wait.
+      if (!belady_guard) ShedForQuota(ctx_, lock, tier, purpose, size);
       if (OverTenantQuota(ctx_, size)) {
         ++ctx_.metrics.reserve_quota_waits;
         ProbeAdd(ctx_.probe.reserve_quota_waits);
@@ -718,13 +785,21 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       // still evictable, committing is as atomic as planning under the lock
       // ever was. Otherwise the window is stale — re-plan immediately.
       bool stale = buf.table_version() != snap.version;
+      std::uint64_t freed = 0;
       for (std::size_t i = 0; !stale && i < plan->victims.size(); ++i) {
         auto it = ctx_.records.find(plan->victims[i]);
         stale = it == ctx_.records.end() || !EvictableNow(it->second, tier);
+        if (!stale) freed += it->second.size;
       }
       if (!stale && options_.test_force_stale_plan &&
           options_.test_force_stale_plan(round)) {
         stale = true;  // test hook: exercise the replan/snapshot-reuse path
+      }
+      // The quota check at the top of the round ran before the lock was
+      // dropped for planning; another reservation of this tenant may have
+      // committed since. Re-check what this commit adds, net of its victims.
+      if (!stale && size > freed && OverTenantQuota(ctx_, size - freed)) {
+        stale = true;
       }
       if (stale) {
         ++ctx_.metrics.reserve_plans_stale;
@@ -1018,6 +1093,7 @@ util::StatusOr<Engine::Record*> Engine::FindOrImport(RankCtx& ctx_, Version v) {
   auto [nit, inserted] = ctx_.records.emplace(v, std::move(rec));
   (void)inserted;
   ProbeEnterState(ctx_, CkptState::kFlushed);
+  NoteStageable(ctx_, nit->second);
   return &nit->second;
 }
 
@@ -1171,6 +1247,7 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
       ProbeAdd(c.probe.tier_degradations);
     }
     FinishFlush(c, rec);
+    NoteStageable(c, rec);  // quota-forced write-through may still fit a cache
   }
 
   if (!lock.owns_lock()) lock.lock();
@@ -1214,26 +1291,38 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   rec.restore_waiting = true;
   Touch(c, rec);
   DrainHints(c);  // fold parked hints in before dropping ours
+  // Every T_PF wait on cv_prefetch concerns its head version, so only a
+  // restore of that version can unblock it: wake it for no other.
+  const auto wake_prefetcher_if_head = [&c, v] {
+    if (c.hints.Head() == std::optional<Version>(v)) NotifyPrefetch(c);
+  };
+  wake_prefetcher_if_head();
   // Deviation-proofing: this read satisfies its pending hint, if any.
   if (c.hints.Drop(v)) ProbeAdd(c.probe.hints_retired);
   // restore_waiting aborts T_PF's stuck promotions and blocked
-  // reservations; wake both roles so the abort is prompt.
-  NotifyPrefetch(c);
+  // reservations; wake the reservations so the abort is prompt.
   NotifyReserveAll(c);
+  const auto stop_waiting = [&] {
+    rec.restore_waiting = false;
+    wake_prefetcher_if_head();  // a re-hint may keep T_PF parked on `v`
+  };
 
-  // If the prefetcher owns an in-flight promotion of this version, wait for
-  // it rather than issuing a duplicate transfer (§4.3.2). The prefetcher
-  // aborts stuck promotions when it sees restore_waiting, so this wait is
-  // bounded.
+  // If the prefetcher owns an in-flight promotion or stage-in of this
+  // version, wait for it rather than issuing a duplicate transfer (§4.3.2).
+  // The prefetcher aborts stuck promotions when it sees restore_waiting,
+  // and a stage-in is claimed only once its store read starts, so this wait
+  // is bounded.
   bool waited_promotion = false;
-  while (rec.prefetch_claimed &&
-         !rec.res.empty() && !rec.res[0].valid && !c.shutdown) {
+  while (((rec.prefetch_claimed && !rec.res.empty() && !rec.res[0].valid) ||
+          rec.stage_claimed) &&
+         !c.shutdown) {
     waited_promotion = true;
-    c.cv_state.wait(lock);  // promotion completion/rollback is an Advance
+    // Promotion completion/rollback is an Advance; a stage-in landing
+    // notifies this channel itself.
+    c.cv_state.wait(lock);
   }
   if (c.shutdown) {
-    rec.restore_waiting = false;
-    NotifyPrefetch(c);
+    stop_waiting();
     return util::ShutdownError("engine stopping");
   }
 
@@ -1319,16 +1408,14 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
       }
     }
   } else {
-    rec.restore_waiting = false;
-    NotifyPrefetch(c);
+    stop_waiting();
     return util::FailedPrecondition(
         "checkpoint " + std::to_string(v) +
         " was consumed and discarded; no copy remains on any tier");
   }
 
   if (!st.ok()) {
-    rec.restore_waiting = false;
-    NotifyPrefetch(c);
+    stop_waiting();
     return st;
   }
 
@@ -1338,7 +1425,6 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   }
   Advance(c, rec, CkptState::kConsumed);
   ReleasePin(c, rec);
-  rec.restore_waiting = false;
   if (waited_promotion) ++c.metrics.restores_waited_promotion;
 
   ++c.restore_counter;
@@ -1351,9 +1437,9 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   ProbeAdd(c.probe.bytes_restored, rec.size);
   c.metrics.restore_series.push_back(RestorePoint{
       c.restore_counter - 1, v, sw.ElapsedSec(), rec.size, pdist});
-  // restore_waiting cleared: the prefetcher may resume with this record.
-  // (Advance and ReleasePin above already woke the state/reserve channels.)
-  NotifyPrefetch(c);
+  // Advance and ReleasePin above already woke the state/reserve channels.
+  stop_waiting();
+  NoteStageable(c, rec);  // a later re-read hint of a direct-served copy
   return util::OkStatus();
 }
 
@@ -1390,6 +1476,7 @@ util::Status Engine::PrefetchStart(sim::Rank rank) {
   if (c.shutdown) return util::ShutdownError("engine stopping");
   c.prefetch_started = true;
   NotifyPrefetch(c);
+  NotifyStage(c);
   return util::OkStatus();
 }
 
@@ -2167,6 +2254,27 @@ void Engine::PrefetchLoop(RankCtx& c) {
       continue;
     }
 
+    // Promotion source: the shallowest cache tier below the fast one still
+    // holding a copy, else the durable stores.
+    int src_tier = -1;
+    for (int j = 1; j < ncache; ++j) {
+      if (rec.res[static_cast<std::size_t>(j)].valid) {
+        src_tier = j;
+        break;
+      }
+    }
+    if (src_tier < 0 && stage_in_) {
+      // Two-stage prefetch (DESIGN.md §5): the stage-in worker reads this
+      // version into the deepest cache tier; promote it once it lands. The
+      // landing, a failed stage-in (which drops the hint) and Restore() all
+      // notify this channel; the bound covers anything else.
+      c.cv_prefetch.wait_for(lock, std::chrono::milliseconds(10), [&] {
+        return c.shutdown || rec.restore_waiting || rec.AnyCached() ||
+               c.hints.Head() != std::optional<Version>(v);
+      });
+      continue;
+    }
+
     // Claim the promotion.
     c.hints.PopHead();
     ProbeAdd(c.probe.hints_retired);
@@ -2185,15 +2293,6 @@ void Engine::PrefetchLoop(RankCtx& c) {
                    rec.size);
     };
 
-    // Promotion source: the shallowest cache tier below the fast one still
-    // holding a copy, else the durable stores.
-    int src_tier = -1;
-    for (int j = 1; j < ncache; ++j) {
-      if (rec.res[static_cast<std::size_t>(j)].valid) {
-        src_tier = j;
-        break;
-      }
-    }
     if (src_tier > 0) {
       ++rec.res[static_cast<std::size_t>(src_tier)].read_refs;
     }
@@ -2212,73 +2311,48 @@ void Engine::PrefetchLoop(RankCtx& c) {
     rec.res[0].offset = *goff;
     rec.res[0].io_pending = true;
     rec.res[0].part = ReservePurpose::kPrefetch;
+    sim::BytePtr slot =
+        BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
+    const std::uint64_t size = rec.size;
 
-    const auto abandon = [&c, &rec] {
-      std::lock_guard l(c.mu);
-      return c.shutdown || rec.restore_waiting;
-    };
-
-    if (src_tier < 0 && options_.gpudirect && stack_.is_device(0)) {
-      // GPUDirect promotion: DMA the checkpoint from the store straight
-      // into the reserved device cache slot, bypassing the pinned tiers.
-      sim::BytePtr gdst =
-          BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
-      const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
+    util::Status st;
+    if (src_tier > 0) {
+      // Hop: the deeper cache copy -> the fast tier.
+      Residency& sres = rec.res[static_cast<std::size_t>(src_tier)];
+      sim::ConstBytePtr src =
+          BufferFor(c, src_tier, sres.part).PtrAt(sres.offset);
+      const sim::MemcpyKind kind = stack_.is_device(0) ? sim::MemcpyKind::kH2D
+                                                       : sim::MemcpyKind::kH2H;
       lock.unlock();
-      util::Status st = GetDurable(c, v, gdst, size, durable, rng, abandon,
-                                   fetch_retries, fell_back, served);
-      if (st.ok()) {
-        sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                                sim::Topology::LinkDir::kH2D);
-      }
+      st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot, src, size, kind,
+                                flow);
       lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      rec.res[0].io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "GPUDirect read failed: " << st.ToString();
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        continue;
-      }
-      rec.res[0].valid = true;
-      rec.prefetch_claimed = false;
-      Touch(c, rec);
-      Advance(c, rec, CkptState::kReadComplete);
-      AddPin(c, rec);
-      ++c.metrics.prefetch_promotions;
-      QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                     0, v, rec.size);
-      if (lineage_) {
-        QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-                  trace::FlowPhase::kStep, 0, v, rec.size);
-      }
-      c.metrics.promotion_hist.Add(
-          static_cast<double>(util::NowNs() - promo_begin) / 1e9);
-      continue;  // Advance() above already woke the state channel
-    }
-
-    if (src_tier < 0 && ncache == 1) {
-      // Single cache tier: fetch from the stores straight into the
-      // reserved slot (staging through transient pinned memory when the
-      // tier is device-backed and GPUDirect is off).
-      sim::BytePtr slot =
-          BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
+      --sres.read_refs;
+      NotifyReserve(c, src_tier);  // source copy may now be evictable
+    } else {
+      // No stage-in worker (GPUDirect, or a single cache tier): read the
+      // stores straight into the reserved slot.
       const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
       const bool device0 = stack_.is_device(0);
+      const auto abandon = [&c, &rec] {
+        std::lock_guard l(c.mu);
+        return c.shutdown || rec.restore_waiting;
+      };
       std::uint64_t fetch_retries = 0;
       bool fell_back = false;
       TierIndex served = -1;
       lock.unlock();
-      util::Status st;
-      if (device0) {
+      if (device0 && options_.gpudirect) {
+        // GPUDirect: DMA from the store into device memory over PCIe.
+        st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
+                        fell_back, served);
+        if (st.ok()) {
+          sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
+                                  sim::Topology::LinkDir::kH2D);
+        }
+      } else if (device0) {
+        // The drive cannot write device memory: stage through transient
+        // pinned memory.
         sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
         st = GetDurable(c, v, staging.data(), size, durable, rng, abandon,
                         fetch_retries, fell_back, served);
@@ -2295,96 +2369,10 @@ void Engine::PrefetchLoop(RankCtx& c) {
       c.metrics.fetch_retries += fetch_retries;
       ProbeAdd(c.probe.fetch_retries, fetch_retries);
       if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      rec.res[0].io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "store read failed: " << st.ToString();
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        continue;
-      }
-      rec.res[0].valid = true;
-      rec.prefetch_claimed = false;
-      Touch(c, rec);
-      Advance(c, rec, CkptState::kReadComplete);
-      AddPin(c, rec);
-      ++c.metrics.prefetch_promotions;
-      QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                     0, v, rec.size);
-      if (lineage_) {
-        QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-                  trace::FlowPhase::kStep, 0, v, rec.size);
-      }
-      c.metrics.promotion_hist.Add(
-          static_cast<double>(util::NowNs() - promo_begin) / 1e9);
-      continue;  // Advance() above already woke the state channel
     }
-
-    if (src_tier < 0) {
-      // Multi-level promotion: store -> deepest cache tier -> fast tier,
-      // warming the deep cache on the way up.
-      const int w = ncache - 1;
-      auto hoff = ReserveOn(c, lock, w, ReservePurpose::kPrefetch, v, rec.size,
-                            /*abort=*/[&] { return rec.restore_waiting; });
-      if (!hoff.ok()) {
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();
-        if (c.shutdown) return;
-        continue;
-      }
-      Residency& wres = rec.res[static_cast<std::size_t>(w)];
-      wres.offset = *hoff;
-      wres.io_pending = true;
-      wres.part = ReservePurpose::kPrefetch;
-      sim::BytePtr hdst =
-          BufferFor(c, w, ReservePurpose::kPrefetch).PtrAt(*hoff);
-      const std::vector<unsigned char> durable = rec.durable;
-      const std::uint64_t size = rec.size;
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
-      lock.unlock();
-      const util::Status st = GetDurable(c, v, hdst, size, durable, rng,
-                                         abandon, fetch_retries, fell_back,
-                                         served);
-      lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-      wres.io_pending = false;
-      if (!st.ok()) {
-        CKPT_LOG(kError, "prefetch") << "store read failed: " << st.ToString();
-        (void)BufferFor(c, w, ReservePurpose::kPrefetch).Release(v);
-        wres.Clear();
-        NotifyReserve(c, w);  // deep-tier reservation released
-        (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
-        rec.res[0].Clear();
-        rollback();  // Advance() inside wakes the fast tier's channel
-        continue;
-      }
-      wres.valid = true;
-      ++wres.read_refs;
-      src_tier = w;
-    }
-
-    // Final hop: src_tier -> fast tier.
-    Residency& sres = rec.res[static_cast<std::size_t>(src_tier)];
-    sim::ConstBytePtr src = BufferFor(c, src_tier, sres.part).PtrAt(sres.offset);
-    sim::BytePtr dst =
-        BufferFor(c, 0, ReservePurpose::kPrefetch).PtrAt(rec.res[0].offset);
-    const std::uint64_t size = rec.size;
-    const sim::MemcpyKind kind = stack_.is_device(0) ? sim::MemcpyKind::kH2D
-                                                     : sim::MemcpyKind::kH2H;
-    lock.unlock();
-    const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
-                                                 src, size, kind, flow);
-    lock.lock();
-    --sres.read_refs;
-    NotifyReserve(c, src_tier);  // source copy may now be evictable
     rec.res[0].io_pending = false;
     if (!st.ok()) {
-      CKPT_LOG(kError, "prefetch") << "promotion copy failed: " << st.ToString();
+      CKPT_LOG(kError, "prefetch") << "promotion failed: " << st.ToString();
       (void)BufferFor(c, 0, ReservePurpose::kPrefetch).Release(v);
       rec.res[0].Clear();
       rollback();  // Advance() inside wakes the fast tier's channel
@@ -2404,6 +2392,104 @@ void Engine::PrefetchLoop(RankCtx& c) {
     }
     c.metrics.promotion_hist.Add(
         static_cast<double>(util::NowNs() - promo_begin) / 1e9);
+  }
+}
+
+// The stage-in half of a two-stage prefetch (DESIGN.md §5): reads the
+// first hinted version that has no cache copy from the durable stores into
+// the deepest cache tier, so the NVMe read of the next version overlaps
+// T_PF's promotion of the current one. A Belady guard on the reservation
+// bounds how far ahead it reads.
+void Engine::StageInLoop(RankCtx& c) {
+  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
+                       "/prefetch:stage");
+  const int ncache = stack_.num_cache_tiers();
+  const int deepest = ncache - 1;
+  // T_PF never reads the stores while this worker runs, so the prefetch
+  // side's rng stream is this worker's.
+  std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache));
+  const auto abandon = [&c] {
+    std::lock_guard l(c.mu);
+    return c.shutdown;
+  };
+  // Gives up prefetching `rec`: the hint goes, Restore() reads it directly.
+  const auto give_up = [&](Record& rec) {
+    if (c.hints.Drop(rec.version)) ProbeAdd(c.probe.hints_retired);
+    ++c.metrics.prefetch_aborts;
+    QueueInstant(c, trace::Kind::kPrefetch, "prefetch:abort", deepest,
+                 rec.version, rec.size);
+    NotifyPrefetch(c);  // T_PF may be waiting for this stage-in
+  };
+  ScopedTracePublisher trace_pub(c);
+  std::unique_lock lock(c.mu);
+  for (;;) {
+    PublishQueuedTraceLocked(c, lock);
+    Record* target = nullptr;
+    // Unbounded: every notifier of cv_stage holds ctx.mu.
+    c.cv_stage.wait(lock, [&] {
+      return c.shutdown || (target = NextStageTarget(c)) != nullptr;
+    });
+    if (c.shutdown) return;
+    Record& rec = *target;
+    const Version v = rec.version;
+    // kCancelled when the application restores `v` first, `v` loses its
+    // hint, or a sooner-hinted version needs staging (NoteStageable resets
+    // stage_target).
+    c.stage_target = v;
+    auto off = ReserveOn(
+        c, lock, deepest, ReservePurpose::kPrefetch, v, rec.size,
+        /*abort=*/
+        [&] {
+          return rec.restore_waiting || c.stage_target != v ||
+                 !c.hints.DistanceOf(v);
+        },
+        /*belady_guard=*/true);
+    c.stage_target.reset();
+    if (!off.ok()) {
+      if (c.shutdown) return;
+      // Otherwise oversize for the tier, or the tenant quota is exhausted.
+      if (off.status().code() != util::ErrorCode::kCancelled) give_up(rec);
+      continue;
+    }
+    Residency& res = rec.res[static_cast<std::size_t>(deepest)];
+    res.offset = *off;
+    res.io_pending = true;
+    res.part = ReservePurpose::kPrefetch;
+    rec.stage_claimed = true;
+    sim::BytePtr dst =
+        BufferFor(c, deepest, ReservePurpose::kPrefetch).PtrAt(*off);
+    const std::vector<unsigned char> durable = rec.durable;
+    const std::uint64_t size = rec.size;
+    std::uint64_t fetch_retries = 0;
+    bool fell_back = false;
+    TierIndex served = -1;
+    const std::int64_t begin = util::NowNs();
+    lock.unlock();
+    const util::Status st = GetDurable(c, v, dst, size, durable, rng, abandon,
+                                       fetch_retries, fell_back, served);
+    lock.lock();
+    c.metrics.fetch_retries += fetch_retries;
+    ProbeAdd(c.probe.fetch_retries, fetch_retries);
+    if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
+    res.io_pending = false;
+    rec.stage_claimed = false;
+    if (rec.restore_waiting) NotifyState(c);  // Restore's stage-in wait
+    if (!st.ok()) {
+      CKPT_LOG(kError, "prefetch") << "stage-in read failed: " << st.ToString();
+      (void)BufferFor(c, deepest, ReservePurpose::kPrefetch).Release(v);
+      res.Clear();
+      NotifyReserve(c, deepest);
+      give_up(rec);
+      continue;
+    }
+    res.valid = true;
+    if (c.hints.Head() == std::optional<Version>(v)) NotifyPrefetch(c);
+    QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:stage", begin, deepest,
+                   v, size);
+    if (lineage_) {
+      QueueFlow(c, trace::Kind::kPrefetch, "prefetch:stage", rec.flow_id,
+                trace::FlowPhase::kStep, deepest, v, size);
+    }
   }
 }
 

@@ -11,7 +11,10 @@
 //     worker of tier i drains copies from tier i to tier i+1, the last
 //     cache tier's worker writes the durable stores — the default stack's
 //     T_D2H and T_H2F are the i=0 and i=1 instances — plus T_PF
-//     (multi-tier prefetch promotions driven by the restore-order queue);
+//     (prefetch promotions into the fastest tier, driven by the
+//     restore-order queue) and, on stacks with >= 2 cache tiers, a
+//     stage-in worker that reads hinted versions from the durable stores
+//     into the deepest cache tier ahead of T_PF (DESIGN.md §5);
 //   * a restore-order hint queue and per-checkpoint life-cycle records.
 //
 // Blocking semantics follow §2 exactly: Checkpoint() blocks only until the
@@ -26,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -409,6 +413,8 @@ class Engine final : public Runtime {
     std::vector<unsigned char> durable;
     bool restore_waiting = false;   ///< a Restore() call is blocked on this
     bool prefetch_claimed = false;  ///< T_PF owns an in-flight promotion
+    bool stage_claimed = false;     ///< the stage-in worker owns an
+                                    ///< in-flight store read of this version
     bool pinned_counted = false;    ///< counted in prefetched_pinned_bytes
     bool flush_done = false;        ///< reached terminal tier (or cancelled)
     bool degraded = false;          ///< durable at a shallower tier than
@@ -549,12 +555,19 @@ class Engine final : public Runtime {
     mutable util::CheckedMutex mu;
     /// Per-role wakeup channels (DESIGN.md §10), all paired with `mu`.
     /// cv_state: FSM / flush progress (WaitForFlushes, Restore's promotion
-    /// wait, flush-stage reroute checks). cv_prefetch: the T_PF worker's
-    /// wait reasons (new hints, restore_waiting handoffs, pin releases,
-    /// landing-slot retries). Reservation waits live on the per-tier
-    /// CacheTierRt::cv_reserve channels.
+    /// and stage-in waits, flush-stage reroute checks). cv_prefetch: the
+    /// T_PF worker's wait reasons (new hints, restore_waiting handoffs, pin
+    /// releases, landing-slot retries, its head's stage-in landing).
+    /// cv_stage: the stage-in worker's (prefetch start, new hints, a hinted
+    /// version left without a cache copy). Reservation waits live on the
+    /// per-tier CacheTierRt::cv_reserve channels.
     std::condition_variable_any cv_state;
     std::condition_variable_any cv_prefetch;
+    std::condition_variable_any cv_stage;
+    /// The version the stage-in worker is reserving room for. Reset when a
+    /// version hinted sooner needs staging; the reservation then gives up
+    /// and the worker re-picks.
+    std::optional<Version> stage_target;
 
     std::unordered_map<Version, Record> records;
     RestoreQueue hints;
@@ -594,19 +607,35 @@ class Engine final : public Runtime {
     std::vector<util::trace::Event> pending_trace;
 
     std::jthread t_pf;
+    std::jthread t_stage;  ///< StageInLoop; only when stage_in_
   };
 
   void Init(int num_ranks);
 
-  // Background workers (num_cache_tiers flush stages + T_PF, per rank).
+  // Background workers (num_cache_tiers flush stages + T_PF [+ stage-in],
+  // per rank).
   void FlushStageLoop(RankCtx& ctx, TierIndex tier);
   void PrefetchLoop(RankCtx& ctx);
+  void StageInLoop(RankCtx& ctx);
 
   // Helpers; all require ctx.mu held unless noted. `tier` is a stack index
   // of a cache tier.
   [[nodiscard]] CacheBuffer& BufferFor(RankCtx& ctx, TierIndex tier,
                                        ReservePurpose purpose);
-  [[nodiscard]] CacheBuffer::MetaFn MakeMetaFn(RankCtx& ctx, TierIndex tier);
+  /// Eviction metadata for `tier`'s fragments. While `guard` (read at each
+  /// call, so it must outlive the MetaFn) holds a hint distance — stage-in
+  /// reservations — the Belady guard applies: a copy hinted sooner than
+  /// that is excluded unless it is consumed or already pinned on the fast
+  /// tier.
+  [[nodiscard]] CacheBuffer::MetaFn MakeMetaFn(
+      RankCtx& ctx, TierIndex tier, const std::optional<std::uint64_t>& guard);
+  /// The stage-in worker's next target: the first hinted version with a
+  /// durable copy, no cache copy and no transfer or reader in flight.
+  [[nodiscard]] Record* NextStageTarget(RankCtx& ctx);
+  /// Called where `rec` may have lost its last cache copy: when it is still
+  /// hinted, wakes the stage-in worker, and retargets it when it is
+  /// reserving for a version needed later than `rec`.
+  void NoteStageable(RankCtx& ctx, const Record& rec);
   [[nodiscard]] bool SafeBelow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool EvictableNow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool ExcludedOn(const Record& rec, TierIndex tier) const;
@@ -753,11 +782,13 @@ class Engine final : public Runtime {
   /// Blocking reservation loop: snapshot / plan off-lock / revalidate /
   /// commit-or-wait / re-plan. Waits on the tier's cv_reserve channel.
   /// `abort` (optional) is checked after each failed round; when it returns
-  /// true the reservation gives up with kCancelled.
+  /// true the reservation gives up with kCancelled. `belady_guard` (the
+  /// stage-in worker) plans under MakeMetaFn's guard at `v`'s current hint
+  /// distance and gives up with kCancelled once `v` is no longer hinted.
   util::StatusOr<std::uint64_t> ReserveOn(
       RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock, TierIndex tier,
       ReservePurpose purpose, Version v, std::uint64_t size,
-      const std::function<bool()>& abort);
+      const std::function<bool()>& abort, bool belady_guard = false);
 
   // --- Per-role wakeup helpers (DESIGN.md §10) ---
   /// A transition that may unblock reservations on cache tier `tier`
@@ -776,13 +807,18 @@ class Engine final : public Runtime {
   /// Anything the T_PF worker waits for: hints, restore_waiting handoffs,
   /// pin releases, landing-slot retries.
   static void NotifyPrefetch(RankCtx& ctx) { ctx.cv_prefetch.notify_all(); }
+  /// The stage-in worker may have a target: prefetch start, new hints, a
+  /// hinted version left without a cache copy.
+  static void NotifyStage(RankCtx& ctx) { ctx.cv_stage.notify_all(); }
   static void NotifyAllChannels(RankCtx& ctx) {
     NotifyState(ctx);
     NotifyPrefetch(ctx);
+    NotifyStage(ctx);
     NotifyReserveAll(ctx);
   }
   /// Folds hint_inbox into ctx.hints (requires ctx.mu). Returns true if any
-  /// hint was appended.
+  /// hint was appended; once prefetching started, new hints also wake the
+  /// stage-in worker.
   static bool DrainHints(RankCtx& ctx);
   /// Marks a flush stage reaching the terminal tier; advances the FSM.
   void FinishFlush(RankCtx& ctx, Record& rec);
@@ -857,6 +893,10 @@ class Engine final : public Runtime {
   std::vector<const char*> flow_ack_names_;
   /// Lineage tracking on (EngineOptions::lineage or CKPT_LINEAGE=1).
   bool lineage_ = false;
+  /// Two-stage prefetch (DESIGN.md §5): >= 2 cache tiers and promotions
+  /// that are not GPUDirect. Each rank then runs a stage-in worker that
+  /// owns the prefetch side's store reads; T_PF only promotes cache copies.
+  bool stage_in_ = false;
   /// Tenant table + rank->tenant mapping; created before the workers spawn.
   std::unique_ptr<TenantRegistry> tenant_registry_;
   /// True when the engine runs in explicit multi-tenant mode: tenant labels

@@ -14,7 +14,9 @@ Device::Device(GpuId id, std::uint64_t capacity, util::RateLimiter* alloc_limite
     : id_(id),
       capacity_(AlignUp(capacity, kAlignment)),
       alloc_limiter_(alloc_limiter),
-      arena_(std::make_unique<std::byte[]>(capacity_)) {
+      // Left uninitialized: the OS maps HBM pages on first touch, so a
+      // mostly-idle simulated device costs no resident memory.
+      arena_(std::make_unique_for_overwrite<std::byte[]>(capacity_)) {
   free_list_[0] = capacity_;
 }
 

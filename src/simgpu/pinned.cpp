@@ -7,7 +7,9 @@
 namespace ckpt::sim {
 
 PinnedArena::PinnedArena(const Topology& topo, int node, std::uint64_t size)
-    : data_(std::make_unique<std::byte[]>(size)), size_(size), node_(node) {
+    : data_(std::make_unique_for_overwrite<std::byte[]>(size)),  // first touch
+      size_(size),
+      node_(node) {
   const std::uint64_t bw = topo.config().pinned_alloc_bw;
   if (bw > 0 && size > 0) {
     const util::Stopwatch sw;

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -226,6 +229,59 @@ TEST_F(TenantEngineTest, QuotaTenantIsCappedWhileUnlimitedNeighborRuns) {
     EXPECT_TRUE(CheckPattern(0, v, *buf, kCkptSize));
     ASSERT_TRUE(cluster_->device(0).Free(*buf).ok());
   }
+}
+
+TEST_F(TenantEngineTest, QuotaIsRecheckedWhenAnotherReservationCommitsFirst) {
+  // Forces the interleaving deterministically: rank 0's reservation passes
+  // the quota check at the top of its round, and before it commits, rank 1
+  // of the same tenant commits two checkpoints that fill the quota. The
+  // commit hook runs on rank 0's thread with rank 0's lock held, exactly
+  // between the planning and the commit; rank 1 has its own lock.
+  struct Race {
+    std::thread::id writer;
+    std::atomic<bool> armed{false};
+    std::atomic<bool> fired{false};
+    std::atomic<int> neighbor_failures{0};
+  };
+  const auto race = std::make_shared<Race>();
+  race->writer = std::this_thread::get_id();
+  EngineOptions opts = SmallCaches();
+  opts.test_force_stale_plan = [this, race](int) {
+    if (std::this_thread::get_id() != race->writer || !race->armed ||
+        race->fired.exchange(true)) {
+      return false;
+    }
+    auto buf = cluster_->device(1).Allocate(kCkptSize);
+    if (!buf.ok()) {
+      ++race->neighbor_failures;
+      return false;
+    }
+    for (Version v = 0; v < 2; ++v) {
+      FillPattern(1, v, *buf, kCkptSize);
+      if (!engine_->Checkpoint(1, v, *buf, kCkptSize).ok()) {
+        ++race->neighbor_failures;
+      }
+    }
+    (void)cluster_->device(1).Free(*buf);
+    return false;  // rank 0's plan is still geometrically valid
+  };
+  Build(opts, 2, "a:128Ki");  // one tenant over both ranks
+  const std::uint64_t quota = 128 << 10;
+  race->armed = true;
+  WriteCkpt(0, 0);
+  ASSERT_TRUE(race->fired);
+  EXPECT_EQ(race->neighbor_failures, 0);
+  EXPECT_LE(engine_->TenantCacheUsed(0), quota)
+      << "rank 0 committed on top of rank 1's quota-filling reservations";
+  EXPECT_GE(engine_->MetricsSnapshot(0).reserve_plans_stale, 1u);
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  ASSERT_TRUE(engine_->WaitForFlushes(1).ok());
+  EXPECT_LE(engine_->TenantCacheUsed(0), quota);
+  auto buf = cluster_->device(0).Allocate(kCkptSize);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(engine_->Restore(0, 0, *buf, kCkptSize).ok());
+  EXPECT_TRUE(CheckPattern(0, 0, *buf, kCkptSize));
+  ASSERT_TRUE(cluster_->device(0).Free(*buf).ok());
 }
 
 TEST_F(TenantEngineTest, OpenTenantAfterInitFailsWhenRanksExhausted) {

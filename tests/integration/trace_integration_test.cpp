@@ -38,7 +38,10 @@ harness::ExperimentConfig SmallTracedExperiment() {
   cfg.shot.num_ckpts = 16;
   cfg.shot.trace.num_snapshots = 16;
   cfg.shot.trace.uniform_size = 32 << 10;
-  cfg.shot.compute_interval = std::chrono::microseconds(100);
+  // Long enough that the prefetcher is scheduled before the backward pass
+  // ends: at 100 us per restore the application could restore all 16
+  // versions before T_PF promoted one, leaving no prefetch span.
+  cfg.shot.compute_interval = std::chrono::milliseconds(1);
   cfg.shot.verify = true;
   return cfg;
 }
