@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
               util::FormatRate(budgeted.metrics.RestoreThroughput()).c_str(),
               static_cast<unsigned long long>(
                   budgeted.metrics.restore_block_s.size()),
-              static_cast<unsigned long long>(budgeted.metrics.restores_from_gpu));
+              static_cast<unsigned long long>(budgeted.metrics.restores_from_tier.at(
+                  static_cast<std::size_t>(core::Tier::kGpu))));
 
   if (reference.gradient != budgeted.gradient) {
     std::fprintf(stderr, "GRADIENT MISMATCH: recomputation is incorrect\n");

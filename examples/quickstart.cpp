@@ -83,11 +83,12 @@ int main() {
               util::FormatRate(m.CkptThroughput()).c_str());
   std::printf("  restore throughput:    %s\n",
               util::FormatRate(m.RestoreThroughput()).c_str());
-  std::printf("  restores served from:  GPU cache %llu, host cache %llu, "
-              "store %llu\n",
-              static_cast<unsigned long long>(m.restores_from_gpu),
-              static_cast<unsigned long long>(m.restores_from_host),
-              static_cast<unsigned long long>(m.restores_from_store));
+  std::printf("  restores served from: ");
+  for (std::size_t i = 0; i < m.restores_from_tier.size(); ++i) {
+    std::printf(" %s %llu", std::string(engine.tiers().name(i)).c_str(),
+                static_cast<unsigned long long>(m.restores_from_tier[i]));
+  }
+  std::printf("\n");
   std::printf("  prefetch promotions:   %llu (+%llu already on GPU)\n",
               static_cast<unsigned long long>(m.prefetch_promotions),
               static_cast<unsigned long long>(m.prefetch_gpu_hits));

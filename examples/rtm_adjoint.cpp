@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
     std::printf("%-6zu %14s %14s %10llu %10llu %8.3f\n", r,
                 util::FormatRate(m.CkptThroughput()).c_str(),
                 util::FormatRate(m.RestoreThroughput()).c_str(),
-                static_cast<unsigned long long>(m.restores_from_gpu),
+                static_cast<unsigned long long>(m.restores_from_tier.at(
+                    static_cast<std::size_t>(core::Tier::kGpu))),
                 static_cast<unsigned long long>(m.prefetch_promotions),
                 m.init_s);
   }

@@ -27,6 +27,7 @@ AdiosRuntime::AdiosRuntime(sim::Cluster& cluster,
   for (sim::Rank r = 0; r < num_ranks; ++r) {
     auto c = std::make_unique<RankCtx>();
     c->rank = r;
+    c->metrics.restores_from_tier.resize(core::kTierCount, 0);
     c->bounce = std::make_unique<sim::PinnedArena>(
         cluster_.topology(), cluster_.topology().node_of_rank(r),
         options_.bounce_bytes);
@@ -201,6 +202,7 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
   }
 
   util::Status st;
+  core::Tier served = core::Tier::kSsd;
   if (from_buffer) {
     std::byte* src = nullptr;
     {
@@ -211,21 +213,21 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
     std::lock_guard lock(c.mu);
     --c.buffered.at(v).readers;
     c.cv.notify_all();
-    ++c.metrics.restores_from_host;
+    served = core::Tier::kHost;
   } else {
     // On-demand read from the BP file on the SSD, then staged H2D.
     std::vector<std::byte> staging(size);
     st = ssd_->Get(KeyOf(rank, v), staging.data(), size);
     if (!st.ok() && pfs_ != nullptr) {
+      served = core::Tier::kPfs;
       st = pfs_->Get(KeyOf(rank, v), staging.data(), size);
     }
     if (st.ok()) st = StagedH2D(c, staging.data(), dst, size);
-    std::lock_guard lock(c.mu);
-    ++c.metrics.restores_from_store;
   }
   if (!st.ok()) return st;
 
   std::lock_guard lock(c.mu);
+  ++c.metrics.restores_from_tier[static_cast<std::size_t>(served)];
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{

@@ -25,6 +25,7 @@ UvmRuntime::UvmRuntime(sim::Cluster& cluster,
   for (sim::Rank r = 0; r < num_ranks; ++r) {
     auto c = std::make_unique<RankCtx>();
     c->rank = r;
+    c->metrics.restores_from_tier.resize(core::kTierCount, 0);
     c->space = std::make_unique<UvmSpace>(cluster_, r, options_.uvm);
     RankCtx* ptr = c.get();
     c->t_flush = std::jthread([this, ptr] { FlushLoop(*ptr); });
@@ -192,7 +193,8 @@ util::Status UvmRuntime::Restore(sim::Rank rank, core::Version v,
     c.prefetched_bytes -= rec.size;
     rec.prefetched = false;
   }
-  ++c.metrics.restores_from_gpu;  // served through the device view
+  // Served through the device view.
+  ++c.metrics.restores_from_tier[static_cast<std::size_t>(core::Tier::kGpu)];
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 
@@ -33,18 +32,6 @@ storage::ObjectKey KeyOf(sim::Rank rank, Version v) {
 
 /// Lifecycle span name per FSM state. Static literals: event name pointers
 /// must outlive the engine (dumps typically happen after teardown).
-/// CKPT_LINEAGE=1|on|true|yes enables lineage tracking without touching the
-/// EngineOptions (mirrors CKPT_TRACE's truthy parse).
-bool LineageEnvOn() {
-  const char* v = std::getenv("CKPT_LINEAGE");
-  if (v == nullptr) return false;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char ch) {
-    return static_cast<char>(std::tolower(ch));
-  });
-  return s == "1" || s == "on" || s == "true" || s == "yes";
-}
-
 constexpr const char* StateSpanName(CkptState s) noexcept {
   switch (s) {
     case CkptState::kInit: return "state:INIT";
@@ -108,24 +95,17 @@ void Engine::Init(int num_ranks) {
         trace::Intern("flush:" + std::string(stack_.name(idx))));
   }
 
-  // Lineage tracking (DESIGN.md §14): options flag or CKPT_LINEAGE. The
-  // global flow-emission gate follows the newest engine's setting so the
-  // stores (which have no engine reference) can self-gate their flow steps.
-  lineage_ = options_.lineage || LineageEnvOn();
-  trace::EnableFlows(lineage_);
-  if (lineage_) {
-    flow_hop_names_.reserve(stack_.size());
-    for (std::size_t i = 0; i < stack_.size(); ++i) {
-      flow_hop_names_.push_back(
-          trace::Intern("hop:" + std::string(stack_.name(i))));
-    }
-    flow_ack_names_.reserve(
-        static_cast<std::size_t>(stack_.num_durable_tiers()));
-    for (int d = 0; d < stack_.num_durable_tiers(); ++d) {
-      const auto idx = static_cast<std::size_t>(stack_.durable_index(d));
-      flow_ack_names_.push_back(
-          trace::Intern("ack:" + std::string(stack_.name(idx))));
-    }
+  // Lineage flow-step names (DESIGN.md §14).
+  flow_hop_names_.reserve(stack_.size());
+  for (std::size_t i = 0; i < stack_.size(); ++i) {
+    flow_hop_names_.push_back(
+        trace::Intern("hop:" + std::string(stack_.name(i))));
+  }
+  flow_ack_names_.reserve(static_cast<std::size_t>(stack_.num_durable_tiers()));
+  for (int d = 0; d < stack_.num_durable_tiers(); ++d) {
+    const auto idx = static_cast<std::size_t>(stack_.durable_index(d));
+    flow_ack_names_.push_back(
+        trace::Intern("ack:" + std::string(stack_.name(idx))));
   }
 
   // Tenant table (DESIGN.md §12), built before any worker can run. Explicit
@@ -182,16 +162,12 @@ void Engine::Init(int num_ranks) {
     auto c = std::make_unique<RankCtx>();
     c->rank = r;
     const Stopwatch init_sw;
-    c->metrics.restores_from_tier.resize(stack_.size(), 0);
-    c->metrics.flush_bytes_to_tier.resize(stack_.size(), 0);
     c->metrics.evictions_from_tier.resize(stack_.size(), 0);
     c->metrics.evicted_bytes_from_tier.resize(stack_.size(), 0);
     c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
-    c->tier_probe = std::make_unique<TierProbeCells[]>(stack_.size());
-    if (lineage_) {
-      c->metrics.durable_lag_hist.resize(stack_.size());
-      c->lineage_journal = std::make_unique<LineageCell[]>(kLineageJournalCap);
-    }
+    c->metrics.durable_lag_hist.resize(stack_.size());
+    c->tier_probe = std::make_unique<TierCells[]>(stack_.size());
+    c->lineage_journal = std::make_unique<LineageCell[]>(kLineageJournalCap);
 
     c->tiers.resize(static_cast<std::size_t>(ncache));
     for (int i = 0; i < ncache; ++i) {
@@ -509,11 +485,9 @@ util::Status Engine::EvictVictims(RankCtx& ctx_, TierIndex tier,
     ctx_.metrics.evicted_bytes_from_tier[static_cast<std::size_t>(tier)] +=
         rec.size;
     rec.res[static_cast<std::size_t>(tier)].Clear();
-    if (lineage_) {
-      QueueFlow(ctx_, trace::Kind::kEviction, "evict:drop", rec.flow_id,
-                trace::FlowPhase::kStep, static_cast<int>(tier), rec.version,
-                rec.size);
-    }
+    QueueFlow(ctx_, trace::Kind::kEviction, "evict:drop", rec.flow_id,
+              trace::FlowPhase::kStep, static_cast<int>(tier), rec.version,
+              rec.size);
     NoteStageable(ctx_, rec);
   }
   return util::OkStatus();
@@ -697,7 +671,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
   // tier rather than parked forever on a neighbour's progress.
   int quota_rounds = 0;
   for (int round = 0;; ++round) {
-    ++ctx_.metrics.reserve_rounds;
     ProbeAdd(ctx_.probe.reserve_rounds);
     const std::int64_t round_begin = util::NowNs();
     if (ctx_.shutdown) {
@@ -725,7 +698,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       // Shedding ignores hint distances, so guarded reservations only wait.
       if (!belady_guard) ShedForQuota(ctx_, lock, tier, purpose, size);
       if (OverTenantQuota(ctx_, size)) {
-        ++ctx_.metrics.reserve_quota_waits;
         ProbeAdd(ctx_.probe.reserve_quota_waits);
         QueueInstant(ctx_, trace::Kind::kEviction, "evict:quota", tier, v,
                      size);
@@ -747,7 +719,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     if (have_snap && buf.table_version() == snap.version) {
       // Same geometry as last round; only the annotations can have changed,
       // and those are recomputed below.
-      ++ctx_.metrics.reserve_snapshot_reuse;
       ProbeAdd(ctx_.probe.reserve_snapshot_reuse);
     } else {
       snap = buf.Snapshot();
@@ -802,7 +773,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         stale = true;
       }
       if (stale) {
-        ++ctx_.metrics.reserve_plans_stale;
         ProbeAdd(ctx_.probe.reserve_plans_stale);
         QueueInstant(ctx_, trace::Kind::kEviction, "evict:stale", tier, v,
                      size);
@@ -844,14 +814,12 @@ void Engine::FinishFlush(RankCtx& ctx_, Record& rec) {
   }
   // Every FinishFlush caller arrives with the record either degraded or
   // durable at some tier; both are lineage terminals.
-  if (lineage_) {
-    if (rec.degraded) {
-      LineageTerminal(ctx_, rec, LineageOutcome::kDegraded, "flow:degraded",
-                      rec.first_durable_tier);
-    } else if (rec.AnyDurable()) {
-      LineageTerminal(ctx_, rec, LineageOutcome::kDurable, "flow:durable",
-                      stack_.terminal());
-    }
+  if (rec.degraded) {
+    LineageTerminal(ctx_, rec, LineageOutcome::kDegraded, "flow:degraded",
+                    rec.first_durable_tier);
+  } else if (rec.AnyDurable()) {
+    LineageTerminal(ctx_, rec, LineageOutcome::kDurable, "flow:durable",
+                    stack_.terminal());
   }
   if (rec.state == CkptState::kWriteInProgress) {
     Advance(ctx_, rec, CkptState::kWriteComplete);
@@ -861,6 +829,37 @@ void Engine::FinishFlush(RankCtx& ctx_, Record& rec) {
     // Otherwise the pending reader performs WRITE_COMPLETE -> READ_COMPLETE.
   }
   NotifyState(ctx_);  // WaitForFlushes watches inflight_flushes
+}
+
+void Engine::CancelFlush(RankCtx& ctx_, Record& rec, TierIndex tier,
+                         LineageOutcome outcome, const char* flow_name) {
+  CKPT_ASSERT_HELD(ctx_.mu);
+  ctx_.tiers[static_cast<std::size_t>(tier)]->backlog_bytes -= rec.size;
+  ++ctx_.metrics.flushes_cancelled;
+  if (!rec.flush_done) {
+    rec.flush_done = true;
+    --ctx_.inflight_flushes;
+  }
+  LineageTerminal(ctx_, rec, outcome, flow_name, tier);
+  NotifyState(ctx_);  // WaitForFlushes watches inflight_flushes
+}
+
+void Engine::HandOffFlush(RankCtx& ctx_,
+                          std::unique_lock<util::CheckedMutex>& lock,
+                          Record& rec, TierIndex tier) {
+  const Version v = rec.version;
+  lock.unlock();
+  // Depth bumps before Push so the worker-side decrement (one per
+  // iteration, after the work is disposed of) can never underflow.
+  std::atomic<std::uint64_t>& depth =
+      ctx_.tier_probe[static_cast<std::size_t>(tier)].flush_queue_depth;
+  ProbeAdd(depth);
+  if (ctx_.tiers[static_cast<std::size_t>(tier)]->flush_q.Push(v)) return;
+  // Shutdown() closed the queue: nothing will ever pop this work.
+  ProbeSub(depth);
+  lock.lock();
+  CancelFlush(ctx_, rec, tier, LineageOutcome::kErased, "flow:erased:shutdown");
+  lock.unlock();
 }
 
 // ---------------------------------------------------------------------------
@@ -905,7 +904,6 @@ Engine::TerminalPutResult Engine::PutTerminal(RankCtx& ctx_, Version v,
 
 void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
                               const TerminalPutResult& r) {
-  ctx_.metrics.flush_retries += r.retries;
   ctx_.metrics.flush_failures += r.failures;
   if (r.retries > 0) {
     ProbeAdd(ctx_.probe.flush_retries, r.retries);
@@ -920,7 +918,6 @@ void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
       newly_durable = true;
       const auto idx =
           static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
-      ctx_.metrics.flush_bytes_to_tier[idx] += rec.size;
       ProbeAdd(ctx_.tier_probe[idx].flush_bytes, rec.size);
       LineageDurableAck(ctx_, rec, d);
     }
@@ -949,7 +946,6 @@ void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
     // cached copy with no durable backing, so the surviving copy is pinned
     // without any extra bookkeeping and Restore() serves it normally.
     rec.degraded = true;
-    ++ctx_.metrics.tier_degradations;
     ProbeAdd(ctx_.probe.tier_degradations);
     int deepest = -1;
     for (int d = stack_.num_durable_tiers() - 1; d >= 0; --d) {
@@ -997,7 +993,6 @@ void Engine::MarkFlushFailed(RankCtx& ctx_, Record& rec) {
   }
   if (rec.state == CkptState::kWriteInProgress) {
     ++ctx_.flush_failed_count;
-    ++ctx_.metrics.checkpoints_lost;
     ProbeAdd(ctx_.probe.checkpoints_lost);
     CKPT_LOG(kError, "flush")
         << "rank " << ctx_.rank << " ckpt " << rec.version
@@ -1193,16 +1188,11 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     }
     rr.valid = true;
     c.tiers[static_cast<std::size_t>(placed)]->backlog_bytes += size;
-    c.metrics.flush_bytes_to_tier[static_cast<std::size_t>(placed)] += size;
     ProbeAdd(c.tier_probe[static_cast<std::size_t>(placed)].flush_bytes, size);
     // T_PF may be in its landing wait for this version. The fresh copy is
     // not evictable yet (no durable backing), so no reservation wakeup.
     NotifyPrefetch(c);
-    lock.unlock();
-    // Depth bumps before Push so the worker-side decrement (one per
-    // iteration, after the work is disposed of) can never underflow.
-    ProbeAdd(c.tier_probe[static_cast<std::size_t>(placed)].flush_queue_depth);
-    c.tiers[static_cast<std::size_t>(placed)]->flush_q.Push(v);
+    HandOffFlush(c, lock, rec, placed);
   } else {
     // Oversize for every cache tier: synchronous write-through to the
     // durable store(s) from a transient pinned staging buffer.
@@ -1219,7 +1209,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache) + 1, v);
     const TerminalPutResult r = PutTerminal(c, v, staging.data(), size, rng);
     lock.lock();
-    c.metrics.flush_retries += r.retries;
     c.metrics.flush_failures += r.failures;
     ProbeAdd(c.probe.flush_retries, r.retries);
     bool any = false;
@@ -1229,7 +1218,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
         rec.durable[d] = 1;
         const auto idx =
             static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
-        c.metrics.flush_bytes_to_tier[idx] += size;
         ProbeAdd(c.tier_probe[idx].flush_bytes, size);
         LineageDurableAck(c, rec, d);
       }
@@ -1243,7 +1231,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     }
     if (!rec.durable[static_cast<std::size_t>(stack_.terminal_ordinal())]) {
       rec.degraded = true;
-      ++c.metrics.tier_degradations;
       ProbeAdd(c.probe.tier_degradations);
     }
     FinishFlush(c, rec);
@@ -1253,7 +1240,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
   if (!lock.owns_lock()) lock.lock();
   c.metrics.ckpt_block_s.Add(sw.ElapsedSec());
   c.metrics.ckpt_block_hist.Add(sw.ElapsedSec());
-  c.metrics.bytes_checkpointed += size;
   ProbeAdd(c.probe.checkpoints);
   ProbeAdd(c.probe.bytes_checkpointed, size);
   return util::OkStatus();
@@ -1349,14 +1335,8 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
     lock.lock();
     --rr.read_refs;
     NotifyReserve(c, src_tier);  // the copy may have become evictable
-    if (stack_.is_device(src_tier)) {
-      ++c.metrics.restores_from_gpu;
-    } else {
-      ++c.metrics.restores_from_host;
-    }
-    ++c.metrics.restores_from_tier[static_cast<std::size_t>(src_tier)];
-    ProbeAdd(c.tier_probe[static_cast<std::size_t>(src_tier)].restores);
-    if (lineage_ && st.ok()) {
+    if (st.ok()) {
+      ProbeAdd(c.tier_probe[static_cast<std::size_t>(src_tier)].restores);
       QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
                 trace::FlowPhase::kStep, src_tier, v, rec.size);
     }
@@ -1391,21 +1371,16 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
       }
     }
     lock.lock();
-    c.metrics.fetch_retries += fetch_retries;
     ProbeAdd(c.probe.fetch_retries, fetch_retries);
     if (fetch_retries > 0) {
       QueueInstant(c, trace::Kind::kRetry, "fetch:retries", served, v, size,
                    static_cast<double>(fetch_retries));
     }
     if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-    ++c.metrics.restores_from_store;
     if (st.ok() && served >= 0) {
-      ++c.metrics.restores_from_tier[static_cast<std::size_t>(served)];
       ProbeAdd(c.tier_probe[static_cast<std::size_t>(served)].restores);
-      if (lineage_) {
-        QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
-                  trace::FlowPhase::kStep, served, v, size);
-      }
+      QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
+                trace::FlowPhase::kStep, served, v, size);
     }
   } else {
     stop_waiting();
@@ -1432,7 +1407,6 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   app_span.SetTier(src_tier);
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.restore_block_hist.Add(sw.ElapsedSec());
-  c.metrics.bytes_restored += rec.size;
   ProbeAdd(c.probe.restores);
   ProbeAdd(c.probe.bytes_restored, rec.size);
   c.metrics.restore_series.push_back(RestorePoint{
@@ -1500,19 +1474,34 @@ util::Status Engine::WaitForFlushes(sim::Rank rank) {
 RankMetrics Engine::metrics(sim::Rank rank) const { return MetricsSnapshot(rank); }
 
 RankMetrics Engine::MetricsSnapshot(sim::Rank rank) const {
+  constexpr auto relax = std::memory_order_relaxed;
   const RankCtx& c = ctx(rank);
   std::lock_guard lock(c.mu);
-  return c.metrics;
+  // The counters live only in the cells; every bump of them runs under
+  // ctx.mu, so the values read here are exact and mutually consistent.
+  RankMetrics m = c.metrics;
+  for (const SharedCounter& sc : kSharedCounters) {
+    m.*sc.metric = (c.probe.*sc.cell).load(relax);
+  }
+  m.flush_bytes_to_tier.resize(stack_.size());
+  m.restores_from_tier.resize(stack_.size());
+  for (std::size_t i = 0; i < stack_.size(); ++i) {
+    m.flush_bytes_to_tier[i] = c.tier_probe[i].flush_bytes.load(relax);
+    m.restores_from_tier[i] = c.tier_probe[i].restores.load(relax);
+  }
+  return m;
 }
 
-Engine::RankProbe Engine::Probe(sim::Rank rank) const {
+util::telemetry::RankSample Engine::Probe(sim::Rank rank) const {
   // The whole point of this accessor: NO rank-lock acquisition. Every read
   // is a relaxed atomic load (or CacheUsed's own leaf-locked probe), so a
   // sampler thread can call it at arbitrary frequency without ever
   // contending with Checkpoint/Restore/flush/prefetch.
   constexpr auto relax = std::memory_order_relaxed;
   const RankCtx& c = ctx(rank);
-  RankProbe p;
+  util::telemetry::RankSample p;
+  p.rank = rank;
+  p.tenant = TenantLabelOf(rank);
   p.state_occupancy.resize(kCkptStateCount, 0);
   for (std::size_t s = 0; s < kCkptStateCount; ++s) {
     p.state_occupancy[s] = c.probe.state_occupancy[s].load(relax);
@@ -1522,41 +1511,27 @@ Engine::RankProbe Engine::Probe(sim::Rank rank) const {
   const std::uint64_t enq = c.probe.hints_enqueued.load(relax);
   const std::uint64_t ret = c.probe.hints_retired.load(relax);
   p.restore_queue_depth = enq >= ret ? enq - ret : 0;
-  p.reserve_rounds = c.probe.reserve_rounds.load(relax);
-  p.reserve_plans_stale = c.probe.reserve_plans_stale.load(relax);
-  p.reserve_snapshot_reuse = c.probe.reserve_snapshot_reuse.load(relax);
-  p.reserve_quota_waits = c.probe.reserve_quota_waits.load(relax);
-  p.flush_retries = c.probe.flush_retries.load(relax);
-  p.fetch_retries = c.probe.fetch_retries.load(relax);
-  p.tier_degradations = c.probe.tier_degradations.load(relax);
-  p.checkpoints_lost = c.probe.checkpoints_lost.load(relax);
+  for (const SharedCounter& sc : kSharedCounters) {
+    p.*sc.sample = (c.probe.*sc.cell).load(relax);
+  }
   p.checkpoints = c.probe.checkpoints.load(relax);
   p.restores = c.probe.restores.load(relax);
-  p.bytes_checkpointed = c.probe.bytes_checkpointed.load(relax);
-  p.bytes_restored = c.probe.bytes_restored.load(relax);
-  p.watchdog_stalls = c.probe.watchdog_stalls.load(relax);
-  p.objects_admitted = c.probe.objects_admitted.load(relax);
-  p.objects_durable = c.probe.objects_durable.load(relax);
-  p.objects_degraded = c.probe.objects_degraded.load(relax);
-  p.objects_lost = c.probe.objects_lost.load(relax);
-  p.objects_erased = c.probe.objects_erased.load(relax);
   p.tiers.resize(stack_.size());
   for (std::size_t i = 0; i < stack_.size(); ++i) {
-    TierProbe& tp = p.tiers[i];
-    const TierProbeCells& cells = c.tier_probe[i];
+    util::telemetry::TierSample& tp = p.tiers[i];
+    const TierCells& cells = c.tier_probe[i];
     tp.flush_queue_depth = cells.flush_queue_depth.load(relax);
     tp.flush_bytes = cells.flush_bytes.load(relax);
     tp.restores = cells.restores.load(relax);
-    if (lineage_ && stack_.is_durable(static_cast<TierIndex>(i))) {
+    const auto ti = static_cast<TierIndex>(i);
+    if (stack_.is_durable(ti)) {
       tp.lag_buckets.resize(util::telemetry::kDurabilityLagBuckets, 0);
       for (std::size_t b = 0; b < tp.lag_buckets.size(); ++b) {
         tp.lag_buckets[b] = cells.lag_buckets[b].load(relax);
       }
       tp.lag_count = cells.lag_count.load(relax);
       tp.lag_sum_ns = cells.lag_sum_ns.load(relax);
-    }
-    const auto ti = static_cast<TierIndex>(i);
-    if (stack_.is_cache(ti)) {
+    } else {
       tp.bytes_used = CacheUsed(rank, ti);
       // capacity is written once at Init, before any worker or sampler can
       // observe it: a plain read is safe.
@@ -1568,9 +1543,8 @@ Engine::RankProbe Engine::Probe(sim::Rank rank) const {
 
 void Engine::NoteStall(sim::Rank rank, StallKind kind) {
   RankCtx& c = ctx(rank);
-  ProbeAdd(c.probe.watchdog_stalls);
   std::lock_guard lock(c.mu);
-  ++c.metrics.watchdog_stalls;
+  ProbeAdd(c.probe.watchdog_stalls);
   switch (kind) {
     case StallKind::kFsmDwell:
       ++c.metrics.watchdog_fsm_stalls;
@@ -1657,7 +1631,7 @@ void Engine::PublishQueuedTraceLocked(
 void Engine::QueueFlow(RankCtx& ctx_, trace::Kind kind, const char* name,
                        std::uint64_t flow_id, trace::FlowPhase phase,
                        int tier, Version v, std::uint64_t bytes) {
-  if (!trace::flows_enabled() || flow_id == 0) return;
+  if (!trace::enabled() || flow_id == 0) return;
   CKPT_ASSERT_HELD(ctx_.mu);
   trace::Event e;
   e.ts_ns = trace::Now();
@@ -1675,10 +1649,8 @@ void Engine::QueueFlow(RankCtx& ctx_, trace::Kind kind, const char* name,
 
 void Engine::LineageAdmit(RankCtx& ctx_, Record& rec) {
   CKPT_ASSERT_HELD(ctx_.mu);
-  if (!lineage_) return;
   rec.admit_ns = util::NowNs();
   rec.flow_id = trace::FlowIdOf(ctx_.rank, rec.version);
-  ++ctx_.metrics.objects_admitted;
   ProbeAdd(ctx_.probe.objects_admitted);
   QueueFlow(ctx_, trace::Kind::kLifecycle, "ckpt:admit", rec.flow_id,
             trace::FlowPhase::kStart, /*tier=*/-1, rec.version, rec.size);
@@ -1690,51 +1662,43 @@ void Engine::LineageTerminal(RankCtx& ctx_, Record& rec, LineageOutcome outcome,
   // First disposition wins: a degraded record later discarded, or a lost
   // record whose erase site also fires, must not terminate twice — that is
   // exactly the double-termination the auditor flags.
-  if (!lineage_ || rec.lineage_done || rec.flow_id == 0) return;
+  if (rec.lineage_done || rec.flow_id == 0) return;
   rec.lineage_done = true;
   switch (outcome) {
     case LineageOutcome::kDurable:
-      ++ctx_.metrics.objects_durable;
       ProbeAdd(ctx_.probe.objects_durable);
       break;
     case LineageOutcome::kDegraded:
-      ++ctx_.metrics.objects_degraded;
       ProbeAdd(ctx_.probe.objects_degraded);
       break;
     case LineageOutcome::kLost:
-      ++ctx_.metrics.objects_lost;
       ProbeAdd(ctx_.probe.objects_lost);
       break;
     case LineageOutcome::kErased:
-      ++ctx_.metrics.objects_erased;
       ProbeAdd(ctx_.probe.objects_erased);
       break;
   }
-#ifndef CKPT_TELEMETRY_DISABLED
-  if (ctx_.lineage_journal != nullptr) {
-    constexpr auto relax = std::memory_order_relaxed;
-    const std::uint64_t h = ctx_.lineage_head.load(relax);
-    LineageCell& cell = ctx_.lineage_journal[h % kLineageJournalCap];
-    const std::uint64_t s = cell.stamp.load(relax);
-    cell.stamp.store(s + 1, std::memory_order_release);  // odd: mid-write
-    cell.version.store(rec.version, relax);
-    cell.flow_id.store(rec.flow_id, relax);
-    cell.admit_ns.store(rec.admit_ns, relax);
-    cell.durable_ns.store(rec.first_durable_ns, relax);
-    cell.terminal_ns.store(util::NowNs(), relax);
-    cell.durable_tier.store(rec.first_durable_tier, relax);
-    cell.outcome.store(static_cast<std::uint8_t>(outcome), relax);
-    cell.stamp.store(s + 2, std::memory_order_release);  // even: stable
-    ctx_.lineage_head.store(h + 1, std::memory_order_release);
-  }
-#endif
+  constexpr auto relax = std::memory_order_relaxed;
+  const std::uint64_t h = ctx_.lineage_head.load(relax);
+  LineageCell& cell = ctx_.lineage_journal[h % kLineageJournalCap];
+  const std::uint64_t s = cell.stamp.load(relax);
+  cell.stamp.store(s + 1, std::memory_order_release);  // odd: mid-write
+  cell.version.store(rec.version, relax);
+  cell.flow_id.store(rec.flow_id, relax);
+  cell.admit_ns.store(rec.admit_ns, relax);
+  cell.durable_ns.store(rec.first_durable_ns, relax);
+  cell.terminal_ns.store(util::NowNs(), relax);
+  cell.durable_tier.store(rec.first_durable_tier, relax);
+  cell.outcome.store(static_cast<std::uint8_t>(outcome), relax);
+  cell.stamp.store(s + 2, std::memory_order_release);  // even: stable
+  ctx_.lineage_head.store(h + 1, std::memory_order_release);
   QueueFlow(ctx_, trace::Kind::kLifecycle, flow_name, rec.flow_id,
             trace::FlowPhase::kEnd, tier, rec.version, rec.size);
 }
 
 void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
   CKPT_ASSERT_HELD(ctx_.mu);
-  if (!lineage_ || rec.flow_id == 0 || rec.admit_ns <= 0) return;
+  if (rec.flow_id == 0 || rec.admit_ns <= 0) return;
   const auto idx =
       static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
   const std::int64_t now = util::NowNs();
@@ -1744,24 +1708,17 @@ void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
   }
   const std::int64_t lag_ns = now > rec.admit_ns ? now - rec.admit_ns : 0;
   const double lag_s = static_cast<double>(lag_ns) / 1e9;
-  if (idx < ctx_.metrics.durable_lag_hist.size()) {
-    ctx_.metrics.durable_lag_hist[idx].Add(lag_s);
+  ctx_.metrics.durable_lag_hist[idx].Add(lag_s);
+  TierCells& cells = ctx_.tier_probe[idx];
+  // First bucket whose upper edge covers the sample (`le` convention).
+  constexpr std::size_t n_edges = util::telemetry::kDurabilityLagBuckets - 1;
+  std::size_t b = 0;
+  while (b < n_edges && lag_s > util::telemetry::kDurabilityLagEdgesS[b]) {
+    ++b;
   }
-#ifndef CKPT_TELEMETRY_DISABLED
-  {
-    constexpr auto relax = std::memory_order_relaxed;
-    TierProbeCells& cells = ctx_.tier_probe[idx];
-    // First bucket whose upper edge covers the sample (`le` convention).
-    constexpr std::size_t n_edges = util::telemetry::kDurabilityLagBuckets - 1;
-    std::size_t b = 0;
-    while (b < n_edges && lag_s > util::telemetry::kDurabilityLagEdgesS[b]) {
-      ++b;
-    }
-    cells.lag_buckets[b].fetch_add(1, relax);
-    cells.lag_count.fetch_add(1, relax);
-    cells.lag_sum_ns.fetch_add(static_cast<std::uint64_t>(lag_ns), relax);
-  }
-#endif
+  ProbeAdd(cells.lag_buckets[b]);
+  ProbeAdd(cells.lag_count);
+  ProbeAdd(cells.lag_sum_ns, static_cast<std::uint64_t>(lag_ns));
   QueueFlow(ctx_, trace::Kind::kFlush, flow_ack_names_[d], rec.flow_id,
             trace::FlowPhase::kStep, static_cast<int>(idx), rec.version,
             rec.size);
@@ -1776,7 +1733,6 @@ Engine::LineageSnapshot Engine::Lineage(sim::Rank rank) const {
   s.degraded = c.probe.objects_degraded.load(relax);
   s.lost = c.probe.objects_lost.load(relax);
   s.erased = c.probe.objects_erased.load(relax);
-  if (c.lineage_journal == nullptr) return s;
   const std::uint64_t head = c.lineage_head.load(std::memory_order_acquire);
   s.journal_total = head;
   const std::uint64_t n = head < kLineageJournalCap ? head : kLineageJournalCap;
@@ -1965,20 +1921,10 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     Record& rec = it->second;
     Residency& mine = rec.res[static_cast<std::size_t>(tier)];
 
-    auto cancel = [&](LineageOutcome outcome, const char* flow_name) {
-      t.backlog_bytes -= rec.size;
-      ++c.metrics.flushes_cancelled;
-      if (!rec.flush_done) {
-        rec.flush_done = true;
-        --c.inflight_flushes;
-      }
-      LineageTerminal(c, rec, outcome, flow_name, tier);
-      NotifyState(c);  // WaitForFlushes watches inflight_flushes
-    };
-
     // Condition (5): consumed + discardable checkpoints skip pending flushes.
     if (options_.discard_after_restore && rec.state == CkptState::kConsumed) {
-      cancel(LineageOutcome::kErased, "flow:erased:discarded");
+      CancelFlush(c, rec, tier, LineageOutcome::kErased,
+                  "flow:erased:discarded");
       continue;
     }
     if (!mine.valid) {
@@ -1997,10 +1943,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       if (deeper >= 0) {
         // A deeper cache copy continues the pipeline from there.
         c.tiers[static_cast<std::size_t>(deeper)]->backlog_bytes += rec.size;
-        lock.unlock();
-        ProbeAdd(
-            c.tier_probe[static_cast<std::size_t>(deeper)].flush_queue_depth);
-        c.tiers[static_cast<std::size_t>(deeper)]->flush_q.Push(v);
+        HandOffFlush(c, lock, rec, deeper);
       } else if (rec.AnyDurable()) {
         // Already durable from an earlier stage; the missing copy is moot.
         FinishFlush(c, rec);
@@ -2012,7 +1955,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
             << stack_.name(static_cast<std::size_t>(tier))
             << " copy lost before its flush stage";
         rec.degraded = true;
-        ++c.metrics.tier_degradations;
+        ProbeAdd(c.probe.tier_degradations);
         FinishFlush(c, rec);
       } else if (!rec.flush_done) {
         CKPT_LOG(kError, "flush")
@@ -2070,7 +2013,8 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     if (target < 0 && tier + 1 < ncache &&
         reserve_st.code() != util::ErrorCode::kCapacityExceeded) {
       // Shutdown or condition-(5) abort mid-reservation.
-      cancel(LineageOutcome::kErased, "flow:erased:cancelled");
+      CancelFlush(c, rec, tier, LineageOutcome::kErased,
+                  "flow:erased:cancelled");
       continue;
     }
 
@@ -2124,30 +2068,26 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       CKPT_LOG(kError, "flush") << "flush stage copy failed: " << st.ToString();
       // The source-tier copy survives the failed hop, so the object ends
       // short of the terminal tier rather than lost.
-      cancel(LineageOutcome::kDegraded, "flow:degraded:flush-cancelled");
+      CancelFlush(c, rec, tier, LineageOutcome::kDegraded,
+                  "flow:degraded:flush-cancelled");
       continue;
     }
     QueueSpanSince(c, trace::Kind::kFlush, stage_span, t0, target, v,
                    rec.size);
-    if (lineage_) {
-      QueueFlow(c, trace::Kind::kFlush, flow_hop_names_[target], rec.flow_id,
-                trace::FlowPhase::kStep, target, v, rec.size);
-    }
+    QueueFlow(c, trace::Kind::kFlush, flow_hop_names_[target], rec.flow_id,
+              trace::FlowPhase::kStep, target, v, rec.size);
     c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
         static_cast<double>(util::NowNs() - t0) / 1e9);
     next.valid = true;
     t.backlog_bytes -= rec.size;
     c.tiers[static_cast<std::size_t>(target)]->backlog_bytes += rec.size;
-    c.metrics.flush_bytes_to_tier[static_cast<std::size_t>(target)] += rec.size;
     ProbeAdd(c.tier_probe[static_cast<std::size_t>(target)].flush_bytes,
              rec.size);
     // The deeper copy makes every shallower copy of this record SafeBelow
     // (and our read_ref dropped): wake reservations above `target` only.
     for (int j = 0; j < target; ++j) NotifyReserve(c, j);
     NotifyPrefetch(c);  // T_PF may be in its landing wait for this version
-    lock.unlock();
-    ProbeAdd(c.tier_probe[static_cast<std::size_t>(target)].flush_queue_depth);
-    c.tiers[static_cast<std::size_t>(target)]->flush_q.Push(v);
+    HandOffFlush(c, lock, rec, target);
   }
 }
 
@@ -2366,7 +2306,6 @@ void Engine::PrefetchLoop(RankCtx& c) {
                         fell_back, served);
       }
       lock.lock();
-      c.metrics.fetch_retries += fetch_retries;
       ProbeAdd(c.probe.fetch_retries, fetch_retries);
       if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
     }
@@ -2386,10 +2325,8 @@ void Engine::PrefetchLoop(RankCtx& c) {
     ++c.metrics.prefetch_promotions;
     QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
                    0, v, rec.size);
-    if (lineage_) {
-      QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-                trace::FlowPhase::kStep, 0, v, rec.size);
-    }
+    QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
+              trace::FlowPhase::kStep, 0, v, rec.size);
     c.metrics.promotion_hist.Add(
         static_cast<double>(util::NowNs() - promo_begin) / 1e9);
   }
@@ -2468,7 +2405,6 @@ void Engine::StageInLoop(RankCtx& c) {
     const util::Status st = GetDurable(c, v, dst, size, durable, rng, abandon,
                                        fetch_retries, fell_back, served);
     lock.lock();
-    c.metrics.fetch_retries += fetch_retries;
     ProbeAdd(c.probe.fetch_retries, fetch_retries);
     if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
     res.io_pending = false;
@@ -2486,10 +2422,8 @@ void Engine::StageInLoop(RankCtx& c) {
     if (c.hints.Head() == std::optional<Version>(v)) NotifyPrefetch(c);
     QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:stage", begin, deepest,
                    v, size);
-    if (lineage_) {
-      QueueFlow(c, trace::Kind::kPrefetch, "prefetch:stage", rec.flow_id,
-                trace::FlowPhase::kStep, deepest, v, size);
-    }
+    QueueFlow(c, trace::Kind::kPrefetch, "prefetch:stage", rec.flow_id,
+              trace::FlowPhase::kStep, deepest, v, size);
   }
 }
 

@@ -147,14 +147,6 @@ struct EngineOptions {
   /// engine.
   std::vector<TenantSpec> tenants;
 
-  /// Per-object lineage tracking (DESIGN.md §14): derives a stable flow id
-  /// per checkpoint, stamps Chrome-trace flow events on every causal hop,
-  /// keeps the per-rank lineage journal, and populates the objects_* /
-  /// durability-lag metrics. Also enabled by CKPT_LINEAGE=1 in the
-  /// environment. Off by default so legacy trace, metrics-JSON and
-  /// OpenMetrics output stays byte-identical.
-  bool lineage = false;
-
   /// Test hook: when set, a commit-ready eviction plan in round `round`
   /// (0-based per ReserveOn call) is treated as stale even though the table
   /// version matched — exercises the stale-replan path (and the snapshot
@@ -207,8 +199,10 @@ class Engine final : public Runtime {
   /// tier (or its flush was cancelled by condition (5)).
   util::Status WaitForFlushes(sim::Rank rank) override;
 
-  /// Stops background threads; in-flight transfers complete first.
-  /// Idempotent; also called by the destructor.
+  /// Stops background threads; in-flight transfers complete first. Queued
+  /// flush work is abandoned, and each abandoned object ends erased in the
+  /// lineage ledger; callers that need durability call WaitForFlushes()
+  /// first (DESIGN.md §8.8). Idempotent; also called by the destructor.
   void Shutdown() override;
 
   // --- Multi-tenant service surface (DESIGN.md §12) ---
@@ -277,55 +271,13 @@ class Engine final : public Runtime {
   [[nodiscard]] std::uint64_t PrefetchDistance(sim::Rank rank) const;
 
   // --- Live telemetry probe (DESIGN.md §11) ---
-  /// Point-in-time reading of one stack tier's probe cells.
-  struct TierProbe {
-    std::uint64_t bytes_used = 0;      ///< cache tiers; 0 for durable tiers
-    std::uint64_t bytes_capacity = 0;  ///< cache tiers; 0 for durable tiers
-    std::uint64_t flush_queue_depth = 0;  ///< queued + in-flight flush work
-    std::uint64_t flush_bytes = 0;        ///< cumulative bytes landed here
-    std::uint64_t restores = 0;           ///< restores served from this tier
-    /// Durability-lag histogram cells (DESIGN.md §14): counts per
-    /// util::telemetry::kDurabilityLagEdgesS bucket (+Inf last). Empty for
-    /// cache tiers or when lineage tracking is off.
-    std::vector<std::uint64_t> lag_buckets;
-    std::uint64_t lag_count = 0;
-    std::uint64_t lag_sum_ns = 0;
-  };
-  /// Point-in-time reading of one rank's probe cells. Produced WITHOUT the
-  /// rank lock: each field is one relaxed atomic read, so the fields are
-  /// individually exact but mutually unsynchronized — exactly what a
-  /// periodic sampler needs, and never what a correctness check should use
-  /// (tests want MetricsSnapshot()).
-  struct RankProbe {
-    std::vector<std::uint64_t> state_occupancy;  ///< records per CkptState
-    std::int64_t last_transition_ns = 0;  ///< NowNs() of the latest FSM edge
-    std::uint64_t restore_queue_depth = 0;  ///< pending restore-order hints
-    std::uint64_t reserve_rounds = 0;
-    std::uint64_t reserve_plans_stale = 0;
-    std::uint64_t reserve_snapshot_reuse = 0;
-    std::uint64_t reserve_quota_waits = 0;
-    std::uint64_t flush_retries = 0;
-    std::uint64_t fetch_retries = 0;
-    std::uint64_t tier_degradations = 0;
-    std::uint64_t checkpoints_lost = 0;
-    std::uint64_t checkpoints = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t bytes_checkpointed = 0;
-    std::uint64_t bytes_restored = 0;
-    std::uint64_t watchdog_stalls = 0;
-    // Lineage outcome counters (DESIGN.md §14); zero when lineage is off.
-    std::uint64_t objects_admitted = 0;
-    std::uint64_t objects_durable = 0;
-    std::uint64_t objects_degraded = 0;
-    std::uint64_t objects_lost = 0;
-    std::uint64_t objects_erased = 0;
-    std::vector<TierProbe> tiers;  ///< by stack index
-  };
-  /// Samples the rank's probe cells without acquiring the rank lock. Safe
-  /// from a sampler thread at arbitrary frequency. Reads all-zero counters
-  /// when the telemetry subsystem is compiled out (CKPT_TELEMETRY_DISABLED
-  /// turns every probe bump into a no-op).
-  [[nodiscard]] RankProbe Probe(sim::Rank rank) const;
+  /// Point-in-time reading of one rank's counter cells, filled straight
+  /// into a telemetry sample (window rates stay 0; the sampler derives
+  /// them). Produced WITHOUT the rank lock: each field is one relaxed
+  /// atomic read, so the fields are individually exact but mutually
+  /// unsynchronized — exactly what a periodic sampler needs, and never what
+  /// a correctness check should use (tests want MetricsSnapshot()).
+  [[nodiscard]] util::telemetry::RankSample Probe(sim::Rank rank) const;
 
   /// Stall categories the telemetry watchdog can detect (DESIGN.md §11).
   enum class StallKind : std::uint8_t {
@@ -333,8 +285,8 @@ class Engine final : public Runtime {
     kFlushNoProgress,  ///< flush queue non-empty but no bytes moved
     kReserveLivelock,  ///< eviction plans kept going stale window over window
   };
-  /// Charges a watchdog-detected stall to the rank's metrics and probe
-  /// cells. Takes the rank lock — trip path only, never the sample path.
+  /// Charges a watchdog-detected stall to the rank's counters. Takes the
+  /// rank lock — trip path only, never the sample path.
   void NoteStall(sim::Rank rank, StallKind kind);
 
   // --- Per-checkpoint lineage (DESIGN.md §14) ---
@@ -359,10 +311,7 @@ class Engine final : public Runtime {
     LineageOutcome outcome = LineageOutcome::kDurable;
   };
   /// Lock-free snapshot of one rank's lineage ledger: outcome counters plus
-  /// the newest journal entries (oldest first). Counters and journal read
-  /// all-zero / empty when the telemetry subsystem is compiled out
-  /// (CKPT_TELEMETRY_DISABLED) — use MetricsSnapshot() for the always-on
-  /// metrics-side ledger.
+  /// the newest journal entries (oldest first).
   struct LineageSnapshot {
     std::uint64_t admitted = 0;
     std::uint64_t durable = 0;
@@ -383,9 +332,6 @@ class Engine final : public Runtime {
   /// Samples the rank's lineage cells and journal without the rank lock
   /// (seqlock-stamped journal cells; torn entries are skipped).
   [[nodiscard]] LineageSnapshot Lineage(sim::Rank rank) const;
-  /// True when lineage tracking is on (EngineOptions::lineage or
-  /// CKPT_LINEAGE=1).
-  [[nodiscard]] bool lineage() const noexcept { return lineage_; }
 
  private:
   struct Residency {
@@ -479,17 +425,16 @@ class Engine final : public Runtime {
     std::jthread worker;  ///< FlushStageLoop for this tier
   };
 
-  /// Lock-free telemetry probe cells (DESIGN.md §11): relaxed atomics the
-  /// hot path bumps through the Probe*() helpers below (writers already
-  /// hold ctx.mu; the sampler reads them without any lock, mirroring the
-  /// CacheTierRt::ready pattern). The cells always exist — they are a few
-  /// hundred bytes per rank — but with CKPT_TELEMETRY_DISABLED every bump
-  /// helper compiles to nothing, so the hot path carries zero extra work
-  /// and Probe() reports all-zero counters.
-  struct TierProbeCells {
+  /// Counter cells (DESIGN.md §11): relaxed atomics, the single count of
+  /// every event they record. Writers bump them through the Probe*()
+  /// helpers below; MetricsSnapshot() reads them under ctx.mu and the
+  /// sampler's Probe() without any lock, mirroring the CacheTierRt::ready
+  /// pattern. Every bump of a counter RankMetrics also reports runs under
+  /// ctx.mu, so a snapshot's counters are mutually consistent.
+  struct TierCells {
     std::atomic<std::uint64_t> flush_queue_depth{0};  ///< queued + in-flight
-    std::atomic<std::uint64_t> flush_bytes{0};
-    std::atomic<std::uint64_t> restores{0};
+    std::atomic<std::uint64_t> flush_bytes{0};  ///< flush_bytes_to_tier
+    std::atomic<std::uint64_t> restores{0};     ///< restores_from_tier
     /// Durability-lag histogram cells (DESIGN.md §14): per-bucket counts
     /// over util::telemetry::kDurabilityLagEdgesS plus the +Inf bucket.
     /// Bumped at each durable ack on durable-tier positions only; cache
@@ -500,7 +445,7 @@ class Engine final : public Runtime {
     std::atomic<std::uint64_t> lag_count{0};
     std::atomic<std::uint64_t> lag_sum_ns{0};
   };
-  struct ProbeCells {
+  struct RankCells {
     std::array<std::atomic<std::uint64_t>, kCkptStateCount> state_occupancy{};
     std::atomic<std::int64_t> last_transition_ns{0};
     /// restore_queue_depth = hints_enqueued - hints_retired. Split into two
@@ -522,12 +467,54 @@ class Engine final : public Runtime {
     std::atomic<std::uint64_t> bytes_checkpointed{0};
     std::atomic<std::uint64_t> bytes_restored{0};
     std::atomic<std::uint64_t> watchdog_stalls{0};
-    // Lineage outcome counters (DESIGN.md §14); bumped only with lineage on.
+    // Lineage outcome counters (DESIGN.md §14).
     std::atomic<std::uint64_t> objects_admitted{0};
     std::atomic<std::uint64_t> objects_durable{0};
     std::atomic<std::uint64_t> objects_degraded{0};
     std::atomic<std::uint64_t> objects_lost{0};
     std::atomic<std::uint64_t> objects_erased{0};
+  };
+  /// A rank counter RankMetrics and the telemetry sample both report: one
+  /// cell, read by MetricsSnapshot() and Probe() alike.
+  struct SharedCounter {
+    std::atomic<std::uint64_t> RankCells::*cell;
+    std::uint64_t RankMetrics::*metric;
+    std::uint64_t util::telemetry::RankSample::*sample;
+  };
+  static constexpr SharedCounter kSharedCounters[] = {
+      {&RankCells::bytes_checkpointed, &RankMetrics::bytes_checkpointed,
+       &util::telemetry::RankSample::bytes_checkpointed},
+      {&RankCells::bytes_restored, &RankMetrics::bytes_restored,
+       &util::telemetry::RankSample::bytes_restored},
+      {&RankCells::reserve_rounds, &RankMetrics::reserve_rounds,
+       &util::telemetry::RankSample::reserve_rounds},
+      {&RankCells::reserve_plans_stale, &RankMetrics::reserve_plans_stale,
+       &util::telemetry::RankSample::reserve_plans_stale},
+      {&RankCells::reserve_snapshot_reuse,
+       &RankMetrics::reserve_snapshot_reuse,
+       &util::telemetry::RankSample::reserve_snapshot_reuse},
+      {&RankCells::reserve_quota_waits, &RankMetrics::reserve_quota_waits,
+       &util::telemetry::RankSample::reserve_quota_waits},
+      {&RankCells::flush_retries, &RankMetrics::flush_retries,
+       &util::telemetry::RankSample::flush_retries},
+      {&RankCells::fetch_retries, &RankMetrics::fetch_retries,
+       &util::telemetry::RankSample::fetch_retries},
+      {&RankCells::tier_degradations, &RankMetrics::tier_degradations,
+       &util::telemetry::RankSample::tier_degradations},
+      {&RankCells::checkpoints_lost, &RankMetrics::checkpoints_lost,
+       &util::telemetry::RankSample::checkpoints_lost},
+      {&RankCells::watchdog_stalls, &RankMetrics::watchdog_stalls,
+       &util::telemetry::RankSample::watchdog_stalls},
+      {&RankCells::objects_admitted, &RankMetrics::objects_admitted,
+       &util::telemetry::RankSample::objects_admitted},
+      {&RankCells::objects_durable, &RankMetrics::objects_durable,
+       &util::telemetry::RankSample::objects_durable},
+      {&RankCells::objects_degraded, &RankMetrics::objects_degraded,
+       &util::telemetry::RankSample::objects_degraded},
+      {&RankCells::objects_lost, &RankMetrics::objects_lost,
+       &util::telemetry::RankSample::objects_lost},
+      {&RankCells::objects_erased, &RankMetrics::objects_erased,
+       &util::telemetry::RankSample::objects_erased},
   };
 
   /// One slot of the per-rank lineage journal (DESIGN.md §14): a
@@ -587,16 +574,18 @@ class Engine final : public Runtime {
     std::uint64_t restore_counter = 0;
     std::uint64_t flush_failed_count = 0;  ///< records in FLUSH_FAILED
 
+    /// Everything but the counters kSharedCounters and the tier cells
+    /// hold: those fields stay 0 here and MetricsSnapshot() fills them.
     RankMetrics metrics;
 
-    ProbeCells probe;
+    RankCells probe;
     /// One cell block per stack tier (cache AND durable), sized at Init.
-    std::unique_ptr<TierProbeCells[]> tier_probe;
+    std::unique_ptr<TierCells[]> tier_probe;
 
-    /// Lineage journal ring (DESIGN.md §14), allocated at Init only when
-    /// lineage tracking is on. lineage_head counts terminals ever journaled
-    /// (slot = index % kLineageJournalCap); writers append under mu, the
-    /// Lineage() reader walks the ring lock-free.
+    /// Lineage journal ring (DESIGN.md §14), allocated at Init.
+    /// lineage_head counts terminals ever journaled (slot = index %
+    /// kLineageJournalCap); writers append under mu, the Lineage() reader
+    /// walks the ring lock-free.
     std::unique_ptr<LineageCell[]> lineage_journal;
     std::atomic<std::uint64_t> lineage_head{0};
 
@@ -650,25 +639,14 @@ class Engine final : public Runtime {
     rec.lru_seq = ++ctx.seq_counter;
   }
 
-  // --- Probe-cell bump helpers (DESIGN.md §11) ---
-  // All relaxed; all compile to nothing under CKPT_TELEMETRY_DISABLED.
+  // --- Counter-cell bump helpers (DESIGN.md §11); all relaxed ---
   static void ProbeAdd(std::atomic<std::uint64_t>& cell,
                        std::uint64_t n = 1) noexcept {
-#ifndef CKPT_TELEMETRY_DISABLED
     cell.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)cell;
-    (void)n;
-#endif
   }
   static void ProbeSub(std::atomic<std::uint64_t>& cell,
                        std::uint64_t n = 1) noexcept {
-#ifndef CKPT_TELEMETRY_DISABLED
     cell.fetch_sub(n, std::memory_order_relaxed);
-#else
-    (void)cell;
-    (void)n;
-#endif
   }
   /// A record entered the FSM (record inserted into ctx.records).
   static void ProbeEnterState(RankCtx& ctx, CkptState s) noexcept {
@@ -682,16 +660,10 @@ class Engine final : public Runtime {
   /// (the watchdog's FSM-dwell detector keys off this stamp).
   static void ProbeTransition(RankCtx& ctx, CkptState from,
                               CkptState to) noexcept {
-#ifndef CKPT_TELEMETRY_DISABLED
     ProbeLeaveState(ctx, from);
     ProbeEnterState(ctx, to);
     ctx.probe.last_transition_ns.store(util::NowNs(),
                                        std::memory_order_relaxed);
-#else
-    (void)ctx;
-    (void)from;
-    (void)to;
-#endif
   }
 
   // --- Deferred trace emission (keep trace-buffer locking off the
@@ -729,9 +701,8 @@ class Engine final : public Runtime {
   };
   // --- Lineage helpers (DESIGN.md §14); all require ctx.mu held ---
   /// Queues a flow event (ph "s"/"t"/"f" keyed by `flow_id`) on the
-  /// object's causal chain. No-op unless flow emission is on
-  /// (util::trace::flows_enabled()) and `flow_id` is nonzero, so legacy
-  /// traces stay byte-identical.
+  /// object's causal chain. No-op unless tracing is on and `flow_id` is
+  /// nonzero (imported records carry none).
   static void QueueFlow(RankCtx& ctx, util::trace::Kind kind,
                         const char* name, std::uint64_t flow_id,
                         util::trace::FlowPhase phase, int tier = -1,
@@ -822,6 +793,17 @@ class Engine final : public Runtime {
   static bool DrainHints(RankCtx& ctx);
   /// Marks a flush stage reaching the terminal tier; advances the FSM.
   void FinishFlush(RankCtx& ctx, Record& rec);
+  /// Drops `rec`'s pending flush queued on cache tier `tier` (ctx.mu
+  /// held): settles the tier's backlog and the in-flight count and records
+  /// the lineage terminal `outcome` / `flow_name`.
+  void CancelFlush(RankCtx& ctx, Record& rec, TierIndex tier,
+                   LineageOutcome outcome, const char* flow_name);
+  /// Hands `rec`'s flush obligation to cache tier `tier`'s worker. Releases
+  /// `lock` (on ctx.mu) for the push and returns with it released. A queue
+  /// Shutdown() already closed refuses the hand-off; the object then ends
+  /// as flow:erased:shutdown.
+  void HandOffFlush(RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock,
+                    Record& rec, TierIndex tier);
 
   // --- Failure model helpers (DESIGN.md §8) ---
   /// Result of writing one checkpoint to the durable store(s) with retries.
@@ -888,11 +870,9 @@ class Engine final : public Runtime {
   std::vector<const char*> durable_span_names_;
   /// Interned flow-step names (DESIGN.md §14): "hop:<tier>" per stack index
   /// (flush-stage landings) and "ack:<tier>" per durable ordinal (durable
-  /// acks). Empty unless lineage tracking is on.
+  /// acks).
   std::vector<const char*> flow_hop_names_;
   std::vector<const char*> flow_ack_names_;
-  /// Lineage tracking on (EngineOptions::lineage or CKPT_LINEAGE=1).
-  bool lineage_ = false;
   /// Two-stage prefetch (DESIGN.md §5): >= 2 cache tiers and promotions
   /// that are not GPUDirect. Each rank then runs a stage-in worker that
   /// owns the prefetch side's store reads; T_PF only promotes cache copies.

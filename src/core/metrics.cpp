@@ -7,9 +7,6 @@ void RankMetrics::Merge(const RankMetrics& other) {
   for (double s : other.restore_block_s.samples()) restore_block_s.Add(s);
   bytes_checkpointed += other.bytes_checkpointed;
   bytes_restored += other.bytes_restored;
-  restores_from_gpu += other.restores_from_gpu;
-  restores_from_host += other.restores_from_host;
-  restores_from_store += other.restores_from_store;
   restores_waited_promotion += other.restores_waited_promotion;
   const auto merge_per_tier = [](std::vector<std::uint64_t>& into,
                                  const std::vector<std::uint64_t>& from) {

@@ -29,17 +29,11 @@ struct RankMetrics {
   std::uint64_t bytes_checkpointed = 0;
   std::uint64_t bytes_restored = 0;
 
-  // Restore service location (which tier satisfied the read). The legacy
-  // scalars aggregate by tier role (device cache / host cache / durable
-  // store); the vectors below index by TierStack position for config-driven
-  // stacks.
-  std::uint64_t restores_from_gpu = 0;
-  std::uint64_t restores_from_host = 0;
-  std::uint64_t restores_from_store = 0;   // durable-store direct path
   std::uint64_t restores_waited_promotion = 0;  // blocked on T_PF
 
-  // Per-tier telemetry, indexed by TierStack position (resized by the
-  // engine at construction; empty until then).
+  // Per-tier telemetry, indexed by TierStack position (the default stack's
+  // Tier enum values for the baselines; empty until a runtime sizes them).
+  // restores_from_tier counts where each served restore was read from.
   std::vector<std::uint64_t> restores_from_tier;
   std::vector<std::uint64_t> flush_bytes_to_tier;  // flushed bytes landing on
                                                    // each tier
@@ -100,9 +94,7 @@ struct RankMetrics {
   std::vector<util::LogHistogram> flush_stage_hist;
 
   // Lineage accounting (DESIGN.md §14): per-object terminal outcomes and
-  // the put -> durable-ack window. Only populated when lineage tracking is
-  // on (EngineOptions::lineage / CKPT_LINEAGE), so legacy metrics JSON
-  // stays byte-identical without it.
+  // the put -> durable-ack window.
   std::uint64_t objects_admitted = 0;   // records created by Checkpoint()
   std::uint64_t objects_durable = 0;    // reached the configured terminal tier
   std::uint64_t objects_degraded = 0;   // durable short of the terminal tier

@@ -156,16 +156,12 @@ void AppendRankSampleJson(std::string& out, const RankSample& rs,
           rs.restores, rs.bytes_checkpointed, rs.bytes_restored,
           rs.watchdog_stalls);
   AppendNum(out, rs.restore_Bps);
-  // Lineage outcome counters ride along only once something was admitted,
-  // so lineage-off windows stay byte-identical.
-  if (rs.objects_admitted > 0) {
-    AppendF(out,
-            ",\"objects\":{\"admitted\":%" PRIu64 ",\"durable\":%" PRIu64
-            ",\"degraded\":%" PRIu64 ",\"lost\":%" PRIu64
-            ",\"erased\":%" PRIu64 "}",
-            rs.objects_admitted, rs.objects_durable, rs.objects_degraded,
-            rs.objects_lost, rs.objects_erased);
-  }
+  AppendF(out,
+          ",\"objects\":{\"admitted\":%" PRIu64 ",\"durable\":%" PRIu64
+          ",\"degraded\":%" PRIu64 ",\"lost\":%" PRIu64
+          ",\"erased\":%" PRIu64 "}",
+          rs.objects_admitted, rs.objects_durable, rs.objects_degraded,
+          rs.objects_lost, rs.objects_erased);
   out += ",\"tiers\":[";
   for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
     const TierSample& t = rs.tiers[i];
@@ -267,56 +263,21 @@ SamplePtr BuildTelemetrySample(const Engine& engine, std::uint64_t seq,
   const int nr = engine.num_ranks();
   s->ranks.reserve(static_cast<std::size_t>(nr));
   for (int r = 0; r < nr; ++r) {
-    Engine::RankProbe p = engine.Probe(r);
+    RankSample rs = engine.Probe(r);
     const RankSample* prev_rank =
         prev != nullptr && static_cast<std::size_t>(r) < prev->ranks.size()
             ? &prev->ranks[static_cast<std::size_t>(r)]
             : nullptr;
-    RankSample rs;
-    rs.rank = r;
-    rs.tenant = engine.TenantLabelOf(r);
-    rs.state_occupancy = std::move(p.state_occupancy);
-    rs.last_transition_ns = p.last_transition_ns;
-    rs.restore_queue_depth = p.restore_queue_depth;
-    rs.reserve_rounds = p.reserve_rounds;
-    rs.reserve_plans_stale = p.reserve_plans_stale;
-    rs.reserve_snapshot_reuse = p.reserve_snapshot_reuse;
-    rs.reserve_quota_waits = p.reserve_quota_waits;
-    rs.flush_retries = p.flush_retries;
-    rs.fetch_retries = p.fetch_retries;
-    rs.tier_degradations = p.tier_degradations;
-    rs.checkpoints_lost = p.checkpoints_lost;
-    rs.checkpoints = p.checkpoints;
-    rs.restores = p.restores;
-    rs.bytes_checkpointed = p.bytes_checkpointed;
-    rs.bytes_restored = p.bytes_restored;
-    rs.watchdog_stalls = p.watchdog_stalls;
-    rs.objects_admitted = p.objects_admitted;
-    rs.objects_durable = p.objects_durable;
-    rs.objects_degraded = p.objects_degraded;
-    rs.objects_lost = p.objects_lost;
-    rs.objects_erased = p.objects_erased;
     if (prev_rank != nullptr) {
       rs.restore_Bps = rate(rs.bytes_restored, prev_rank->bytes_restored);
-    }
-    rs.tiers.resize(p.tiers.size());
-    for (std::size_t i = 0; i < p.tiers.size(); ++i) {
-      TierSample& t = rs.tiers[i];
-      t.bytes_used = p.tiers[i].bytes_used;
-      t.bytes_capacity = p.tiers[i].bytes_capacity;
-      t.flush_queue_depth = p.tiers[i].flush_queue_depth;
-      t.flush_bytes = p.tiers[i].flush_bytes;
-      t.restores = p.tiers[i].restores;
-      t.lag_buckets = std::move(p.tiers[i].lag_buckets);
-      t.lag_count = p.tiers[i].lag_count;
-      t.lag_sum_ns = p.tiers[i].lag_sum_ns;
-      if (prev_rank != nullptr && i < prev_rank->tiers.size()) {
-        t.flush_Bps = rate(t.flush_bytes, prev_rank->tiers[i].flush_bytes);
+      for (std::size_t i = 0;
+           i < rs.tiers.size() && i < prev_rank->tiers.size(); ++i) {
+        rs.tiers[i].flush_Bps =
+            rate(rs.tiers[i].flush_bytes, prev_rank->tiers[i].flush_bytes);
       }
     }
     s->ranks.push_back(std::move(rs));
   }
-  s->lineage = engine.lineage();
   s->remote_tiers = CollectRemoteTiers(engine);
   return s;
 }
@@ -547,67 +508,64 @@ std::string OpenMetricsText(const TelemetrySample& s,
                   rt.agg_pending_bytes);
     }
   }
-  // Lineage families (DESIGN.md §14): emitted only for lineage-tracking
-  // engines, so every other configuration's exposition stays byte-identical.
-  if (s.lineage) {
-    struct OutcomeSpec {
-      const char* outcome;
-      std::uint64_t RankSample::* field;
-    };
-    static constexpr OutcomeSpec kOutcomes[] = {
-        {"admitted", &RankSample::objects_admitted},
-        {"durable", &RankSample::objects_durable},
-        {"degraded", &RankSample::objects_degraded},
-        {"lost", &RankSample::objects_lost},
-        {"erased", &RankSample::objects_erased},
-    };
-    x.Counter("ckpt_objects",
-              "Checkpoint objects by lineage milestone (conservation: "
-              "admitted = durable + degraded + lost + erased + inflight).");
-    for (const OutcomeSpec& o : kOutcomes) {
-      for (const RankSample& rs : s.ranks) {
-        x.SampleU64("ckpt_objects_total",
-                    "outcome=\"" + std::string(o.outcome) + "\"," +
-                        RankLabel(rs),
-                    rs.*(o.field));
-      }
-    }
-    x.Gauge("ckpt_objects_inflight",
-            "Admitted checkpoint objects not yet at a lineage terminal.");
+  // Lineage families (DESIGN.md §14).
+  struct OutcomeSpec {
+    const char* outcome;
+    std::uint64_t RankSample::* field;
+  };
+  static constexpr OutcomeSpec kOutcomes[] = {
+      {"admitted", &RankSample::objects_admitted},
+      {"durable", &RankSample::objects_durable},
+      {"degraded", &RankSample::objects_degraded},
+      {"lost", &RankSample::objects_lost},
+      {"erased", &RankSample::objects_erased},
+  };
+  x.Counter("ckpt_objects",
+            "Checkpoint objects by lineage milestone (conservation: "
+            "admitted = durable + degraded + lost + erased + inflight).");
+  for (const OutcomeSpec& o : kOutcomes) {
     for (const RankSample& rs : s.ranks) {
-      const std::uint64_t done = rs.objects_durable + rs.objects_degraded +
-                                 rs.objects_lost + rs.objects_erased;
-      x.SampleU64("ckpt_objects_inflight", RankLabel(rs),
-                  rs.objects_admitted > done ? rs.objects_admitted - done : 0);
+      x.SampleU64("ckpt_objects_total",
+                  "outcome=\"" + std::string(o.outcome) + "\"," +
+                      RankLabel(rs),
+                  rs.*(o.field));
     }
-    AppendF(out,
-            "# HELP ckpt_durability_lag_seconds Admission-to-durable-ack lag "
-            "per durable tier.\n"
-            "# TYPE ckpt_durability_lag_seconds histogram\n");
-    for (const RankSample& rs : s.ranks) {
-      for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
-        const TierSample& t = rs.tiers[i];
-        if (t.lag_buckets.empty()) continue;  // cache tier / lineage off
-        const std::string labels = TierRankLabel(tier_names, i, rs);
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < t.lag_buckets.size(); ++b) {
-          cum += t.lag_buckets[b];
-          std::string le;
-          if (b + 1 == t.lag_buckets.size()) {
-            le = "+Inf";
-          } else {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.9g",
-                          util::telemetry::kDurabilityLagEdgesS[b]);
-            le = buf;
-          }
-          x.SampleU64("ckpt_durability_lag_seconds_bucket",
-                      labels + ",le=\"" + le + "\"", cum);
+  }
+  x.Gauge("ckpt_objects_inflight",
+          "Admitted checkpoint objects not yet at a lineage terminal.");
+  for (const RankSample& rs : s.ranks) {
+    const std::uint64_t done = rs.objects_durable + rs.objects_degraded +
+                               rs.objects_lost + rs.objects_erased;
+    x.SampleU64("ckpt_objects_inflight", RankLabel(rs),
+                rs.objects_admitted > done ? rs.objects_admitted - done : 0);
+  }
+  AppendF(out,
+          "# HELP ckpt_durability_lag_seconds Admission-to-durable-ack lag "
+          "per durable tier.\n"
+          "# TYPE ckpt_durability_lag_seconds histogram\n");
+  for (const RankSample& rs : s.ranks) {
+    for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
+      const TierSample& t = rs.tiers[i];
+      if (t.lag_buckets.empty()) continue;  // cache tier
+      const std::string labels = TierRankLabel(tier_names, i, rs);
+      std::uint64_t cum = 0;
+      for (std::size_t b = 0; b < t.lag_buckets.size(); ++b) {
+        cum += t.lag_buckets[b];
+        std::string le;
+        if (b + 1 == t.lag_buckets.size()) {
+          le = "+Inf";
+        } else {
+          char buf[32];
+          std::snprintf(buf, sizeof(buf), "%.9g",
+                        util::telemetry::kDurabilityLagEdgesS[b]);
+          le = buf;
         }
-        x.SampleF64("ckpt_durability_lag_seconds_sum", labels,
-                    static_cast<double>(t.lag_sum_ns) / 1e9);
-        x.SampleU64("ckpt_durability_lag_seconds_count", labels, t.lag_count);
+        x.SampleU64("ckpt_durability_lag_seconds_bucket",
+                    labels + ",le=\"" + le + "\"", cum);
       }
+      x.SampleF64("ckpt_durability_lag_seconds_sum", labels,
+                  static_cast<double>(t.lag_sum_ns) / 1e9);
+      x.SampleU64("ckpt_durability_lag_seconds_count", labels, t.lag_count);
     }
   }
   out += "# EOF\n";

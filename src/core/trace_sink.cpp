@@ -260,12 +260,8 @@ std::string MetricsJson(const RankMetrics& m,
   AppendNum(out, m.RestoreThroughput());
   AppendF(out,
           ",\"bytes_checkpointed\":%" PRIu64 ",\"bytes_restored\":%" PRIu64
-          ",\"restores_from_gpu\":%" PRIu64 ",\"restores_from_host\":%" PRIu64
-          ",\"restores_from_store\":%" PRIu64
           ",\"restores_waited_promotion\":%" PRIu64,
-          m.bytes_checkpointed, m.bytes_restored, m.restores_from_gpu,
-          m.restores_from_host, m.restores_from_store,
-          m.restores_waited_promotion);
+          m.bytes_checkpointed, m.bytes_restored, m.restores_waited_promotion);
   out += ",";
   AppendTierVector(out, "restores_from_tier", m.restores_from_tier, tier_names);
   out += ",";
@@ -331,31 +327,28 @@ std::string MetricsJson(const RankMetrics& m,
     out += scratch.substr(scratch.find(':') + 1);
   }
   out += "}";
-  // Lineage accounting (DESIGN.md §14): emitted only when lineage tracking
-  // recorded something, so lineage-off output stays byte-identical.
-  if (m.objects_admitted > 0) {
-    AppendF(out,
-            ",\"lineage\":{\"admitted\":%" PRIu64 ",\"durable\":%" PRIu64
-            ",\"degraded\":%" PRIu64 ",\"lost\":%" PRIu64
-            ",\"erased\":%" PRIu64 "}",
-            m.objects_admitted, m.objects_durable, m.objects_degraded,
-            m.objects_lost, m.objects_erased);
-    out += ",\"durability_lag_s\":{";
-    bool first_tier = true;
-    for (std::size_t i = 0; i < m.durable_lag_hist.size(); ++i) {
-      if (m.durable_lag_hist[i].total() == 0) continue;
-      if (!first_tier) out += ",";
-      first_tier = false;
-      const std::string label = i < tier_names.size()
-                                    ? tier_names[i]
-                                    : "tier" + std::to_string(i);
-      out += "\"" + util::json::Escape(label) + "\":";
-      std::string scratch;
-      AppendHistJson(scratch, "h", m.durable_lag_hist[i]);
-      out += scratch.substr(scratch.find(':') + 1);
-    }
-    out += "}";
+  // Lineage accounting (DESIGN.md §14).
+  AppendF(out,
+          ",\"lineage\":{\"admitted\":%" PRIu64 ",\"durable\":%" PRIu64
+          ",\"degraded\":%" PRIu64 ",\"lost\":%" PRIu64
+          ",\"erased\":%" PRIu64 "}",
+          m.objects_admitted, m.objects_durable, m.objects_degraded,
+          m.objects_lost, m.objects_erased);
+  out += ",\"durability_lag_s\":{";
+  bool first_tier = true;
+  for (std::size_t i = 0; i < m.durable_lag_hist.size(); ++i) {
+    if (m.durable_lag_hist[i].total() == 0) continue;
+    if (!first_tier) out += ",";
+    first_tier = false;
+    const std::string label = i < tier_names.size()
+                                  ? tier_names[i]
+                                  : "tier" + std::to_string(i);
+    out += "\"" + util::json::Escape(label) + "\":";
+    std::string scratch;
+    AppendHistJson(scratch, "h", m.durable_lag_hist[i]);
+    out += scratch.substr(scratch.find(':') + 1);
   }
+  out += "}";
   out += ",\"restore_series\":[";
   for (std::size_t i = 0; i < m.restore_series.size(); ++i) {
     const RestorePoint& p = m.restore_series[i];

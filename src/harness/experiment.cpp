@@ -135,6 +135,11 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
   }
 
   auto shot = rtm::RunShot(cluster, *runtime, cfg.shot, cfg.num_ranks);
+  // Drain before teardown, as VELOCX_Finalize does: Shutdown() abandons
+  // queued flushes (DESIGN.md §8.8), and the report counts every
+  // checkpoint's durable outcome. Lost checkpoints already show in the
+  // metrics, so the drain's status is not the shot's.
+  for (int r = 0; r < cfg.num_ranks; ++r) (void)runtime->WaitForFlushes(r);
   // Stop sampling before teardown: the final tick closes the window while
   // the flush workers and probe cells are still alive.
   if (sampler != nullptr) sampler->Stop();

@@ -3,11 +3,36 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
+#include <initializer_list>
 
 #include "util/clock.hpp"
 
 namespace ckpt::sim {
+
+namespace {
+
+/// Charges `n` bytes to each of `links` in kCopyChunk steps, every chunk to
+/// the limiters in list order, on `flow`; `after_chunk(done, chunk)` runs
+/// once the chunk is admitted.
+template <typename AfterChunk>
+void ChargeChunked(std::initializer_list<util::RateLimiter*> links,
+                   std::uint64_t n, Flow flow, AfterChunk&& after_chunk) {
+  for (std::uint64_t done = 0; done < n;) {
+    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
+    for (util::RateLimiter* link : links) {
+      link->Acquire(chunk, flow.id, flow.weight);
+    }
+    after_chunk(done, chunk);
+    done += chunk;
+  }
+}
+
+void ChargeChunked(std::initializer_list<util::RateLimiter*> links,
+                   std::uint64_t n) {
+  ChargeChunked(links, n, Flow{}, [](std::uint64_t, std::uint64_t) {});
+}
+
+}  // namespace
 
 util::Status ThrottledMemcpy(const Topology& topo, GpuId gpu, BytePtr dst,
                              ConstBytePtr src, std::uint64_t n, MemcpyKind kind,
@@ -22,95 +47,53 @@ util::Status ThrottledMemcpy(const Topology& topo, GpuId gpu, BytePtr dst,
     util::PreciseSleep(std::chrono::nanoseconds(cfg.copy_latency_ns));
   }
 
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    switch (kind) {
-      case MemcpyKind::kD2D:
-        topo.d2d(gpu).Acquire(chunk, flow.id, flow.weight);
-        break;
-      case MemcpyKind::kD2H:
-        topo.pcie_link(gpu, Topology::LinkDir::kD2H)
-            .Acquire(chunk, flow.id, flow.weight);
-        topo.host_mem(gpu).Acquire(chunk, flow.id, flow.weight);
-        break;
-      case MemcpyKind::kH2D:
-        topo.pcie_link(gpu, Topology::LinkDir::kH2D)
-            .Acquire(chunk, flow.id, flow.weight);
-        topo.host_mem(gpu).Acquire(chunk, flow.id, flow.weight);
-        break;
-      case MemcpyKind::kH2H:
-        topo.host_mem(gpu).Acquire(chunk, flow.id, flow.weight);
-        break;
-    }
+  const auto copy = [dst, src](std::uint64_t done, std::uint64_t chunk) {
     std::memcpy(dst + done, src + done, chunk);
-    done += chunk;
+  };
+  util::RateLimiter* host = &topo.host_mem(gpu);
+  switch (kind) {
+    case MemcpyKind::kD2D:
+      ChargeChunked({&topo.d2d(gpu)}, n, flow, copy);
+      break;
+    case MemcpyKind::kD2H:
+      ChargeChunked({&topo.pcie_link(gpu, Topology::LinkDir::kD2H), host}, n,
+                    flow, copy);
+      break;
+    case MemcpyKind::kH2D:
+      ChargeChunked({&topo.pcie_link(gpu, Topology::LinkDir::kH2D), host}, n,
+                    flow, copy);
+      break;
+    case MemcpyKind::kH2H:
+      ChargeChunked({host}, n, flow, copy);
+      break;
   }
   return util::OkStatus();
 }
 
 void ChargeNvme(const Topology& topo, Rank rank, std::uint64_t n) {
-  auto& drive = topo.nvme_for_rank(rank);
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    drive.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.nvme_for_rank(rank)}, n);
 }
 
 void ChargePfs(const Topology& topo, std::uint64_t n) {
-  auto& pfs = topo.pfs();
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    pfs.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.pfs()}, n);
 }
 
 void ChargePcie(const Topology& topo, GpuId gpu, std::uint64_t n,
                 Topology::LinkDir dir) {
-  auto& link = topo.pcie_link(gpu, dir);
-  auto& host = topo.host_mem(gpu);
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    link.Acquire(chunk);
-    host.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.pcie_link(gpu, dir), &topo.host_mem(gpu)}, n);
 }
 
 void ChargePcieLinkOnly(const Topology& topo, GpuId gpu, std::uint64_t n,
                         Topology::LinkDir dir) {
-  auto& link = topo.pcie_link(gpu, dir);
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    link.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.pcie_link(gpu, dir)}, n);
 }
 
 void ChargeD2D(const Topology& topo, GpuId gpu, std::uint64_t n) {
-  auto& engine = topo.d2d(gpu);
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    engine.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.d2d(gpu)}, n);
 }
 
 void ChargeHostMem(const Topology& topo, GpuId gpu, std::uint64_t n) {
-  auto& host = topo.host_mem(gpu);
-  std::uint64_t done = 0;
-  while (done < n) {
-    const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    host.Acquire(chunk);
-    done += chunk;
-  }
+  ChargeChunked({&topo.host_mem(gpu)}, n);
 }
 
 }  // namespace ckpt::sim

@@ -60,28 +60,24 @@ void EnvSeedOnce() {
         "CKPT_TELEMETRY_STALL_WINDOWS", g.s.stall_windows));
     if (EnvFalsy(std::getenv("CKPT_TELEMETRY_WATCHDOG"))) g.s.watchdog = false;
     if (EnvTruthy(std::getenv("CKPT_TELEMETRY_STRICT"))) g.s.strict = true;
-#ifndef CKPT_TELEMETRY_DISABLED
     if (EnvTruthy(std::getenv("CKPT_TELEMETRY"))) {
       g.s.enabled = true;
       detail::g_enabled.store(true, std::memory_order_relaxed);
     }
-#endif
     return true;
   }();
   (void)seeded;
 }
 
-/// Probe-cell increments in the engine gate on enabled() before the first
-/// Configure() call, so the env seed must already be applied.
+/// Callers gate on enabled() before the first Configure() call, so the env
+/// seed must already be applied.
 [[maybe_unused]] const bool g_env_seeded_at_startup = (EnvSeedOnce(), true);
 
 }  // namespace
 
-#ifndef CKPT_TELEMETRY_DISABLED
 namespace detail {
 std::atomic<bool> g_enabled{false};
 }  // namespace detail
-#endif
 
 void Configure(const Settings& in) {
   EnvSeedOnce();
@@ -95,20 +91,14 @@ void Configure(const Settings& in) {
   if (in.stall_ms > 0) g.s.stall_ms = in.stall_ms;
   if (in.stall_windows > 0) g.s.stall_windows = in.stall_windows;
   g.s.strict = in.strict;
-#ifndef CKPT_TELEMETRY_DISABLED
   detail::g_enabled.store(in.enabled, std::memory_order_relaxed);
-#endif
 }
 
 Settings settings() {
   EnvSeedOnce();
   auto& g = global();
   std::lock_guard lk(g.mu);
-  Settings s = g.s;
-#ifdef CKPT_TELEMETRY_DISABLED
-  s.enabled = false;
-#endif
-  return s;
+  return g.s;
 }
 
 std::int64_t period_ms() { return settings().period_ms; }

@@ -15,9 +15,6 @@
 //   * Samples are immutable after publication, so a scrape that overlaps a
 //     ring wrap at worst sees a mix of old and new samples — each of them
 //     internally consistent.
-//   * Compile-out gate: -DCKPT_TELEMETRY_DISABLED turns enabled() into
-//     `constexpr false` so call sites (including the engine's probe-cell
-//     increments) fold away, mirroring CKPT_TRACE_DISABLED.
 //
 // Configuration, seeded from the environment on first use (config-file keys
 // via Configure() override the seed, same precedence as util::trace):
@@ -60,12 +57,9 @@ struct TierSample {
   std::uint64_t flush_bytes = 0;      ///< cumulative bytes landed (counter)
   std::uint64_t restores = 0;         ///< cumulative restores served (counter)
   double flush_Bps = 0.0;             ///< derived from the previous sample
-  /// Durability-lag histogram cells for durable tiers when lineage tracking
-  /// is on (DESIGN.md §14): per-bucket (non-cumulative) counts over
-  /// kDurabilityLagEdgesS plus the +Inf bucket, with the classic _count and
-  /// _sum. Empty vector = lineage off or cache tier; the renderer emits the
-  /// family only when at least one tier carries cells, so legacy exposition
-  /// is byte-identical.
+  /// Durability-lag histogram cells of a durable tier (DESIGN.md §14):
+  /// per-bucket (non-cumulative) counts over kDurabilityLagEdgesS plus the
+  /// +Inf bucket, with the classic _count and _sum. Empty for cache tiers.
   std::vector<std::uint64_t> lag_buckets;
   std::uint64_t lag_count = 0;
   std::uint64_t lag_sum_ns = 0;
@@ -95,8 +89,8 @@ struct RankSample {
   std::uint64_t bytes_checkpointed = 0;
   std::uint64_t bytes_restored = 0;
   std::uint64_t watchdog_stalls = 0;
-  // Lineage outcome counters (DESIGN.md §14), all zero when lineage
-  // tracking is off. objects_inflight = admitted - terminated, clamped.
+  // Lineage outcome counters (DESIGN.md §14).
+  // objects_inflight = admitted - terminated, clamped.
   std::uint64_t objects_admitted = 0;
   std::uint64_t objects_durable = 0;
   std::uint64_t objects_degraded = 0;
@@ -134,9 +128,6 @@ struct RemoteTierSample {
 struct TelemetrySample {
   std::int64_t ts_ns = 0;   ///< trace-epoch timestamp (util::trace::Now)
   std::uint64_t seq = 0;    ///< 0-based sample index since sampler start
-  /// True when the sampled engine runs with lineage tracking on; gates the
-  /// lineage families in exposition (legacy output stays byte-identical).
-  bool lineage = false;
   std::vector<RankSample> ranks;
   /// Engine-wide (not per-rank: the store is shared) remote-tier counters.
   std::vector<RemoteTierSample> remote_tiers;
@@ -197,9 +188,6 @@ class SampleRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
-#ifdef CKPT_TELEMETRY_DISABLED
-[[nodiscard]] constexpr bool enabled() noexcept { return false; }
-#else
 namespace detail {
 extern std::atomic<bool> g_enabled;
 }  // namespace detail
@@ -207,7 +195,6 @@ extern std::atomic<bool> g_enabled;
 [[nodiscard]] inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
-#endif
 
 /// Sampler/watchdog configuration knobs (see file header for env seeds).
 struct Settings {

@@ -139,9 +139,6 @@ void EnvSeedOnce() {
     if (EnvTruthy("CKPT_TRACE")) {
       detail::g_enabled.store(true, std::memory_order_relaxed);
     }
-    if (EnvTruthy("CKPT_LINEAGE")) {
-      detail::g_flows.store(true, std::memory_order_relaxed);
-    }
 #endif
     return true;
   }();
@@ -189,7 +186,6 @@ TraceBuffer& CurrentBuffer() {
 #ifndef CKPT_TRACE_DISABLED
 namespace detail {
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_flows{false};
 }  // namespace detail
 #endif
 

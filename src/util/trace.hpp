@@ -94,25 +94,13 @@ struct Event {
 
 #ifdef CKPT_TRACE_DISABLED
 [[nodiscard]] constexpr bool enabled() noexcept { return false; }
-[[nodiscard]] constexpr bool flows_enabled() noexcept { return false; }
-inline void EnableFlows(bool) noexcept {}
 #else
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern std::atomic<bool> g_flows;
 }  // namespace detail
 /// True when tracing is recording. One relaxed load; safe from any thread.
 [[nodiscard]] inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
-}
-/// True when lineage flow events are being recorded (requires tracing on).
-/// Seeded from CKPT_LINEAGE; the engine also flips it via EngineOptions so
-/// stores — which have no engine pointer — self-gate through Flow().
-[[nodiscard]] inline bool flows_enabled() noexcept {
-  return enabled() && detail::g_flows.load(std::memory_order_relaxed);
-}
-inline void EnableFlows(bool on) noexcept {
-  detail::g_flows.store(on, std::memory_order_relaxed);
 }
 #endif
 
@@ -185,12 +173,11 @@ inline void SpanSince(Kind kind, const char* name, std::int64_t begin_ns,
 }
 
 /// Records a causal-flow event (Chrome ph "s"/"t"/"f" keyed by `flow_id`).
-/// No-op unless lineage flows are enabled (CKPT_LINEAGE / EnableFlows) on
-/// top of tracing itself, so legacy traces stay byte-identical.
+/// Flow events are recorded whenever tracing is.
 inline void Flow(Kind kind, const char* name, std::uint64_t flow_id,
                  FlowPhase phase, int rank, int tier = -1,
                  std::uint64_t version = 0, std::uint64_t bytes = 0) {
-  if (!flows_enabled() || flow_id == 0 || phase == FlowPhase::kNone) return;
+  if (!enabled() || flow_id == 0 || phase == FlowPhase::kNone) return;
   Event e;
   e.ts_ns = Now();
   e.dur_ns = -1;

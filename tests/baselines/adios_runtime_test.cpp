@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "rtm/workload.hpp"
 #include "storage/mem_store.hpp"
 
@@ -116,7 +118,9 @@ TEST_F(AdiosRuntimeTest, RecoverSizeAndRestartFromStore) {
   runtime_ = std::make_unique<AdiosRuntime>(*cluster_, ssd_, nullptr, Small(), 1);
   EXPECT_EQ(*runtime_->RecoverSize(0, 3), kCkptSize);
   RestoreAndVerify(0, 3);
-  EXPECT_EQ(runtime_->metrics(0).restores_from_store, 1u);
+  EXPECT_EQ(runtime_->metrics(0).restores_from_tier.at(
+                static_cast<std::size_t>(core::Tier::kSsd)),
+            1u);
 }
 
 TEST_F(AdiosRuntimeTest, RestoreFromBufferCountsAsHostHit) {
@@ -126,7 +130,9 @@ TEST_F(AdiosRuntimeTest, RestoreFromBufferCountsAsHostHit) {
   WriteCkpt(0, 0);
   RestoreAndVerify(0, 0);
   const auto& m = runtime_->metrics(0);
-  EXPECT_EQ(m.restores_from_host + m.restores_from_store, 1u);
+  EXPECT_EQ(std::accumulate(m.restores_from_tier.begin(),
+                            m.restores_from_tier.end(), std::uint64_t{0}),
+            1u);
 }
 
 TEST_F(AdiosRuntimeTest, MultiRankConcurrent) {

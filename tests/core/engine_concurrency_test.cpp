@@ -13,10 +13,13 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/telemetry_sink.hpp"
 #include "core/tier_stack.hpp"
 #include "rtm/workload.hpp"
 #include "storage/mem_store.hpp"
@@ -240,6 +243,60 @@ TEST(EngineConcurrencyTest, MultiRankStormConservesBytesAndResidency) {
         }
       }
       EXPECT_EQ(engine.CacheUsed(r, t), resident)
+          << "rank " << r << " tier " << t;
+    }
+  }
+
+  // One count per event: a final scrape reads the same counter cells as
+  // MetricsSnapshot(), so every shared counter agrees exactly.
+  const TelemetryCheck scrape = ValidateOpenMetrics(OpenMetricsText(engine));
+  ASSERT_TRUE(scrape.ok) << scrape.error;
+  for (int r = 0; r < kRanks; ++r) {
+    const RankMetrics m = engine.MetricsSnapshot(r);
+    const std::string rank = "rank=\"" + std::to_string(r) + "\"";
+    const auto scraped = [&](const std::string& family,
+                             const std::string& labels = "") {
+      const std::string key = family + "{" + labels + rank + "}";
+      EXPECT_TRUE(scrape.values.count(key)) << key;
+      return static_cast<std::uint64_t>(scrape.value_or(key, -1.0));
+    };
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"ckpt_checkpoints_total", m.ckpt_block_s.size()},
+        {"ckpt_restores_total", m.restore_block_s.size()},
+        {"ckpt_bytes_checkpointed_total", m.bytes_checkpointed},
+        {"ckpt_bytes_restored_total", m.bytes_restored},
+        {"ckpt_reserve_rounds_total", m.reserve_rounds},
+        {"ckpt_reserve_plans_stale_total", m.reserve_plans_stale},
+        {"ckpt_reserve_snapshot_reuse_total", m.reserve_snapshot_reuse},
+        {"ckpt_reserve_quota_waits_total", m.reserve_quota_waits},
+        {"ckpt_flush_retries_total", m.flush_retries},
+        {"ckpt_fetch_retries_total", m.fetch_retries},
+        {"ckpt_tier_degradations_total", m.tier_degradations},
+        {"ckpt_checkpoints_lost_total", m.checkpoints_lost},
+        {"ckpt_watchdog_stalls_total", m.watchdog_stalls},
+    };
+    for (const auto& [family, value] : counters) {
+      EXPECT_EQ(scraped(family), value) << family << " rank " << r;
+    }
+    const std::pair<const char*, std::uint64_t> outcomes[] = {
+        {"admitted", m.objects_admitted}, {"durable", m.objects_durable},
+        {"degraded", m.objects_degraded}, {"lost", m.objects_lost},
+        {"erased", m.objects_erased},
+    };
+    for (const auto& [outcome, value] : outcomes) {
+      EXPECT_EQ(scraped("ckpt_objects_total",
+                        "outcome=\"" + std::string(outcome) + "\","),
+                value)
+          << outcome << " rank " << r;
+    }
+    for (std::size_t t = 0; t < engine.tiers().size(); ++t) {
+      const std::string tier =
+          "tier=\"" + std::string(engine.tiers().name(t)) + "\",";
+      EXPECT_EQ(scraped("ckpt_tier_flush_bytes_total", tier),
+                m.flush_bytes_to_tier[t])
+          << "rank " << r << " tier " << t;
+      EXPECT_EQ(scraped("ckpt_tier_restores_total", tier),
+                m.restores_from_tier[t])
           << "rank " << r << " tier " << t;
     }
   }

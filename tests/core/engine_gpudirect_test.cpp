@@ -106,7 +106,8 @@ TEST_F(GpuDirectTest, PromotionsGoStoreToGpuDirectly) {
   }
   const auto& m = engine_->metrics(0);
   EXPECT_GT(m.prefetch_promotions + m.prefetch_gpu_hits, 0u);
-  EXPECT_EQ(m.restores_from_host, 0u);  // host tier never involved
+  // The host tier is never involved.
+  EXPECT_EQ(m.restores_from_tier.at(static_cast<std::size_t>(Tier::kHost)), 0u);
   EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
 }
 
@@ -122,7 +123,9 @@ TEST_F(GpuDirectTest, DirectRestoreSkipsPinnedStaging) {
   const util::Stopwatch sw;
   RestoreAndVerify(0);  // evicted from GPU cache; store-only
   EXPECT_LT(sw.ElapsedSec(), 0.02);  // no 31 ms pinning penalty
-  EXPECT_EQ(engine_->metrics(0).restores_from_store, 1u);
+  EXPECT_EQ(engine_->metrics(0).restores_from_tier.at(
+                static_cast<std::size_t>(Tier::kSsd)),
+            1u);
 }
 
 TEST_F(GpuDirectTest, DiscardAfterRestoreStillCancelsFlushes) {

@@ -95,7 +95,7 @@ TEST_F(RestoreSeriesTest, GpuHitRestoresRecordPrefetchDistance) {
 
   const RankMetrics m = engine_->MetricsSnapshot(0);
   EXPECT_GE(m.prefetch_gpu_hits, 2u);
-  EXPECT_GE(m.restores_from_gpu, 2u);
+  EXPECT_GE(m.restores_from_tier.at(0), 2u);  // the GPU cache tier
   ASSERT_EQ(m.restore_series.size(), 2u);
   // First restore entered with both hinted successors pinned; the second
   // with one left (v0's pin was released when it was consumed).

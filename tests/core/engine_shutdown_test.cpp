@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -23,12 +24,27 @@ EngineOptions SmallCaches() {
   return opts;
 }
 
-void WriteOne(sim::Cluster& cluster, Engine& engine, sim::Rank rank, Version v) {
-  auto p = cluster.device(rank).Allocate(kCkptSize);
+void WriteOne(sim::Cluster& cluster, Engine& engine, sim::Rank rank, Version v,
+              std::uint64_t size = kCkptSize) {
+  auto p = cluster.device(rank).Allocate(size);
   ASSERT_TRUE(p.ok()) << p.status();
-  rtm::FillPattern(rank, v, *p, kCkptSize);
-  ASSERT_TRUE(engine.Checkpoint(rank, v, *p, kCkptSize).ok());
+  rtm::FillPattern(rank, v, *p, size);
+  ASSERT_TRUE(engine.Checkpoint(rank, v, *p, size).ok());
   ASSERT_TRUE(cluster.device(rank).Free(*p).ok());
+}
+
+// Shutdown() abandons queued flush work but accounts for all of it: every
+// admitted object reached a lineage terminal and no queue depth stays
+// counted.
+void ExpectNothingInFlight(const Engine& engine) {
+  for (sim::Rank r = 0; r < engine.num_ranks(); ++r) {
+    EXPECT_EQ(engine.Lineage(r).inflight(), 0u) << "rank " << r;
+    const auto probe = engine.Probe(r);
+    for (std::size_t t = 0; t < probe.tiers.size(); ++t) {
+      EXPECT_EQ(probe.tiers[t].flush_queue_depth, 0u)
+          << "rank " << r << " tier " << t;
+    }
+  }
 }
 
 TEST(EngineShutdownTest, RepeatedStartStopWithFlushesInFlight) {
@@ -43,7 +59,39 @@ TEST(EngineShutdownTest, RepeatedStartStopWithFlushesInFlight) {
     // No WaitForFlushes: shutdown races the D2H/H2F pipelines on purpose.
     engine.Shutdown();
     engine.Shutdown();  // idempotent
+    ExpectNothingInFlight(engine);
   }
+}
+
+TEST(EngineShutdownTest, HandOffRefusedByAClosedQueueEndsTheObject) {
+  // The GPU tier's flush worker is mid-copy over a slow PCIe link when
+  // Shutdown() closes the host tier's queue: the hand-off after the copy is
+  // refused, and the object must still end (erased) with no depth left.
+  constexpr std::uint64_t kBig = 1 << 20;  // 16 chunks, ~940 ms at 1 MiB/s
+  sim::TopologyConfig topo = sim::TopologyConfig::Testing();
+  topo.pcie_link_bw = 1 << 20;
+  sim::Cluster cluster(topo);
+  EngineOptions opts;
+  opts.gpu_cache_bytes = 2 * kBig;
+  opts.host_cache_bytes = 4 * kBig;
+  Engine engine(cluster, std::make_shared<storage::MemStore>(),
+                std::make_shared<storage::MemStore>(), opts, 1);
+  WriteOne(cluster, engine, 0, 0, kBig);
+  const util::RateLimiter& d2h = cluster.topology().pcie_link(
+      cluster.topology().gpu_of_rank(0), sim::Topology::LinkDir::kD2H);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (d2h.admitted_bytes() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the GPU tier's flush copy never started";
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_LT(d2h.admitted_bytes(), kBig) << "the copy finished before Shutdown";
+  engine.Shutdown();
+  ExpectNothingInFlight(engine);
+  const Engine::LineageSnapshot ls = engine.Lineage(0);
+  EXPECT_EQ(ls.admitted, 1u);
+  EXPECT_EQ(ls.erased, 1u);
+  EXPECT_EQ(engine.MetricsSnapshot(0).flushes_cancelled, 1u);
 }
 
 TEST(EngineShutdownTest, ImmediateShutdownAfterConstruction) {

@@ -167,7 +167,8 @@ TEST_F(EngineTest, PrefetchPromotesInReverseOrder) {
   }
   const auto& m = engine_->metrics(0);
   // With full foreknowledge most restores must be GPU-cache hits.
-  EXPECT_GT(m.restores_from_gpu, static_cast<std::uint64_t>(kN) / 2);
+  EXPECT_GT(m.restores_from_tier.at(static_cast<std::size_t>(Tier::kGpu)),
+            static_cast<std::uint64_t>(kN) / 2);
   EXPECT_GT(m.prefetch_promotions + m.prefetch_gpu_hits, 0u);
 }
 

@@ -2,8 +2,8 @@
 // (every admitted object terminates in exactly one of durable / degraded /
 // lost / erased) under quiet and concurrent-storm conditions, durability-lag
 // accounting (and its exclusion of never-durable objects), flow-event
-// emission and validation, the lineage journal, and the OpenMetrics gating
-// that keeps legacy exposition untouched when lineage is off.
+// emission and validation, the lineage journal, and the lineage families
+// every engine exposes.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -28,13 +28,6 @@ namespace {
 using rtm::FillPattern;
 using storage::FaultyStore;
 
-#ifdef CKPT_TELEMETRY_DISABLED
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() \
-  GTEST_SKIP() << "built with CKPT_TELEMETRY_DISABLED"
-#else
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() (void)0
-#endif
-
 #ifdef CKPT_TRACE_DISABLED
 #define SKIP_IF_TRACE_COMPILED_OUT() \
   GTEST_SKIP() << "built with CKPT_TRACE_DISABLED"
@@ -51,9 +44,8 @@ class LineageTest : public ::testing::Test {
     util::trace::ResetBuffers();
   }
   void TearDown() override {
-    engine_.reset();  // before the cluster; also re-disables flows
+    engine_.reset();  // before the cluster
     util::trace::Disable();
-    util::trace::EnableFlows(false);
     util::trace::ResetBuffers();
   }
 
@@ -61,7 +53,6 @@ class LineageTest : public ::testing::Test {
     engine_.reset();
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     EngineOptions opts;
-    opts.lineage = true;
     opts.gpu_cache_bytes = 4 * kCkptSize;
     opts.host_cache_bytes = 16 * kCkptSize;
     opts.flush_retry.initial_backoff = std::chrono::microseconds(50);
@@ -170,7 +161,6 @@ TEST_F(LineageTest, ConservationHoldsUnderConcurrentCkptRestoreStorm) {
     // least every durable object, never more than one per terminated one.
     EXPECT_GE(LagTotal(m), m.objects_durable) << "rank " << rank;
     EXPECT_LE(LagTotal(m), Terminated(m)) << "rank " << rank;
-#ifndef CKPT_TELEMETRY_DISABLED
     const Engine::LineageSnapshot ls = engine_->Lineage(rank);
     EXPECT_EQ(ls.admitted, m.objects_admitted);
     EXPECT_EQ(ls.terminated(), Terminated(m));
@@ -185,7 +175,6 @@ TEST_F(LineageTest, ConservationHoldsUnderConcurrentCkptRestoreStorm) {
         EXPECT_GE(e.durable_tier, 0);
       }
     }
-#endif
   }
 }
 
@@ -209,7 +198,6 @@ TEST_F(LineageTest, FailedDurablePutsDegradeAndSkipLagHistogram) {
   EXPECT_EQ(Terminated(m), m.objects_admitted);
   EXPECT_EQ(LagTotal(m), 0u);
 
-#ifndef CKPT_TELEMETRY_DISABLED
   const Engine::LineageSnapshot ls = engine_->Lineage(0);
   EXPECT_EQ(ls.degraded, kN);
   for (const auto& e : ls.journal) {
@@ -217,7 +205,6 @@ TEST_F(LineageTest, FailedDurablePutsDegradeAndSkipLagHistogram) {
     EXPECT_EQ(e.durable_ns, 0);  // never durable-acked
     EXPECT_EQ(e.durable_tier, -1);
   }
-#endif
 }
 
 TEST_F(LineageTest, RecoveredBackendRecordsLagOnlyForDurableObjects) {
@@ -241,7 +228,7 @@ TEST_F(LineageTest, RecoveredBackendRecordsLagOnlyForDurableObjects) {
 TEST_F(LineageTest, FlowEventsStitchAdmitToTerminal) {
   SKIP_IF_TRACE_COMPILED_OUT();
   util::trace::Enable();
-  Build();  // lineage on => Engine enables flow emission
+  Build();
   constexpr Version kN = 6;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -261,29 +248,6 @@ TEST_F(LineageTest, FlowEventsStitchAdmitToTerminal) {
   EXPECT_NE(json.find("flow:durable"), std::string::npos);
   EXPECT_NE(json.find("hop:"), std::string::npos);
   EXPECT_NE(json.find("ack:"), std::string::npos);
-}
-
-TEST_F(LineageTest, NoFlowEventsWhenLineageOff) {
-  SKIP_IF_TRACE_COMPILED_OUT();
-  util::trace::Enable();
-  engine_.reset();
-  cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
-  EngineOptions opts;  // lineage stays off
-  opts.gpu_cache_bytes = 4 * kCkptSize;
-  opts.host_cache_bytes = 16 * kCkptSize;
-  engine_ = std::make_unique<Engine>(*cluster_,
-                                     std::make_shared<storage::MemStore>(),
-                                     std::make_shared<storage::MemStore>(),
-                                     opts, 1);
-  WriteCkpt(0, 0);
-  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  engine_.reset();
-
-  const std::string json = ChromeTraceJson();
-  const TraceCheck check = ValidateChromeTrace(json);
-  ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.flows, 0u);
-  EXPECT_EQ(json.find("ckpt:admit"), std::string::npos);
 }
 
 // --- Flow validation (ValidateChromeTrace) --------------------------------
@@ -339,30 +303,46 @@ TEST(FlowValidationTest, DanglingFlowsAreCountedNotFatal) {
   EXPECT_EQ(check.flows_dangling, 1u);
 }
 
-// --- OpenMetrics exposition gating ----------------------------------------
+// --- Lineage by default -------------------------------------------------
 
-TEST_F(LineageTest, LineageOffKeepsExpositionFreeOfLineageFamilies) {
+TEST_F(LineageTest, DefaultOptionsTrackEveryObjectToDurable) {
+  // Lineage has no switch: a default-constructed engine on the default
+  // stack keeps the ledger, the journal and the exposition families.
+  constexpr int kRanks = 2;
+  constexpr Version kN = 5;
   engine_.reset();
   cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
-  EngineOptions opts;  // lineage off
-  opts.gpu_cache_bytes = 4 * kCkptSize;
-  opts.host_cache_bytes = 16 * kCkptSize;
   engine_ = std::make_unique<Engine>(*cluster_,
                                      std::make_shared<storage::MemStore>(),
                                      std::make_shared<storage::MemStore>(),
-                                     opts, 1);
-  WriteCkpt(0, 0);
-  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-
-  const std::string text = OpenMetricsText(*engine_);
-  const TelemetryCheck check = ValidateOpenMetrics(text);
+                                     EngineOptions{}, kRanks);
+  for (sim::Rank rank = 0; rank < kRanks; ++rank) {
+    for (Version v = 0; v < kN; ++v) WriteCkpt(rank, v);
+    ASSERT_TRUE(engine_->WaitForFlushes(rank).ok());
+  }
+  const TelemetryCheck check = ValidateOpenMetrics(OpenMetricsText(*engine_));
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(text.find("ckpt_objects"), std::string::npos);
-  EXPECT_EQ(text.find("ckpt_durability_lag_seconds"), std::string::npos);
+  for (sim::Rank rank = 0; rank < kRanks; ++rank) {
+    const RankMetrics m = engine_->MetricsSnapshot(rank);
+    EXPECT_EQ(m.objects_admitted, kN) << "rank " << rank;
+    EXPECT_EQ(m.objects_durable, kN) << "rank " << rank;
+    EXPECT_EQ(engine_->Lineage(rank).journal_total, m.objects_admitted)
+        << "rank " << rank;
+    const std::string rank_label = "rank=\"" + std::to_string(rank) + "\"";
+    bool objects = false;
+    bool lag = false;
+    for (const auto& [key, v] : check.values) {
+      if (key.find(rank_label) == std::string::npos) continue;
+      objects |= key.rfind("ckpt_objects_total{", 0) == 0;
+      lag |= key.rfind("ckpt_durability_lag_seconds_count{", 0) == 0;
+    }
+    EXPECT_TRUE(objects) << "rank " << rank << " scrape lacks ckpt_objects";
+    EXPECT_TRUE(lag) << "rank " << rank
+                     << " scrape lacks ckpt_durability_lag_seconds";
+  }
 }
 
 TEST_F(LineageTest, LineageOnExposesObjectsAndDurabilityLagFamilies) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build();
   constexpr Version kN = 5;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);

@@ -22,7 +22,7 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   RankMetrics a;
   a.ckpt_block_s.Add(1.0);
   a.bytes_checkpointed = 10;
-  a.restores_from_gpu = 1;
+  a.restores_from_tier = {1};
   a.prefetch_promotions = 2;
   a.flushes_cancelled = 3;
   a.reserve_wait_write_s = 0.5;
@@ -37,7 +37,7 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   RankMetrics b;
   b.ckpt_block_s.Add(2.0);
   b.bytes_checkpointed = 20;
-  b.restores_from_gpu = 4;
+  b.restores_from_tier = {4};
   b.prefetch_promotions = 5;
   b.flushes_cancelled = 6;
   b.reserve_wait_write_s = 1.5;
@@ -53,7 +53,7 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   EXPECT_EQ(a.ckpt_block_s.size(), 2u);
   EXPECT_DOUBLE_EQ(a.ckpt_block_s.Sum(), 3.0);
   EXPECT_EQ(a.bytes_checkpointed, 30u);
-  EXPECT_EQ(a.restores_from_gpu, 5u);
+  EXPECT_EQ(a.restores_from_tier, (std::vector<std::uint64_t>{5}));
   EXPECT_EQ(a.prefetch_promotions, 7u);
   EXPECT_EQ(a.flushes_cancelled, 9u);
   EXPECT_DOUBLE_EQ(a.reserve_wait_write_s, 2.0);

@@ -26,16 +26,6 @@ using util::telemetry::RankSample;
 using util::telemetry::SamplePtr;
 using util::telemetry::TelemetrySample;
 
-// Probe cells compile to nothing under CKPT_TELEMETRY_DISABLED, so tests
-// asserting non-zero counters skip there (the pure-format validator tests
-// still run).
-#ifdef CKPT_TELEMETRY_DISABLED
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() \
-  GTEST_SKIP() << "built with CKPT_TELEMETRY_DISABLED"
-#else
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() (void)0
-#endif
-
 class TelemetryTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kCkptSize = 64 << 10;
@@ -73,7 +63,6 @@ class TelemetryTest : public ::testing::Test {
 // --- Sample building ------------------------------------------------------
 
 TEST_F(TelemetryTest, BuildTelemetrySampleReflectsEngineActivity) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/2);
   for (Version v = 0; v < 3; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -109,7 +98,6 @@ TEST_F(TelemetryTest, BuildTelemetrySampleReflectsEngineActivity) {
 }
 
 TEST_F(TelemetryTest, RatesDeriveFromThePreviousSample) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/1);
   const SamplePtr before = BuildTelemetrySample(*engine_, 0);
   for (Version v = 0; v < 2; ++v) WriteCkpt(0, v);
@@ -125,7 +113,6 @@ TEST_F(TelemetryTest, RatesDeriveFromThePreviousSample) {
 // --- OpenMetrics exposition ----------------------------------------------
 
 TEST_F(TelemetryTest, OpenMetricsScrapeValidatesAndCarriesCounters) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/2);
   for (Version v = 0; v < 3; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -196,7 +183,6 @@ TEST(OpenMetricsValidatorTest, EscapedLabelValuesParse) {
 }
 
 TEST_F(TelemetryTest, CountersAreMonotonicAcrossScrapes) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/1);
   WriteCkpt(0, 0);
   const TelemetryCheck first = ValidateOpenMetrics(OpenMetricsText(*engine_));
@@ -216,7 +202,6 @@ TEST_F(TelemetryTest, CountersAreMonotonicAcrossScrapes) {
 // --- Window JSON and critical path ---------------------------------------
 
 TEST_F(TelemetryTest, WindowJsonParsesWithAscendingSeq) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/1);
   TelemetrySampler::Options opts;
   opts.start_thread = false;
@@ -248,7 +233,6 @@ TEST_F(TelemetryTest, WindowJsonParsesWithAscendingSeq) {
 }
 
 TEST_F(TelemetryTest, CriticalPathJsonBreaksDownWallTime) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/2);
   for (Version v = 0; v < 3; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -282,7 +266,6 @@ TEST_F(TelemetryTest, CriticalPathJsonBreaksDownWallTime) {
 // --- Sampler / watchdog ---------------------------------------------------
 
 TEST_F(TelemetryTest, HealthyRunTripsNoStalls) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/1);
   TelemetrySampler::Options opts;
   opts.start_thread = false;
@@ -314,7 +297,6 @@ TEST_F(TelemetryTest, HealthyRunTripsNoStalls) {
 }
 
 TEST_F(TelemetryTest, BackgroundSamplerPublishesPeriodically) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   Build(/*ranks=*/1);
   TelemetrySampler::Options opts;
   opts.period_ms = 2;

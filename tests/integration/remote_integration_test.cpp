@@ -15,6 +15,7 @@
 #include "rtm/workload.hpp"
 #include "storage/mem_store.hpp"
 #include "storage/remote_store.hpp"
+#include "util/json.hpp"
 
 namespace ckpt::harness {
 namespace {
@@ -106,12 +107,30 @@ TEST(RemoteIntegration, AggregationCutsTerminalPutsByGroupFactor) {
     if (at == std::string::npos) return 0;
     return std::strtoull(json.c_str() + at + 14, nullptr, 10);
   };
+  const auto durable_objects = [](const std::string& json) -> std::uint64_t {
+    auto doc = util::json::Parse(json);
+    EXPECT_TRUE(doc.ok()) << doc.status();
+    if (!doc.ok()) return 0;
+    const util::json::Value* merged = doc->Find("merged");
+    const util::json::Value* lineage =
+        merged != nullptr ? merged->Find("lineage") : nullptr;
+    const util::json::Value* durable =
+        lineage != nullptr ? lineage->Find("durable") : nullptr;
+    EXPECT_NE(durable, nullptr) << json;
+    return durable != nullptr
+               ? static_cast<std::uint64_t>(durable->as_number())
+               : 0;
+  };
   const std::uint64_t puts_off = remote_puts(off_result->metrics_json);
   const std::uint64_t puts_on = remote_puts(on_result->metrics_json);
-  // 4 ranks x 12 ckpts, every one reaching the terminal tier.
+  // 4 ranks x 12 ckpts. Conservation: the harness drains before
+  // Shutdown(), so every object reaches the terminal tier, one remote put
+  // each without aggregation and one group object per 4 members (count
+  // seals only) with it.
   EXPECT_EQ(puts_off, 48u);
-  // Group factor 4, count-seals only: exactly 48 / 4 = 12 group objects.
+  EXPECT_EQ(puts_off, durable_objects(off_result->metrics_json));
   EXPECT_EQ(puts_on * 4, puts_off);
+  EXPECT_EQ(durable_objects(on_result->metrics_json), puts_off);
 }
 
 TEST(RemoteIntegration, FaultInjectedRemoteStackStillVerifies) {

@@ -31,13 +31,6 @@
 namespace ckpt {
 namespace {
 
-#ifdef CKPT_TELEMETRY_DISABLED
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() \
-  GTEST_SKIP() << "built with CKPT_TELEMETRY_DISABLED"
-#else
-#define SKIP_IF_TELEMETRY_COMPILED_OUT() (void)0
-#endif
-
 /// Terminal store whose Put blocks until the gate opens: freezes the flush
 /// pipeline (queue depth > 0, landed bytes frozen) without failing any
 /// operation, which is exactly the hang signature the watchdog hunts.
@@ -117,7 +110,6 @@ class TelemetryIntegrationTest : public ::testing::Test {
 // checkpoint; every concurrent scrape must be valid OpenMetrics and the
 // counters must never move backwards between consecutive scrapes.
 TEST_F(TelemetryIntegrationTest, ConcurrentScrapesStayValidAndMonotonic) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   constexpr std::uint64_t kCkptSize = 32 << 10;
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   core::EngineOptions opts;
@@ -192,7 +184,6 @@ TEST_F(TelemetryIntegrationTest, ConcurrentScrapesStayValidAndMonotonic) {
 // freezes until a timer opens the gate, and the watchdog must trip and dump
 // the flight recorder while the shot is still running.
 TEST_F(TelemetryIntegrationTest, ForcedStallTripsWatchdogAndDumpsFlightRecorder) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   const std::string prefix = ::testing::TempDir() + "telemetry_forced_stall";
   for (const char* suffix :
        {".trace.json", ".window.json", ".openmetrics.txt", ".metrics.json"}) {
@@ -291,7 +282,6 @@ TEST_F(TelemetryIntegrationTest, ForcedStallTripsWatchdogAndDumpsFlightRecorder)
 // The harness writes the healthy-run exposition files when telemetry is on
 // and no stall claimed the prefix for the flight recorder.
 TEST_F(TelemetryIntegrationTest, HealthyHarnessRunWritesEndOfRunExposition) {
-  SKIP_IF_TELEMETRY_COMPILED_OUT();
   const std::string prefix = ::testing::TempDir() + "telemetry_healthy";
   for (const char* suffix : {".openmetrics.txt", ".window.json"}) {
     std::remove((prefix + suffix).c_str());

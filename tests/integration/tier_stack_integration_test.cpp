@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 
 #include "core/engine.hpp"
 #include "core/tier_stack.hpp"
@@ -61,8 +62,12 @@ TEST(TierStackIntegration, HostOnlyThreeTierStackRoundTrips) {
   EXPECT_EQ(result->shot.merged.bytes_restored,
             result->shot.merged.bytes_checkpointed);
   EXPECT_GT(result->restore_MBps_mean, 0.0);
-  // A stack without a device tier cannot serve device-cache restores.
-  EXPECT_EQ(result->shot.merged.restores_from_gpu, 0u);
+  // Every restore was served by one of the stack's three tiers, none of
+  // them a device cache.
+  const auto& served = result->shot.merged.restores_from_tier;
+  ASSERT_EQ(served.size(), 3u);
+  EXPECT_EQ(std::accumulate(served.begin(), served.end(), std::uint64_t{0}),
+            result->shot.merged.restore_block_s.size());
 }
 
 TEST(TierStackIntegration, FiveTierStackWithSecondDurableStageRoundTrips) {

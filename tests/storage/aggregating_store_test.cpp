@@ -290,7 +290,6 @@ TEST(AggregatingStoreTest, GroupFlowTerminatesOnEraseToZeroReclaim) {
   // group reclaimed later has already finished at "agg:landed", so the
   // reclaim is a plain "agg:reclaim" instant, never a second termination.
   util::trace::Enable();
-  util::trace::EnableFlows(true);
   util::trace::ResetBuffers();
 
   {
@@ -327,7 +326,6 @@ TEST(AggregatingStoreTest, GroupFlowTerminatesOnEraseToZeroReclaim) {
   EXPECT_NE(json.find("\"agg:reclaim\""), std::string::npos);
 
   util::trace::Disable();
-  util::trace::EnableFlows(false);
   util::trace::ResetBuffers();
 }
 #endif  // CKPT_TRACE_DISABLED

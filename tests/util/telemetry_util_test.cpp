@@ -183,13 +183,6 @@ TEST_F(TelemetrySettingsTest, ConfigureAppliesAndZeroKeepsCurrent) {
 }
 
 TEST_F(TelemetrySettingsTest, EnabledFollowsConfigure) {
-#ifdef CKPT_TELEMETRY_DISABLED
-  Settings s;
-  s.enabled = true;
-  Configure(s);
-  EXPECT_FALSE(enabled());            // constexpr false when compiled out
-  EXPECT_FALSE(settings().enabled);   // settings() reports the same
-#else
   Settings s;
   s.enabled = true;
   Configure(s);
@@ -198,7 +191,6 @@ TEST_F(TelemetrySettingsTest, EnabledFollowsConfigure) {
   s.enabled = false;
   Configure(s);
   EXPECT_FALSE(enabled());
-#endif
 }
 
 TEST_F(TelemetrySettingsTest, ConvenienceAccessorsMatchSettings) {

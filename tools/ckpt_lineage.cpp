@@ -1,7 +1,7 @@
 // ckpt_lineage: per-checkpoint lineage auditor over a Chrome trace dump
 // (DESIGN.md §14). Stitches the flow events the engine and stores emit
-// under CKPT_LINEAGE=1 back into per-object causal chains and checks the
-// conservation invariant: every admitted object terminates in exactly one
+// into every trace (CKPT_TRACE=1) back into per-object causal chains and
+// checks the conservation invariant: every admitted object terminates in exactly one
 // of {durable, degraded, lost, erased}.
 //
 //   ckpt_lineage <trace.json> [--audit] [--timeline] [--limit N]
