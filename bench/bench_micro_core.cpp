@@ -198,8 +198,11 @@ BENCHMARK(BM_MultiTenantReserve)->UseRealTime();
 /// state. Fixed iteration count keeps the (append-only) hint queue bounded.
 void BM_PrefetchEnqueue(benchmark::State& state) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
-  core::Engine engine(cluster, std::make_shared<storage::MemStore>(), nullptr,
-                      core::EngineOptions{}, 1);
+  core::Engine engine(
+      cluster,
+      core::TierStack::Default(std::make_shared<storage::MemStore>(), nullptr)
+          .value(),
+      core::EngineOptions{}, 1);
   core::Version v = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.PrefetchEnqueue(0, v++));

@@ -63,8 +63,8 @@ AdjointResult RunAdjoint(int timesteps, int budget) {
   sim::Cluster cluster(sim::TopologyConfig::Scaled());
   auto ssd = storage::MakeSsdStore(cluster.topology(),
                                    std::make_shared<storage::MemStore>());
-  core::EngineOptions opts;
-  core::Engine engine(cluster, ssd, nullptr, opts, 1);
+  core::Engine engine(cluster, core::TierStack::Default(ssd, nullptr).value(),
+                      core::EngineOptions{}, 1);
 
   auto state = *cluster.device(0).Allocate(kStateBytes);
   std::memset(state, 0x3b, kStateBytes);
@@ -88,7 +88,7 @@ AdjointResult RunAdjoint(int timesteps, int budget) {
 
   // Backward pass: for each t from last to first, reconstruct state-at-t
   // from the nearest stored checkpoint and accumulate the adjoint.
-  (void)engine.PrefetchStart(0);
+  if (!engine.PrefetchStart(0).ok()) std::abort();
   int resident_t = -1;  // timestep whose entering state `state` holds
   for (int t = timesteps - 1; t >= 0; --t) {
     auto it = stored.upper_bound(t);
@@ -96,7 +96,7 @@ AdjointResult RunAdjoint(int timesteps, int budget) {
     const int base_t = it->first;
     if (resident_t != t) {
       // Hint, then restore the base checkpoint and recompute forward.
-      (void)engine.PrefetchEnqueue(0, it->second);
+      if (!engine.PrefetchEnqueue(0, it->second).ok()) std::abort();
       if (!engine.Restore(0, it->second, state, kStateBytes).ok()) std::abort();
       for (int k = base_t; k < t; ++k) {
         ForwardStep(state, k);
@@ -118,7 +118,7 @@ AdjointResult RunAdjoint(int timesteps, int budget) {
     if (t > 0) {
       auto nit = stored.upper_bound(t - 1);
       --nit;
-      (void)engine.PrefetchEnqueue(0, nit->second);
+      if (!engine.PrefetchEnqueue(0, nit->second).ok()) std::abort();
     }
   }
 
@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
               util::FormatRate(budgeted.metrics.RestoreThroughput()).c_str(),
               static_cast<unsigned long long>(
                   budgeted.metrics.restore_block_s.size()),
-              static_cast<unsigned long long>(budgeted.metrics.restores_from_tier.at(
-                  static_cast<std::size_t>(core::Tier::kGpu))));
+              static_cast<unsigned long long>(
+                  budgeted.metrics.restores_from_tier.at(core::Tier::kGpu)));
 
   if (reference.gradient != budgeted.gradient) {
     std::fprintf(stderr, "GRADIENT MISMATCH: recomputation is incorrect\n");

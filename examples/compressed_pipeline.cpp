@@ -64,12 +64,11 @@ int main(int argc, char** argv) {
       checksummed, compress::CodecKind::kDeltaRle);
   auto ssd = storage::MakeSsdStore(cluster.topology(), compressed);
 
-  core::EngineOptions opts;
   // Caches deliberately smaller than the history so the tail of the replay
   // really reads from disk and exercises decompression + CRC verification.
-  opts.gpu_cache_bytes = 1 << 20;
-  opts.host_cache_bytes = 2 << 20;
-  core::Engine engine(cluster, ssd, nullptr, opts, 1);
+  core::Engine engine(
+      cluster, core::TierStack::Default(ssd, nullptr, 1 << 20, 2 << 20).value(),
+      core::EngineOptions{}, 1);
 
   auto buf = *cluster.device(0).Allocate(kSize);
 

@@ -7,6 +7,7 @@
 //
 // Build & run:   ./build/examples/quickstart
 #include <cstdio>
+#include <cstdlib>
 
 #include "api/veloc.hpp"
 #include "rtm/workload.hpp"  // FillPattern/CheckPattern demo payloads
@@ -15,6 +16,17 @@
 #include "util/stats.hpp"
 
 using namespace ckpt;
+
+namespace {
+
+/// Ends the run with exit code 1 when an API call failed.
+void Check(const util::Status& st, const char* call) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", call, st.ToString().c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 int main() {
   // 1. The simulated machine: one DGX-like node (see DESIGN.md §2 for the
@@ -28,10 +40,11 @@ int main() {
   auto pfs = storage::MakePfsStore(cluster.topology(),
                                    std::make_shared<storage::MemStore>());
 
-  // 3. The checkpoint engine: 4 MB GPU cache + 32 MB pinned host cache per
-  //    process (the paper's §5.3.4 configuration, scaled).
-  core::EngineOptions opts;
-  core::Engine engine(cluster, ssd, pfs, opts, /*num_ranks=*/1);
+  // 3. The checkpoint engine over the paper's default stack: 4 MB GPU cache
+  //    + 32 MB pinned host cache per process (the §5.3.4 configuration,
+  //    scaled) in front of the SSD and the PFS.
+  core::Engine engine(cluster, core::TierStack::Default(ssd, pfs).value(),
+                      core::EngineOptions{}, /*num_ranks=*/1);
 
   // 4. A VELOC-style client for process 0.
   api::VelocClient veloc(engine, cluster, /*rank=*/0);
@@ -48,28 +61,21 @@ int main() {
 
   // --- Listing 1 ---------------------------------------------------------
   for (int ver = kNumCkpts - 1; ver >= 0; --ver) {  // announce reverse order
-    veloc.PrefetchEnqueue(static_cast<core::Version>(ver));
+    Check(veloc.PrefetchEnqueue(static_cast<core::Version>(ver)), "hint");
   }
-  veloc.MemProtect(1, *buf, kSize);
+  Check(veloc.MemProtect(1, *buf, kSize), "protect");
   for (int ver = 0; ver < kNumCkpts; ++ver) {       // forward pass
     rtm::FillPattern(0, static_cast<core::Version>(ver), *buf, kSize);
-    if (auto st = veloc.Checkpoint("quickstart", static_cast<core::Version>(ver));
-        !st.ok()) {
-      std::fprintf(stderr, "checkpoint %d failed: %s\n", ver,
-                   st.ToString().c_str());
-      return 1;
-    }
+    Check(veloc.Checkpoint("quickstart", static_cast<core::Version>(ver)),
+          "checkpoint");
   }
-  veloc.PrefetchStart();
+  Check(veloc.PrefetchStart(), "prefetch start");
   int verified = 0;
   for (int ver = kNumCkpts - 1; ver >= 0; --ver) {  // backward pass
     auto size = veloc.RecoverSize(static_cast<core::Version>(ver), 1);
-    veloc.MemProtect(1, *buf, *size);
-    if (auto st = veloc.Restart(static_cast<core::Version>(ver)); !st.ok()) {
-      std::fprintf(stderr, "restore %d failed: %s\n", ver,
-                   st.ToString().c_str());
-      return 1;
-    }
+    Check(size.status(), "recover size");
+    Check(veloc.MemProtect(1, *buf, *size), "protect");
+    Check(veloc.Restart(static_cast<core::Version>(ver)), "restore");
     if (rtm::CheckPattern(0, static_cast<core::Version>(ver), *buf, *size)) {
       ++verified;
     }

@@ -9,6 +9,7 @@
 //
 // Usage: ./build/examples/reproducibility_replay [--perturb]
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -41,6 +42,13 @@ void SimulateStep(std::byte* state, std::uint64_t n, int iter, bool perturb) {
   }
 }
 
+/// Ends the run with exit code 1 when an API call failed.
+void Check(const util::Status& st, const char* call) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", call, st.ToString().c_str());
+  std::exit(1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -49,8 +57,8 @@ int main(int argc, char** argv) {
   sim::Cluster cluster(sim::TopologyConfig::Scaled());
   auto ssd = storage::MakeSsdStore(cluster.topology(),
                                    std::make_shared<storage::MemStore>());
-  core::EngineOptions opts;
-  core::Engine engine(cluster, ssd, nullptr, opts, 1);
+  core::Engine engine(cluster, core::TierStack::Default(ssd, nullptr).value(),
+                      core::EngineOptions{}, 1);
   api::VelocClient veloc(engine, cluster, 0);
 
   auto state = cluster.device(0).Allocate(kStateBytes);
@@ -59,40 +67,35 @@ int main(int argc, char** argv) {
 
   // --- Run 1: baseline simulation, checkpoint every iteration. -----------
   std::memset(*state, 0x5c, kStateBytes);
-  veloc.MemProtect(1, *state, kStateBytes);
+  Check(veloc.MemProtect(1, *state, kStateBytes), "protect");
   for (int iter = 0; iter < kIterations; ++iter) {
     SimulateStep(*state, kStateBytes, iter, /*perturb=*/false);
-    if (auto st = veloc.Checkpoint("baseline", static_cast<core::Version>(iter));
-        !st.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    Check(veloc.Checkpoint("baseline", static_cast<core::Version>(iter)),
+          "checkpoint");
   }
   // Persist the full history before the validation pass (Fig. 5 protocol:
   // reproducibility requires the checkpoints to be durable).
-  veloc.WaitForFlushes();
+  Check(veloc.WaitForFlushes(), "flush barrier");
 
   // --- Run 2: re-execute (optionally perturbed) and compare against the
   //     stored history in production order, with sequential hints. --------
   for (int iter = 0; iter < kIterations; ++iter) {
-    veloc.PrefetchEnqueue(static_cast<core::Version>(iter));
+    Check(veloc.PrefetchEnqueue(static_cast<core::Version>(iter)), "hint");
   }
-  veloc.PrefetchStart();
+  Check(veloc.PrefetchStart(), "prefetch start");
 
   std::memset(*state, 0x5c, kStateBytes);
   int first_divergence = -1;
   for (int iter = 0; iter < kIterations; ++iter) {
     SimulateStep(*state, kStateBytes, iter, perturb);
-    veloc.MemProtect(1, *replay, kStateBytes);
-    if (auto st = veloc.Restart(static_cast<core::Version>(iter)); !st.ok()) {
-      std::fprintf(stderr, "restore failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    Check(veloc.MemProtect(1, *replay, kStateBytes), "protect");
+    Check(veloc.Restart(static_cast<core::Version>(iter)), "restore");
     if (std::memcmp(*state, *replay, kStateBytes) != 0 && first_divergence < 0) {
       first_divergence = iter;
     }
   }
-  veloc.MemProtect(1, *state, kStateBytes);  // restore protection symmetry
+  // Restore protection symmetry.
+  Check(veloc.MemProtect(1, *state, kStateBytes), "protect");
 
   const auto& m = veloc.metrics();
   std::printf("reproducibility replay over %d iterations (%s)\n", kIterations,

@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
   core::EngineOptions opts;
   // Adjoint runs don't need the history after consumption (condition (5)).
   opts.discard_after_restore = true;
-  core::Engine engine(cluster, ssd, nullptr, opts, num_gpus);
+  core::Engine engine(cluster, core::TierStack::Default(ssd, nullptr).value(),
+                      opts, num_gpus);
 
   rtm::ShotConfig shot;
   shot.num_ckpts = timesteps;
@@ -78,8 +79,8 @@ int main(int argc, char** argv) {
     std::printf("%-6zu %14s %14s %10llu %10llu %8.3f\n", r,
                 util::FormatRate(m.CkptThroughput()).c_str(),
                 util::FormatRate(m.RestoreThroughput()).c_str(),
-                static_cast<unsigned long long>(m.restores_from_tier.at(
-                    static_cast<std::size_t>(core::Tier::kGpu))),
+                static_cast<unsigned long long>(
+                    m.restores_from_tier.at(core::Tier::kGpu)),
                 static_cast<unsigned long long>(m.prefetch_promotions),
                 m.init_s);
   }

@@ -14,10 +14,6 @@
 #include "core/telemetry_sink.hpp"
 #include "core/tier_stack.hpp"
 #include "core/trace_sink.hpp"
-#include "storage/file_store.hpp"
-#include "storage/mem_store.hpp"
-#include "storage/remote_store.hpp"
-#include "storage/throttled_store.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
 #include "util/telemetry.hpp"
@@ -29,8 +25,6 @@ using namespace ckpt;
 
 struct GlobalContext {
   std::unique_ptr<sim::Cluster> cluster;
-  std::shared_ptr<storage::ObjectStore> ssd;
-  std::shared_ptr<storage::ObjectStore> pfs;
   std::unique_ptr<core::Engine> engine;  // after cluster: destroyed first
   std::unique_ptr<core::TelemetrySampler> sampler;  // after engine: stops first
   std::vector<std::unique_ptr<api::VelocClient>> clients;
@@ -74,6 +68,30 @@ api::VelocClient* ClientFor(int rank) {
     return nullptr;
   }
   return g_ctx->clients[static_cast<std::size_t>(rank)].get();
+}
+
+/// The config's tier stack: its "tiers" spec ("name:kind[:arg[:policy]],..."
+/// — see core/tier_stack.hpp), or else the paper's GPU -> host -> SSD -> PFS
+/// stack from the gpu_cache, host_cache, terminal_tier and ssd_dir keys.
+util::StatusOr<core::TierStack> StackFromConfig(
+    const util::Config& cfg, const core::TierStoreFactory& stores) {
+  auto custom = core::TierStackFromConfig(cfg, stores);
+  if (!custom.ok()) return custom.status();
+  if (custom->has_value()) return std::move(**custom);
+  const std::string terminal = cfg.GetString("terminal_tier", "ssd");
+  if (terminal != "ssd" && terminal != "pfs") {
+    return util::InvalidArgument("unknown terminal tier '" + terminal + "'");
+  }
+  const std::string ssd_dir = cfg.GetString("ssd_dir", "");
+  auto ssd = stores("ssd", ssd_dir.empty() ? "" : "file=" + ssd_dir, 0);
+  if (!ssd.ok()) return ssd.status();
+  auto pfs = stores("pfs", "", 1);
+  if (!pfs.ok()) return pfs.status();
+  return core::TierStack::Default(
+      std::move(*ssd), std::move(*pfs),
+      static_cast<std::uint64_t>(cfg.GetInt("gpu_cache", 4ll << 20)),
+      static_cast<std::uint64_t>(cfg.GetInt("host_cache", 32ll << 20)),
+      terminal == "pfs" ? core::Tier::kPfs : core::Tier::kSsd);
 }
 
 }  // namespace
@@ -126,10 +144,6 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
   }
 
   core::EngineOptions opts;
-  opts.gpu_cache_bytes =
-      static_cast<std::uint64_t>(cfg.GetInt("gpu_cache", 4ll << 20));
-  opts.host_cache_bytes =
-      static_cast<std::uint64_t>(cfg.GetInt("host_cache", 32ll << 20));
   opts.discard_after_restore = cfg.GetBool("discard_after_restore", false);
   opts.gpudirect = cfg.GetBool("gpudirect", false);
   // Global default; cache tiers in a "tiers" spec may override per tier.
@@ -153,68 +167,11 @@ int VELOCX_Init(const char* config_text, int num_ranks) {
     }
     opts.tenants = std::move(*specs);
   }
-  // Tier layout: a "tiers" key describes an arbitrary N-tier stack
-  // ("name:kind[:arg[:policy]],..." — see core/tier_stack.hpp); without it
-  // the classic GPU -> host -> SSD [-> PFS] stack is built from the legacy
-  // gpu_cache/host_cache/terminal_tier keys.
-  const sim::Topology& topo = ctx->cluster->topology();
-  const auto open_backend =
-      [&topo](std::string_view tier, std::string_view backend)
-      -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-    if (backend.empty() || backend == "mem") {
-      return std::shared_ptr<storage::ObjectStore>(
-          std::make_shared<storage::MemStore>());
-    }
-    if (backend.substr(0, 5) == "file=") {
-      auto fs = storage::FileStore::Open(std::string(backend.substr(5)));
-      if (!fs.ok()) return fs.status();
-      return std::shared_ptr<storage::ObjectStore>(std::move(*fs));
-    }
-    if (backend.substr(0, 5) == "s3://") {
-      return storage::OpenRemoteBackend(backend, &topo);
-    }
-    return util::InvalidArgument("tier '" + std::string(tier) +
-                                 "': unknown backend '" + std::string(backend) +
-                                 "' (want mem, file=<dir> or s3://<bucket>)");
-  };
-  if (cfg.Has("tiers")) {
-    const core::TierStoreFactory factory =
-        [&topo, &open_backend](std::string_view tier, std::string_view backend,
-                               int ordinal)
-        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      auto raw = open_backend(tier, backend);
-      if (!raw.ok()) return raw.status();
-      // Remote backends model their own fabric charges (per-request latency
-      // plus uplink bandwidth inside RemoteStore) — wrapping them in the
-      // SSD/PFS bandwidth decorators would double-charge the same bytes.
-      if (backend.substr(0, 5) == "s3://") return raw;
-      // The first durable tier gets node-local SSD drive bandwidth; every
-      // deeper one shares the PFS uplink.
-      return ordinal == 0 ? storage::MakeSsdStore(topo, std::move(*raw))
-                          : storage::MakePfsStore(topo, std::move(*raw));
-    };
-    auto stack = core::TierStackFromConfig(cfg, factory);
-    if (!stack.ok()) return FromStatus(stack.status());
-    ctx->engine = std::make_unique<core::Engine>(
-        *ctx->cluster, std::move(**stack), opts, num_ranks);
-  } else {
-    const std::string terminal = cfg.GetString("terminal_tier", "ssd");
-    if (terminal == "ssd") {
-      opts.terminal_tier = core::Tier::kSsd;
-    } else if (terminal == "pfs") {
-      opts.terminal_tier = core::Tier::kPfs;
-    } else {
-      return Fail(VELOCX_EINVAL, "unknown terminal tier '" + terminal + "'");
-    }
-    const std::string ssd_dir = cfg.GetString("ssd_dir", "");
-    const std::string ssd_backend = ssd_dir.empty() ? "" : "file=" + ssd_dir;
-    auto ssd_raw = open_backend("ssd", ssd_backend);
-    if (!ssd_raw.ok()) return FromStatus(ssd_raw.status());
-    ctx->ssd = storage::MakeSsdStore(topo, std::move(*ssd_raw));
-    ctx->pfs = storage::MakePfsStore(topo, std::make_shared<storage::MemStore>());
-    ctx->engine = std::make_unique<core::Engine>(*ctx->cluster, ctx->ssd,
-                                                 ctx->pfs, opts, num_ranks);
-  }
+  auto stack = StackFromConfig(
+      cfg, core::MakeTierStoreFactory(ctx->cluster->topology()));
+  if (!stack.ok()) return FromStatus(stack.status());
+  ctx->engine = std::make_unique<core::Engine>(
+      *ctx->cluster, std::move(*stack), opts, num_ranks);
   if (util::telemetry::enabled()) {
     ctx->sampler = std::make_unique<core::TelemetrySampler>(
         *ctx->engine, core::TelemetrySampler::Options::FromGlobalConfig());

@@ -227,7 +227,7 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
   if (!st.ok()) return st;
 
   std::lock_guard lock(c.mu);
-  ++c.metrics.restores_from_tier[static_cast<std::size_t>(served)];
+  ++c.metrics.restores_from_tier[served];
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{

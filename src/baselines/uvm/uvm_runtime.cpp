@@ -194,7 +194,7 @@ util::Status UvmRuntime::Restore(sim::Rank rank, core::Version v,
     rec.prefetched = false;
   }
   // Served through the device view.
-  ++c.metrics.restores_from_tier[static_cast<std::size_t>(core::Tier::kGpu)];
+  ++c.metrics.restores_from_tier[core::Tier::kGpu];
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{

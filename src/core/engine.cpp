@@ -25,6 +25,9 @@ constexpr auto kReplanMax = std::chrono::milliseconds(20);
 /// headroom, ReserveOn returns kCapacityExceeded and the caller falls back
 /// to a deeper tier (DESIGN.md §12).
 constexpr int kQuotaRoundsMax = 5;
+/// Master seed for retry backoff jitter; per-rank/thread streams derive from
+/// it (RngFor), so failure runs reproduce deterministically.
+constexpr std::uint64_t kRetrySeed = 0xC5EEDull;
 
 storage::ObjectKey KeyOf(sim::Rank rank, Version v) {
   return storage::ObjectKey{rank, v};
@@ -56,26 +59,6 @@ Engine::Engine(sim::Cluster& cluster, TierStack stack, EngineOptions options,
                int num_ranks)
     : cluster_(cluster), stack_(std::move(stack)), options_(options) {
   assert(!stack_.empty() && "Engine requires a validated TierStack");
-  Init(num_ranks);
-}
-
-Engine::Engine(sim::Cluster& cluster, std::shared_ptr<storage::ObjectStore> ssd,
-               std::shared_ptr<storage::ObjectStore> pfs, EngineOptions options,
-               int num_ranks)
-    : cluster_(cluster), options_(options) {
-  assert(ssd != nullptr && "Engine requires an SSD-tier store");
-  auto stack = TierStack::Default(std::move(ssd), std::move(pfs),
-                                  options_.gpu_cache_bytes,
-                                  options_.host_cache_bytes,
-                                  options_.terminal_tier);
-  if (!stack.ok()) {
-    // The legacy constructor's historical contract is assert-on-misuse
-    // (e.g. terminal_tier == kPfs without a PFS store).
-    CKPT_LOG(kError, "engine") << "invalid default tier stack: "
-                               << stack.status().ToString();
-    std::abort();
-  }
-  stack_ = std::move(*stack);
   Init(num_ranks);
 }
 
@@ -192,8 +175,8 @@ void Engine::Init(int num_ranks) {
       c->tiers[static_cast<std::size_t>(i)] = std::move(t);
     }
 
-    // Builds the tier's CacheBuffer(s) over `base` (split mode carves a
-    // prefetch partition off the top).
+    // Builds the tier's CacheBuffer(s) over `base` (split mode carves the
+    // top half off as the prefetch partition).
     const auto build_bufs = [this, r](CacheTierRt& t, int i,
                                       sim::BytePtr base) {
       const std::string nm(stack_.name(static_cast<std::size_t>(i)));
@@ -201,8 +184,7 @@ void Engine::Init(int num_ranks) {
       // whole point of per-tier policies is GPU=score over FIFO deep tiers.
       const EvictionKind kind = stack_.policy(i);
       if (options_.split_flush_prefetch) {
-        const auto pf = static_cast<std::uint64_t>(
-            static_cast<double>(t.capacity) * options_.split_prefetch_fraction);
+        const std::uint64_t pf = t.capacity / 2;
         t.write_buf = std::make_unique<CacheBuffer>(
             nm + "-w/" + std::to_string(r), base, t.capacity - pf,
             MakePolicy(kind));
@@ -329,7 +311,7 @@ std::mt19937_64 Engine::RngFor(const RankCtx& ctx_, std::uint64_t stream,
   // the stage-in worker's when it owns them), direct paths num_cache + 1.
   const auto stride =
       static_cast<std::uint64_t>(stack_.num_cache_tiers()) + 2;
-  return util::MakeRng(options_.retry_seed ^ salt,
+  return util::MakeRng(kRetrySeed ^ salt,
                        static_cast<std::uint64_t>(ctx_.rank) * stride + stream);
 }
 
@@ -1009,15 +991,13 @@ void Engine::MarkFlushFailed(RankCtx& ctx_, Record& rec) {
   }
 }
 
-util::Status Engine::GetDurable(RankCtx& ctx_, Version v, sim::BytePtr dst,
-                                std::uint64_t size,
-                                const std::vector<unsigned char>& durable,
-                                std::mt19937_64& rng,
-                                const std::function<bool()>& abort,
-                                std::uint64_t& retries, bool& fell_back,
-                                TierIndex& served) {
+Engine::FetchResult Engine::GetDurable(
+    RankCtx& ctx_, Version v, sim::BytePtr dst, std::uint64_t size,
+    const std::vector<unsigned char>& durable, std::mt19937_64& rng,
+    const std::function<bool()>& abort) {
   const storage::ObjectKey key = KeyOf(ctx_.rank, v);
-  util::Status last =
+  FetchResult r;
+  r.status =
       util::NotFound("checkpoint " + key.ToString() + " has no durable copy");
   int shallowest = -1;
   for (int d = 0; d < stack_.num_durable_tiers() &&
@@ -1029,20 +1009,31 @@ util::Status Engine::GetDurable(RankCtx& ctx_, Version v, sim::BytePtr dst,
     const util::RetryOutcome out = util::RetryWithBackoff(
         options_.fetch_retry, rng, [&] { return store.Get(key, dst, size); },
         abort);
-    retries += out.retries();
+    r.retries += out.retries();
+    r.status = out.status;
     if (out.ok()) {
-      served = stack_.durable_index(d);
-      fell_back = d != shallowest;  // a shallower durable copy failed first
-      return util::OkStatus();
+      r.served = stack_.durable_index(d);
+      r.fell_back = d != shallowest;
+      return r;
     }
-    last = out.status;
     CKPT_LOG(kWarn, "fetch")
         << "rank " << ctx_.rank << " ckpt " << v << ": "
         << stack_.name(static_cast<std::size_t>(stack_.durable_index(d)))
         << " read failed after " << out.attempts
         << " attempt(s): " << out.status.ToString();
   }
-  return last;
+  return r;
+}
+
+void Engine::ApplyFetchResult(RankCtx& ctx_, Version v, std::uint64_t size,
+                              const FetchResult& r) {
+  CKPT_ASSERT_HELD(ctx_.mu);
+  if (r.retries > 0) {
+    ProbeAdd(ctx_.probe.fetch_retries, r.retries);
+    QueueInstant(ctx_, trace::Kind::kRetry, "fetch:retries", r.served, v, size,
+                 static_cast<double>(r.retries));
+  }
+  if (r.fell_back && r.status.ok()) ++ctx_.metrics.fetch_fallbacks;
 }
 
 void Engine::ReleasePin(RankCtx& ctx_, Record& rec) {
@@ -1209,31 +1200,16 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache) + 1, v);
     const TerminalPutResult r = PutTerminal(c, v, staging.data(), size, rng);
     lock.lock();
-    c.metrics.flush_failures += r.failures;
-    ProbeAdd(c.probe.flush_retries, r.retries);
-    bool any = false;
-    for (std::size_t d = 0; d < r.ok.size(); ++d) {
-      if (r.ok[d]) {
-        any = true;
-        rec.durable[d] = 1;
-        const auto idx =
-            static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
-        ProbeAdd(c.tier_probe[idx].flush_bytes, size);
-        LineageDurableAck(c, rec, d);
-      }
-    }
-    if (!any) {
+    if (std::find(r.ok.begin(), r.ok.end(), 1) == r.ok.end()) {
       // Nothing durable and nothing cached. The caller still owns the
       // source buffer, so surface the failure instead of losing data.
+      c.metrics.flush_failures += r.failures;
+      ProbeAdd(c.probe.flush_retries, r.retries);
       return cleanup_failure(util::IoError(
           "write-through flush of checkpoint " + std::to_string(v) +
           " failed on every durable tier"));
     }
-    if (!rec.durable[static_cast<std::size_t>(stack_.terminal_ordinal())]) {
-      rec.degraded = true;
-      ProbeAdd(c.probe.tier_degradations);
-    }
-    FinishFlush(c, rec);
+    ApplyFlushResult(c, rec, r);
     NoteStageable(c, rec);  // quota-forced write-through may still fit a cache
   }
 
@@ -1343,17 +1319,14 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   } else if (rec.AnyDurable()) {
     const std::vector<unsigned char> durable = rec.durable;
     const std::uint64_t size = rec.size;
-    std::uint64_t fetch_retries = 0;
-    bool fell_back = false;
-    TierIndex served = -1;
+    FetchResult r;
     std::mt19937_64 rng = RngFor(
         c, static_cast<std::uint64_t>(stack_.num_cache_tiers()) + 1, v);
     lock.unlock();
     if (options_.gpudirect) {
       // GPUDirect read: store -> application device buffer over PCIe DMA.
-      st = GetDurable(c, v, dst, size, durable, rng, /*abort=*/{},
-                      fetch_retries, fell_back, served);
-      if (st.ok()) {
+      r = GetDurable(c, v, dst, size, durable, rng, /*abort=*/{});
+      if (r.status.ok()) {
         sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
                                 sim::Topology::LinkDir::kH2D);
       }
@@ -1363,24 +1336,20 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
       // deviating from the hints / running without foreknowledge.
       sim::PinnedArena staging(cluster_.topology(),
                                cluster_.topology().node_of_rank(rank), size);
-      st = GetDurable(c, v, staging.data(), size, durable, rng,
-                      /*abort=*/{}, fetch_retries, fell_back, served);
-      if (st.ok()) {
-        st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst, staging.data(),
-                                  size, sim::MemcpyKind::kH2D, flow);
+      r = GetDurable(c, v, staging.data(), size, durable, rng, /*abort=*/{});
+      if (r.status.ok()) {
+        r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
+                                        staging.data(), size,
+                                        sim::MemcpyKind::kH2D, flow);
       }
     }
     lock.lock();
-    ProbeAdd(c.probe.fetch_retries, fetch_retries);
-    if (fetch_retries > 0) {
-      QueueInstant(c, trace::Kind::kRetry, "fetch:retries", served, v, size,
-                   static_cast<double>(fetch_retries));
-    }
-    if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
-    if (st.ok() && served >= 0) {
-      ProbeAdd(c.tier_probe[static_cast<std::size_t>(served)].restores);
+    ApplyFetchResult(c, v, size, r);
+    st = r.status;
+    if (st.ok() && r.served >= 0) {
+      ProbeAdd(c.tier_probe[static_cast<std::size_t>(r.served)].restores);
       QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
-                trace::FlowPhase::kStep, served, v, size);
+                trace::FlowPhase::kStep, r.served, v, size);
     }
   } else {
     stop_waiting();
@@ -1798,12 +1767,6 @@ util::StatusOr<TierIndex> Engine::DurableTierIndexOf(sim::Rank rank,
                         " holds no copy on any tier");
 }
 
-util::StatusOr<Tier> Engine::DurableTierOf(sim::Rank rank, Version v) const {
-  auto idx = DurableTierIndexOf(rank, v);
-  if (!idx.ok()) return idx.status();
-  return static_cast<Tier>(*idx);
-}
-
 bool Engine::ResidentOnIndex(sim::Rank rank, Version v, TierIndex tier) const {
   const RankCtx& c = ctx(rank);
   std::lock_guard lock(c.mu);
@@ -1818,10 +1781,6 @@ bool Engine::ResidentOnIndex(sim::Rank rank, Version v, TierIndex tier) const {
          0;
 }
 
-bool Engine::ResidentOn(sim::Rank rank, Version v, Tier tier) const {
-  return ResidentOnIndex(rank, v, static_cast<TierIndex>(tier));
-}
-
 std::uint64_t Engine::CacheUsed(sim::Rank rank, TierIndex tier) const {
   // Deliberately does NOT take the rank lock: capacity probes must not
   // contend with the hot path. `ready` is an acquire-load paired with the
@@ -1833,22 +1792,6 @@ std::uint64_t Engine::CacheUsed(sim::Rank rank, TierIndex tier) const {
   if (!t.ready.load(std::memory_order_acquire)) return 0;
   std::uint64_t used = t.write_buf->used_bytes();
   if (t.prefetch_buf) used += t.prefetch_buf->used_bytes();
-  return used;
-}
-
-std::uint64_t Engine::GpuCacheUsed(sim::Rank rank) const {
-  std::uint64_t used = 0;
-  for (int i = 0; i < stack_.num_cache_tiers(); ++i) {
-    if (stack_.is_device(i)) used += CacheUsed(rank, i);
-  }
-  return used;
-}
-
-std::uint64_t Engine::HostCacheUsed(sim::Rank rank) const {
-  std::uint64_t used = 0;
-  for (int i = 0; i < stack_.num_cache_tiers(); ++i) {
-    if (!stack_.is_device(i)) used += CacheUsed(rank, i);
-  }
   return used;
 }
 
@@ -1880,13 +1823,22 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
   const char* stage_span = trace::Intern("flush:" + tier_name);
   const char* terminal_span = trace::Intern("flush:" + tier_name + ">durable");
 
+  // GPUDirect Storage: the device tier's stage DMAs straight to the drive,
+  // bypassing the deeper caches, the pinned tiers and DDR entirely.
+  const bool gpudirect = options_.gpudirect && stack_.is_device(tier);
+
   // Writes (rank, v) to the durable stores directly from this tier's copy.
-  // Device-tier sources stage through a transient pinned buffer first
-  // (without GPUDirect the drive cannot read device memory). Returns the
+  // Without GPUDirect the drive cannot read device memory, so device-tier
+  // sources stage through a transient pinned buffer first. Returns the
   // result to apply under the lock.
   const auto put_from_tier = [&](Version v, sim::ConstBytePtr src,
                                  std::uint64_t size) -> TerminalPutResult {
     if (!stack_.is_device(tier)) return PutTerminal(c, v, src, size, rng);
+    if (gpudirect) {
+      sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
+                              sim::Topology::LinkDir::kD2H);
+      return PutTerminal(c, v, src, size, rng);
+    }
     sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
@@ -1967,36 +1919,14 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       continue;
     }
 
-    if (options_.gpudirect && stack_.is_device(tier)) {
-      // GPUDirect Storage: DMA the checkpoint straight from the device
-      // cache to the drive, bypassing the pinned tiers and DDR entirely.
-      ++mine.read_refs;
-      sim::ConstBytePtr src = BufferFor(c, tier, mine.part).PtrAt(mine.offset);
-      const std::uint64_t size = rec.size;
-      lock.unlock();
-      const std::int64_t t0 = util::NowNs();
-      sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                              sim::Topology::LinkDir::kD2H);
-      const TerminalPutResult r = PutTerminal(c, v, src, size, rng);
-      lock.lock();
-      --mine.read_refs;
-      NotifyReserve(c, tier);  // our source copy may now be evictable
-      t.backlog_bytes -= size;
-      QueueSpanSince(c, trace::Kind::kFlush, terminal_span, t0,
-                     stack_.terminal(), v, size);
-      c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
-          static_cast<double>(util::NowNs() - t0) / 1e9);
-      ApplyFlushResult(c, rec, r);
-      continue;
-    }
-
     // Reserve space on the next cache tier down; oversize checkpoints keep
-    // falling through to deeper (larger) caches. The last cache tier has no
-    // next tier: it writes the durable stores.
+    // falling through to deeper (larger) caches. The last cache tier, and a
+    // GPUDirect stage, have no next tier: they write the durable stores.
+    const int first_next = gpudirect ? ncache : tier + 1;
     int target = -1;
     std::uint64_t noff = 0;
     util::Status reserve_st = util::OkStatus();
-    for (int j = tier + 1; j < ncache; ++j) {
+    for (int j = first_next; j < ncache; ++j) {
       auto o = ReserveOn(c, lock, j, ReservePurpose::kWrite, v, rec.size,
                          /*abort=*/[&] {
                            return options_.discard_after_restore &&
@@ -2010,7 +1940,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       reserve_st = o.status();
       if (reserve_st.code() != util::ErrorCode::kCapacityExceeded) break;
     }
-    if (target < 0 && tier + 1 < ncache &&
+    if (target < 0 && first_next < ncache &&
         reserve_st.code() != util::ErrorCode::kCapacityExceeded) {
       // Shutdown or condition-(5) abort mid-reservation.
       CancelFlush(c, rec, tier, LineageOutcome::kErased,
@@ -2019,8 +1949,8 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     }
 
     if (target < 0) {
-      // Terminal stage (last cache tier, or no deeper cache fits this
-      // checkpoint): write the durable stores from this tier's copy.
+      // Terminal stage (last cache tier, GPUDirect, or no deeper cache fits
+      // this checkpoint): write the durable stores from this tier's copy.
       ++mine.read_refs;
       sim::ConstBytePtr src = BufferFor(c, tier, mine.part).PtrAt(mine.offset);
       const std::uint64_t size = rec.size;
@@ -2278,15 +2208,12 @@ void Engine::PrefetchLoop(RankCtx& c) {
         std::lock_guard l(c.mu);
         return c.shutdown || rec.restore_waiting;
       };
-      std::uint64_t fetch_retries = 0;
-      bool fell_back = false;
-      TierIndex served = -1;
+      FetchResult r;
       lock.unlock();
       if (device0 && options_.gpudirect) {
         // GPUDirect: DMA from the store into device memory over PCIe.
-        st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
-                        fell_back, served);
-        if (st.ok()) {
+        r = GetDurable(c, v, slot, size, durable, rng, abandon);
+        if (r.status.ok()) {
           sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
                                   sim::Topology::LinkDir::kH2D);
         }
@@ -2294,20 +2221,18 @@ void Engine::PrefetchLoop(RankCtx& c) {
         // The drive cannot write device memory: stage through transient
         // pinned memory.
         sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
-        st = GetDurable(c, v, staging.data(), size, durable, rng, abandon,
-                        fetch_retries, fell_back, served);
-        if (st.ok()) {
-          st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
-                                    staging.data(), size,
-                                    sim::MemcpyKind::kH2D, flow);
+        r = GetDurable(c, v, staging.data(), size, durable, rng, abandon);
+        if (r.status.ok()) {
+          r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
+                                          staging.data(), size,
+                                          sim::MemcpyKind::kH2D, flow);
         }
       } else {
-        st = GetDurable(c, v, slot, size, durable, rng, abandon, fetch_retries,
-                        fell_back, served);
+        r = GetDurable(c, v, slot, size, durable, rng, abandon);
       }
       lock.lock();
-      ProbeAdd(c.probe.fetch_retries, fetch_retries);
-      if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
+      ApplyFetchResult(c, v, size, r);
+      st = r.status;
     }
     rec.res[0].io_pending = false;
     if (!st.ok()) {
@@ -2397,16 +2322,12 @@ void Engine::StageInLoop(RankCtx& c) {
         BufferFor(c, deepest, ReservePurpose::kPrefetch).PtrAt(*off);
     const std::vector<unsigned char> durable = rec.durable;
     const std::uint64_t size = rec.size;
-    std::uint64_t fetch_retries = 0;
-    bool fell_back = false;
-    TierIndex served = -1;
     const std::int64_t begin = util::NowNs();
     lock.unlock();
-    const util::Status st = GetDurable(c, v, dst, size, durable, rng, abandon,
-                                       fetch_retries, fell_back, served);
+    const FetchResult r = GetDurable(c, v, dst, size, durable, rng, abandon);
     lock.lock();
-    ProbeAdd(c.probe.fetch_retries, fetch_retries);
-    if (fell_back && st.ok()) ++c.metrics.fetch_fallbacks;
+    ApplyFetchResult(c, v, size, r);
+    const util::Status& st = r.status;
     res.io_pending = false;
     rec.stage_claimed = false;
     if (rec.restore_waiting) NotifyState(c);  // Restore's stage-in wait

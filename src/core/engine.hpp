@@ -57,19 +57,9 @@
 
 namespace ckpt::core {
 
+/// Engine behaviour. Tier layout, capacities and the terminal tier come from
+/// the TierStack the engine is built over, not from here.
 struct EngineOptions {
-  /// Per-rank cache sizes (paper defaults, scaled: 4 GB -> 4 MB GPU cache,
-  /// 32 GB -> 32 MB pinned host cache). Only read by the legacy
-  /// (ssd, pfs) constructor, which builds the default stack from them; the
-  /// TierStack constructor takes capacities from the stack itself.
-  std::uint64_t gpu_cache_bytes = 4ull << 20;
-  std::uint64_t host_cache_bytes = 32ull << 20;
-
-  /// Deepest tier flushes must reach before a checkpoint counts as durable
-  /// (kSsd by default; kPfs adds the parallel-file-system stage). Legacy
-  /// constructor only; the TierStack carries its own terminal tier.
-  Tier terminal_tier = Tier::kSsd;
-
   /// Condition (5): once consumed, a checkpoint's pending flushes may be
   /// skipped and its data may be dropped entirely.
   bool discard_after_restore = false;
@@ -78,10 +68,8 @@ struct EngineOptions {
   EvictionKind eviction = EvictionKind::kScore;
 
   /// Ablation of §4.1.2: split each cache into disjoint flush/prefetch
-  /// partitions instead of one shared space.
+  /// partitions (half each) instead of one shared space.
   bool split_flush_prefetch = false;
-  /// Fraction of the cache given to the prefetch partition in split mode.
-  double split_prefetch_fraction = 0.5;
 
   /// Max fraction of the fastest cache tier that prefetched-but-unconsumed
   /// checkpoints may pin. Guarantees interleaved writers can always make
@@ -134,10 +122,6 @@ struct EngineOptions {
   /// reclaimed, and Restore()/WaitForFlushes() surface the failure.
   bool degraded_durability = true;
 
-  /// Master seed for retry backoff jitter (per-rank/thread streams are
-  /// derived from it, so failure runs reproduce deterministically).
-  std::uint64_t retry_seed = 0xC5EEDull;
-
   // --- Multi-tenant service mode (DESIGN.md §12) ---
 
   /// Tenants to open at Init, in declaration order; ranks are split into
@@ -156,16 +140,9 @@ struct EngineOptions {
 
 class Engine final : public Runtime {
  public:
-  /// Generic constructor: the stack is the engine's source of truth for
-  /// tier count, capacities, stores and the terminal tier.
+  /// The stack is the engine's source of truth for tier count, capacities,
+  /// stores and the terminal tier (TierStack::Default builds the paper's).
   Engine(sim::Cluster& cluster, TierStack stack, EngineOptions options,
-         int num_ranks);
-
-  /// Legacy constructor: builds the default GPU->host->SSD[->PFS] stack
-  /// from `options`. `ssd` must be non-null; `pfs` may be null when
-  /// terminal_tier == kSsd.
-  Engine(sim::Cluster& cluster, std::shared_ptr<storage::ObjectStore> ssd,
-         std::shared_ptr<storage::ObjectStore> pfs, EngineOptions options,
          int num_ranks);
   ~Engine();
 
@@ -250,22 +227,14 @@ class Engine final : public Runtime {
   /// Residency by stack index; indices beyond the stack are simply absent.
   [[nodiscard]] bool ResidentOnIndex(sim::Rank rank, Version v,
                                      TierIndex tier) const;
-  /// Legacy alias: the default stack's Tier enum doubles as its indices.
-  [[nodiscard]] bool ResidentOn(sim::Rank rank, Version v, Tier tier) const;
   /// Deepest stack index still holding a copy of a flushed checkpoint. For
   /// a degraded checkpoint this is shallower than the configured terminal
   /// tier. Errors: kFailedPrecondition while the flush is in flight,
   /// kIoError once the checkpoint entered FLUSH_FAILED.
   [[nodiscard]] util::StatusOr<TierIndex> DurableTierIndexOf(sim::Rank rank,
                                                              Version v) const;
-  /// Legacy alias of DurableTierIndexOf for the default stack.
-  [[nodiscard]] util::StatusOr<Tier> DurableTierOf(sim::Rank rank, Version v) const;
   /// Used bytes of cache tier `tier` (0 while a pinned tier registers).
   [[nodiscard]] std::uint64_t CacheUsed(sim::Rank rank, TierIndex tier) const;
-  /// Legacy aliases: the device tier's usage, and the summed usage of the
-  /// pinned-host cache tiers.
-  [[nodiscard]] std::uint64_t GpuCacheUsed(sim::Rank rank) const;
-  [[nodiscard]] std::uint64_t HostCacheUsed(sim::Rank rank) const;
   /// Consecutive hinted successors already promoted to the fastest cache
   /// tier (the Fig. 7 prefetch-distance metric).
   [[nodiscard]] std::uint64_t PrefetchDistance(sim::Rank rank) const;
@@ -829,18 +798,25 @@ class Engine final : public Runtime {
   /// Transitions the record to FLUSH_FAILED, reclaiming its cache space and
   /// unblocking WaitForFlushes / pending restores (ctx.mu held).
   void MarkFlushFailed(RankCtx& ctx, Record& rec);
+  /// Result of reading one checkpoint from the durable store(s).
+  struct FetchResult {
+    util::Status status;
+    std::uint64_t retries = 0;  ///< extra attempts across all tiers
+    bool fell_back = false;     ///< a shallower durable copy failed first
+    TierIndex served = -1;      ///< stack index that satisfied the read
+  };
   /// Reads (rank, v) from the durable tiers flagged in `durable`, walking
   /// shallowest-first with bounded retries per tier. Called WITHOUT ctx.mu
-  /// held. Accumulates retry/fallback counts into the out-params (caller
-  /// charges metrics under the lock); `served` reports the stack index
-  /// that satisfied the read.
-  util::Status GetDurable(RankCtx& ctx, Version v, sim::BytePtr dst,
-                          std::uint64_t size,
-                          const std::vector<unsigned char>& durable,
-                          std::mt19937_64& rng,
-                          const std::function<bool()>& abort,
-                          std::uint64_t& retries, bool& fell_back,
-                          TierIndex& served);
+  /// held; the caller applies the result under the lock (ApplyFetchResult).
+  FetchResult GetDurable(RankCtx& ctx, Version v, sim::BytePtr dst,
+                         std::uint64_t size,
+                         const std::vector<unsigned char>& durable,
+                         std::mt19937_64& rng,
+                         const std::function<bool()>& abort);
+  /// Charges a FetchResult to the rank (ctx.mu held): its retries, with a
+  /// fetch:retries trace instant, and a fallback when the read succeeded.
+  void ApplyFetchResult(RankCtx& ctx, Version v, std::uint64_t size,
+                        const FetchResult& r);
   /// FSM transition with legality check (aborts the process on violation —
   /// an illegal edge is an engine bug, never a user error).
   void Advance(RankCtx& ctx, Record& rec, CkptState to);

@@ -32,7 +32,7 @@ struct RankMetrics {
   std::uint64_t restores_waited_promotion = 0;  // blocked on T_PF
 
   // Per-tier telemetry, indexed by TierStack position (the default stack's
-  // Tier enum values for the baselines; empty until a runtime sizes them).
+  // Tier names for the baselines; empty until a runtime sizes them).
   // restores_from_tier counts where each served restore was read from.
   std::vector<std::uint64_t> restores_from_tier;
   std::vector<std::uint64_t> flush_bytes_to_tier;  // flushed bytes landing on

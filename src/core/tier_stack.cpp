@@ -4,7 +4,10 @@
 #include <unordered_set>
 #include <utility>
 
+#include "storage/file_store.hpp"
 #include "storage/mem_store.hpp"
+#include "storage/remote_store.hpp"
+#include "storage/throttled_store.hpp"
 
 namespace ckpt::core {
 
@@ -269,6 +272,37 @@ util::StatusOr<TierStack> ParseTierStack(std::string_view spec,
     tiers.push_back(std::move(desc));
   }
   return TierStack::Create(std::move(tiers), terminal_name);
+}
+
+TierStoreFactory MakeTierStoreFactory(const sim::Topology& topo,
+                                      StoreDecorator wrap_first) {
+  return [&topo, wrap_first = std::move(wrap_first)](
+             const std::string& tier, const std::string& backend, int ordinal)
+             -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
+    const bool remote = backend.starts_with("s3://");
+    std::shared_ptr<storage::ObjectStore> raw;
+    if (backend.empty() || backend == "mem") {
+      raw = std::make_shared<storage::MemStore>();
+    } else if (backend.starts_with("file=")) {
+      auto fs = storage::FileStore::Open(backend.substr(5));
+      if (!fs.ok()) return fs.status();
+      raw = std::move(*fs);
+    } else if (remote) {
+      auto rs = storage::OpenRemoteBackend(backend, &topo);
+      if (!rs.ok()) return rs.status();
+      raw = std::move(*rs);
+    } else {
+      return util::InvalidArgument("tier '" + tier + "': unknown backend '" +
+                                   backend +
+                                   "' (want mem, file=<dir> or s3://<bucket>)");
+    }
+    if (ordinal == 0 && wrap_first) raw = wrap_first(std::move(raw));
+    // A bandwidth model on a remote tier would double-charge the bytes its
+    // RemoteStore already charges to the fabric.
+    if (remote) return raw;
+    return ordinal == 0 ? storage::MakeSsdStore(topo, std::move(raw))
+                        : storage::MakePfsStore(topo, std::move(raw));
+  };
 }
 
 util::StatusOr<std::optional<TierStack>> TierStackFromConfig(

@@ -6,10 +6,9 @@
 // contiguous run of managed cache tiers (GPU HBM and/or pinned host arenas)
 // followed by a contiguous run of durable object-store tiers — plus the
 // index of the *terminal* tier a flush must reach before a checkpoint counts
-// as durable. The engine walks this stack everywhere it used to switch on
-// the fixed 4-value Tier enum: flush staging, prefetch promotion, restore
-// fallback, eviction safety ("durable copy below?") and fault degradation
-// ("deepest surviving tier").
+// as durable. The engine walks this stack everywhere: flush staging,
+// prefetch promotion, restore fallback, eviction safety ("durable copy
+// below?") and fault degradation ("deepest surviving tier").
 #pragma once
 
 #include <cstdint>
@@ -25,6 +24,10 @@
 #include "storage/object_store.hpp"
 #include "util/config.hpp"
 #include "util/status.hpp"
+
+namespace ckpt::sim {
+class Topology;
+}  // namespace ckpt::sim
 
 namespace ckpt::core {
 
@@ -75,14 +78,17 @@ class TierStack {
   static util::StatusOr<TierStack> Create(std::vector<TierDesc> tiers,
                                           std::string_view terminal_name = {});
 
-  /// The paper's default stack: GPU HBM -> pinned host -> SSD [-> PFS].
-  /// The PFS tier is present iff `pfs` is non-null; `terminal` must name a
-  /// tier that exists. Used by the legacy Engine constructor, which keeps
-  /// its historical assert-on-misuse contract.
+  /// The paper's default stack: GPU HBM -> pinned host -> SSD [-> PFS],
+  /// whose positions the Tier names label. The PFS tier is present iff
+  /// `pfs` is non-null; `terminal` must name a tier that exists. Default
+  /// capacities are the paper's per-rank caches, scaled: 4 GB -> 4 MiB GPU
+  /// cache, 32 GB -> 32 MiB pinned host cache.
   static util::StatusOr<TierStack> Default(
       std::shared_ptr<storage::ObjectStore> ssd,
-      std::shared_ptr<storage::ObjectStore> pfs, std::uint64_t gpu_cache_bytes,
-      std::uint64_t host_cache_bytes, Tier terminal = Tier::kSsd);
+      std::shared_ptr<storage::ObjectStore> pfs,
+      std::uint64_t gpu_cache_bytes = 4ull << 20,
+      std::uint64_t host_cache_bytes = 32ull << 20,
+      Tier terminal = Tier::kSsd);
 
   [[nodiscard]] std::size_t size() const noexcept { return tiers_.size(); }
   [[nodiscard]] bool empty() const noexcept { return tiers_.empty(); }
@@ -129,8 +135,8 @@ class TierStack {
     return tiers_[static_cast<std::size_t>(durable_index(ordinal))].store.get();
   }
 
-  /// Configured name of tier `i`; out-of-range indices (including Tier enum
-  /// values beyond this stack) resolve to a stable placeholder rather than
+  /// Configured name of tier `i`; out-of-range indices (including Tier
+  /// names beyond this stack) resolve to a stable placeholder rather than
   /// "?" so log lines stay greppable.
   [[nodiscard]] std::string_view name(std::size_t i) const noexcept {
     return i < tiers_.size() ? std::string_view(tiers_[i].name)
@@ -161,13 +167,26 @@ class TierStack {
 };
 
 /// Builds an ObjectStore for one durable tier of a parsed spec. `backend` is
-/// the spec's backend field ("mem", "file=<dir>", or an empty string meaning
-/// the default "mem"); `ordinal` is the tier's position among the durable
-/// tiers, which callers typically use to pick the bandwidth wrapper
-/// (NVMe-throttled for ordinal 0, PFS uplink beyond).
+/// the spec's backend field ("mem", "file=<dir>", "s3://...", or an empty
+/// string meaning the default "mem"); `ordinal` is the tier's position among
+/// the durable tiers, which picks the bandwidth model.
 using TierStoreFactory =
     std::function<util::StatusOr<std::shared_ptr<storage::ObjectStore>>(
         const std::string& tier_name, const std::string& backend, int ordinal)>;
+
+/// Decorates a raw store (e.g. with fault injection).
+using StoreDecorator = std::function<std::shared_ptr<storage::ObjectStore>(
+    std::shared_ptr<storage::ObjectStore>)>;
+
+/// The store factory shared by every caller that builds an engine. Backends:
+/// "mem" (or empty), "file=<dir>" and "s3://<bucket>[?opts]"
+/// (storage/remote_store.hpp).
+/// The first durable tier sits behind the node's NVMe model and deeper tiers
+/// behind the PFS uplink; remote tiers charge their own fabric and get
+/// neither. `wrap_first`, when set, decorates the first durable tier's raw
+/// store inside that model. `topo` must outlive the factory.
+TierStoreFactory MakeTierStoreFactory(const sim::Topology& topo,
+                                      StoreDecorator wrap_first = {});
 
 /// Parses a tier-stack spec string into a validated TierStack.
 ///

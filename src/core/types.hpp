@@ -1,8 +1,8 @@
 // Shared vocabulary of the checkpoint runtime core.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace ckpt::core {
 
@@ -10,9 +10,8 @@ namespace ckpt::core {
 /// argument of VELOC_Checkpoint / VELOC_Restart).
 using Version = std::uint64_t;
 
-/// Index of one tier within a core::TierStack, 0 = fastest. The engine's
-/// source of truth is the stack, not this alias; it exists so legacy
-/// call sites and the default 4-tier mapping below stay readable.
+/// Index of one tier within a core::TierStack, 0 = fastest: the engine API's
+/// only tier vocabulary.
 using TierIndex = int;
 
 /// Number of tiers in the *default* stack (GPU HBM -> pinned host -> SSD ->
@@ -21,12 +20,12 @@ using TierIndex = int;
 /// static_assert against it rather than bake in a literal 4.
 inline constexpr std::size_t kTierCount = 4;
 
-/// Tiers of the default stack in speed order. GPU and HOST are managed
-/// cache buffers; SSD and PFS are durable object stores with enough
-/// capacity for the whole history (paper §2 assumptions). For any other
-/// stack this enum is only an index alias: `static_cast<Tier>(i)` names
-/// position `i`, and TierStack::name() supplies the configured label.
-enum class Tier : std::uint8_t {
+/// Names for the positions of the default stack (TierStack::Default), in
+/// speed order. GPU and HOST are managed cache buffers; SSD and PFS are
+/// durable object stores with enough capacity for the whole history (paper
+/// §2 assumptions). Unscoped so a name converts to its TierIndex without a
+/// cast; for any other stack, TierStack::name() supplies the labels.
+enum Tier : TierIndex {
   kGpu = 0,
   kHost = 1,
   kSsd = 2,
@@ -34,17 +33,7 @@ enum class Tier : std::uint8_t {
 };
 
 static_assert(static_cast<std::size_t>(Tier::kPfs) + 1 == kTierCount,
-              "default Tier enum and kTierCount must stay in sync");
-
-[[nodiscard]] constexpr std::string_view to_string(Tier t) noexcept {
-  switch (t) {
-    case Tier::kGpu: return "GPU";
-    case Tier::kHost: return "HOST";
-    case Tier::kSsd: return "SSD";
-    case Tier::kPfs: return "PFS";
-  }
-  return "?";
-}
+              "default Tier names and kTierCount must stay in sync");
 
 /// Why a cache reservation is being made. Used by the split-cache ablation
 /// (§4.1.2 argues for a *shared* space; the ablation quantifies the claim)

@@ -8,7 +8,6 @@
 
 #include "core/telemetry_sampler.hpp"
 #include "core/telemetry_sink.hpp"
-#include "storage/remote_store.hpp"
 #include "core/tenant.hpp"
 #include "core/trace_sink.hpp"
 #include "util/clock.hpp"
@@ -36,7 +35,7 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
   // Durable tiers: in-memory object stores behind the NVMe / PFS bandwidth
   // models (benches avoid real disk I/O variance; the FileStore path is
   // exercised by tests and examples). Transient fault injection wraps the
-  // SSD tier — i.e. the first durable tier of a custom stack.
+  // first durable tier's raw store.
   const auto faulty = [&cfg](std::shared_ptr<storage::ObjectStore> inner)
       -> std::shared_ptr<storage::ObjectStore> {
     if (cfg.ssd_fault_rate <= 0.0) return inner;
@@ -47,79 +46,47 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
     fopts.rate_fault_kind = storage::FaultKind::kTransient;
     return std::make_shared<storage::FaultyStore>(std::move(inner), fopts);
   };
-  auto ssd = storage::MakeSsdStore(
-      cluster.topology(), faulty(std::make_shared<storage::MemStore>()));
-  auto pfs = storage::MakePfsStore(cluster.topology(),
-                                   std::make_shared<storage::MemStore>());
+  const core::TierStoreFactory stores =
+      core::MakeTierStoreFactory(cluster.topology(), faulty);
+  auto ssd = stores("ssd", "mem", 0);
+  auto pfs = stores("pfs", "mem", 1);
+  if (!ssd.ok()) return ssd.status();
+  if (!pfs.ok()) return pfs.status();
 
   std::unique_ptr<core::Runtime> runtime;
   switch (cfg.approach) {
     case Approach::kScore: {
       core::EngineOptions opts;
-      opts.gpu_cache_bytes = cfg.gpu_cache_bytes;
-      opts.host_cache_bytes = cfg.host_cache_bytes;
       opts.eviction = cfg.eviction;
       opts.split_flush_prefetch = cfg.split_flush_prefetch;
       opts.discard_after_restore = cfg.discard_after_restore;
       opts.gpudirect = cfg.gpudirect;
-      opts.terminal_tier = cfg.terminal_tier;
-      if (!cfg.tiers.empty()) {
-        core::TierStoreFactory factory = cfg.tier_store_factory;
-        if (!factory) {
-          factory = [&cluster, &faulty](std::string_view tier,
-                                        std::string_view backend, int ordinal)
-              -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-            if (backend.substr(0, 5) == "s3://") {
-              // Remote backends charge the fabric themselves; no bandwidth
-              // decorator. The first durable tier still honors the harness
-              // fault-injection knobs.
-              auto remote =
-                  storage::OpenRemoteBackend(backend, &cluster.topology());
-              if (!remote.ok()) return remote.status();
-              return ordinal == 0 ? faulty(std::move(*remote))
-                                  : std::move(*remote);
-            }
-            if (!backend.empty() && backend != "mem") {
-              return util::InvalidArgument(
-                  "tier '" + std::string(tier) + "': the harness only builds "
-                  "'mem' and 's3://' backends (pass a tier_store_factory for "
-                  "others)");
-            }
-            std::shared_ptr<storage::ObjectStore> raw =
-                std::make_shared<storage::MemStore>();
-            if (ordinal == 0) {
-              return storage::MakeSsdStore(cluster.topology(),
-                                           faulty(std::move(raw)));
-            }
-            return storage::MakePfsStore(cluster.topology(), std::move(raw));
-          };
-        }
-        auto stack =
-            core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name, factory);
-        if (!stack.ok()) return stack.status();
-        runtime = std::make_unique<core::Engine>(cluster, std::move(*stack),
-                                                 opts, cfg.num_ranks);
-        break;
-      }
-      runtime = std::make_unique<core::Engine>(cluster, ssd, pfs, opts,
+      auto stack =
+          cfg.tiers.empty()
+              ? core::TierStack::Default(*ssd, *pfs, cfg.gpu_cache_bytes,
+                                         cfg.host_cache_bytes)
+              : core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name,
+                                     cfg.tier_store_factory
+                                         ? cfg.tier_store_factory
+                                         : stores);
+      if (!stack.ok()) return stack.status();
+      runtime = std::make_unique<core::Engine>(cluster, std::move(*stack), opts,
                                                cfg.num_ranks);
       break;
     }
     case Approach::kUvm: {
       uvm::UvmRuntimeOptions opts;
       opts.uvm.device_cache_bytes = cfg.gpu_cache_bytes;
-      opts.terminal_tier = cfg.terminal_tier;
       opts.discard_after_restore = cfg.discard_after_restore;
       opts.use_hints = cfg.shot.hint_mode != rtm::HintMode::kNone;
-      runtime = std::make_unique<uvm::UvmRuntime>(cluster, ssd, pfs, opts,
+      runtime = std::make_unique<uvm::UvmRuntime>(cluster, *ssd, *pfs, opts,
                                                   cfg.num_ranks);
       break;
     }
     case Approach::kAdios: {
       adios::AdiosOptions opts;
       opts.host_buffer_bytes = cfg.host_cache_bytes * 2;  // BP5 pools are roomy
-      opts.terminal_tier = cfg.terminal_tier;
-      runtime = std::make_unique<adios::AdiosRuntime>(cluster, ssd, pfs, opts,
+      runtime = std::make_unique<adios::AdiosRuntime>(cluster, *ssd, *pfs, opts,
                                                       cfg.num_ranks);
       break;
     }
@@ -210,44 +177,23 @@ util::StatusOr<MultiTenantResult> RunMultiTenantExperiment(
   }
 
   core::EngineOptions opts;
-  opts.gpu_cache_bytes = cfg.gpu_cache_bytes;
-  opts.host_cache_bytes = cfg.host_cache_bytes;
   opts.eviction = cfg.eviction;
   opts.tenants = std::move(*specs);
 
-  std::unique_ptr<core::Engine> engine;
-  if (!cfg.tiers.empty()) {
-    const core::TierStoreFactory factory =
-        [&cluster](std::string_view tier, std::string_view backend, int ordinal)
-        -> util::StatusOr<std::shared_ptr<storage::ObjectStore>> {
-      if (backend.substr(0, 5) == "s3://") {
-        return storage::OpenRemoteBackend(backend, &cluster.topology());
-      }
-      if (!backend.empty() && backend != "mem") {
-        return util::InvalidArgument("tier '" + std::string(tier) +
-                                     "': the multi-tenant harness only builds "
-                                     "'mem' and 's3://' backends");
-      }
-      std::shared_ptr<storage::ObjectStore> raw =
-          std::make_shared<storage::MemStore>();
-      if (ordinal == 0) {
-        return storage::MakeSsdStore(cluster.topology(), std::move(raw));
-      }
-      return storage::MakePfsStore(cluster.topology(), std::move(raw));
-    };
-    auto stack =
-        core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name, factory);
-    if (!stack.ok()) return stack.status();
-    engine = std::make_unique<core::Engine>(cluster, std::move(*stack), opts,
-                                            num_ranks);
-  } else {
-    auto ssd = storage::MakeSsdStore(cluster.topology(),
-                                     std::make_shared<storage::MemStore>());
-    auto pfs = storage::MakePfsStore(cluster.topology(),
-                                     std::make_shared<storage::MemStore>());
-    engine = std::make_unique<core::Engine>(cluster, std::move(ssd),
-                                            std::move(pfs), opts, num_ranks);
-  }
+  const core::TierStoreFactory stores =
+      core::MakeTierStoreFactory(cluster.topology());
+  auto ssd = stores("ssd", "mem", 0);
+  auto pfs = stores("pfs", "mem", 1);
+  if (!ssd.ok()) return ssd.status();
+  if (!pfs.ok()) return pfs.status();
+  auto stack = cfg.tiers.empty()
+                   ? core::TierStack::Default(*ssd, *pfs, cfg.gpu_cache_bytes,
+                                              cfg.host_cache_bytes)
+                   : core::ParseTierStack(cfg.tiers, cfg.terminal_tier_name,
+                                          stores);
+  if (!stack.ok()) return stack.status();
+  auto engine = std::make_unique<core::Engine>(cluster, std::move(*stack), opts,
+                                               num_ranks);
 
   std::unique_ptr<core::TelemetrySampler> sampler;
   if (util::telemetry::enabled()) {

@@ -51,7 +51,6 @@ struct ExperimentConfig {
   bool split_flush_prefetch = false;
   bool discard_after_restore = false;
   bool gpudirect = false;  ///< Score engine only: GPUDirect Storage extension
-  core::Tier terminal_tier = core::Tier::kSsd;
 
   /// Fault injection on the SSD tier (DESIGN.md §8): every put/get fails
   /// transiently with this probability, exercising the retry/degradation
@@ -71,9 +70,9 @@ struct ExperimentConfig {
   /// Terminal tier name for `tiers` (empty = its first durable tier).
   std::string terminal_tier_name;
   /// Test hook: overrides the store factory for `tiers` entries (e.g. to
-  /// inject a FaultyStore on a chosen durable tier). The default factory
-  /// builds in-memory stores behind the NVMe (first durable tier) / PFS
-  /// (deeper tiers) bandwidth models, honoring ssd_fault_rate.
+  /// inject a FaultyStore on a chosen durable tier). The default is
+  /// core::MakeTierStoreFactory, with ssd_fault_rate on the first durable
+  /// tier.
   core::TierStoreFactory tier_store_factory;
 };
 

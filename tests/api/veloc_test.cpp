@@ -23,10 +23,10 @@ class VelocApiTest : public ::testing::Test {
     engine_.reset();
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     ssd_ = std::make_shared<storage::MemStore>();
-    core::EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kSize;
-    opts.host_cache_bytes = 16 * kSize;
-    engine_ = std::make_unique<core::Engine>(*cluster_, ssd_, nullptr, opts, 1);
+    engine_ = std::make_unique<core::Engine>(
+        *cluster_,
+        core::TierStack::Default(ssd_, nullptr, 4 * kSize, 16 * kSize).value(),
+        core::EngineOptions{}, 1);
     client_ = std::make_unique<VelocClient>(*engine_, *cluster_, 0);
   }
 

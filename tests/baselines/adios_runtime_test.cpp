@@ -118,9 +118,7 @@ TEST_F(AdiosRuntimeTest, RecoverSizeAndRestartFromStore) {
   runtime_ = std::make_unique<AdiosRuntime>(*cluster_, ssd_, nullptr, Small(), 1);
   EXPECT_EQ(*runtime_->RecoverSize(0, 3), kCkptSize);
   RestoreAndVerify(0, 3);
-  EXPECT_EQ(runtime_->metrics(0).restores_from_tier.at(
-                static_cast<std::size_t>(core::Tier::kSsd)),
-            1u);
+  EXPECT_EQ(runtime_->metrics(0).restores_from_tier.at(core::Tier::kSsd), 1u);
 }
 
 TEST_F(AdiosRuntimeTest, RestoreFromBufferCountsAsHostHit) {

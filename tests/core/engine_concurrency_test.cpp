@@ -38,11 +38,15 @@ struct Stack {
   std::unique_ptr<Engine> engine;
 };
 
-Stack Build(EngineOptions opts, int ranks = 1) {
+Stack Build(std::uint64_t gpu_bytes, std::uint64_t host_bytes,
+            EngineOptions opts = {}) {
   Stack s;
   s.cluster = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
   s.ssd = std::make_shared<storage::MemStore>();
-  s.engine = std::make_unique<Engine>(*s.cluster, s.ssd, nullptr, opts, ranks);
+  s.engine = std::make_unique<Engine>(
+      *s.cluster,
+      TierStack::Default(s.ssd, nullptr, gpu_bytes, host_bytes).value(), opts,
+      1);
   return s;
 }
 
@@ -54,10 +58,7 @@ Stack Build(EngineOptions opts, int ranks = 1) {
 TEST(EngineConcurrencyTest, TouchIsLockDisciplinedUnderRestorePromotionRace) {
   constexpr int kCkpts = 16;
   constexpr std::uint64_t kSize = 16 << 10;
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;   // forces spills and promotions
-  opts.host_cache_bytes = 8 * kSize;
-  Stack s = Build(opts);
+  Stack s = Build(4 * kSize, 8 * kSize);  // forces spills and promotions
   auto& engine = *s.engine;
   auto& dev = s.cluster->device(0);
 
@@ -110,10 +111,9 @@ TEST(EngineConcurrencyTest, PinReleaseWakesBlockedReservationPromptly) {
   constexpr int kIters = 20;
   constexpr std::uint64_t kSize = 32 << 10;
   EngineOptions opts;
-  opts.gpu_cache_bytes = kSize;  // exactly one slot: a pinned entry blocks it
-  opts.host_cache_bytes = 16 * kSize;
   opts.prefetch_pin_fraction = 1.0;  // allow the single slot to be pinned
-  Stack s = Build(opts);
+  // Exactly one GPU slot: a pinned entry blocks it.
+  Stack s = Build(kSize, 16 * kSize, opts);
   auto& engine = *s.engine;
   auto& dev = s.cluster->device(0);
   auto wbuf = *dev.Allocate(kSize);

@@ -27,10 +27,10 @@ class EvictionBehaviorTest : public ::testing::Test {
     ssd_ = std::make_shared<storage::MemStore>();
     pfs_ = std::make_shared<storage::MemStore>();
     EngineOptions opts;
-    opts.gpu_cache_bytes = gpu_bytes;
-    opts.host_cache_bytes = host_bytes;
     opts.eviction = kind;
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, 1);
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(ssd_, pfs_, gpu_bytes, host_bytes).value(), opts, 1);
   }
 
   void WriteCkpt(Version v) {
@@ -61,13 +61,13 @@ TEST_F(EvictionBehaviorTest, ScoreRetainsFirstToBeRestored) {
   }
   // v0..v2 (nearest restore hints) must still be GPU-resident; at most one
   // of the middle versions beyond the 4 slots can be.
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 1, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 2, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 1, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 2, Tier::kGpu));
   // The farthest-from-head versions were sacrificed (v7 was just written
   // and fills the 4th slot; v3..v6 lost their slots to protect v0..v2).
-  EXPECT_FALSE(engine_->ResidentOn(0, 4, Tier::kGpu));
-  EXPECT_FALSE(engine_->ResidentOn(0, 5, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 4, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 5, Tier::kGpu));
 }
 
 TEST_F(EvictionBehaviorTest, FifoEvictsFirstToBeRestoredInstead) {
@@ -82,10 +82,10 @@ TEST_F(EvictionBehaviorTest, FifoEvictsFirstToBeRestoredInstead) {
     WriteCkpt(v);
     ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   }
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_FALSE(engine_->ResidentOn(0, 1, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 6, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 7, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 1, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 6, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 7, Tier::kGpu));
 }
 
 TEST_F(EvictionBehaviorTest, UnhintedCheckpointsEvictBeforeHinted) {
@@ -98,10 +98,10 @@ TEST_F(EvictionBehaviorTest, UnhintedCheckpointsEvictBeforeHinted) {
   }
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   WriteCkpt(4);  // must evict an *unhinted* one (2 or 3), never 0/1
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 1, Tier::kGpu));
-  EXPECT_TRUE(!engine_->ResidentOn(0, 2, Tier::kGpu) ||
-              !engine_->ResidentOn(0, 3, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 1, Tier::kGpu));
+  EXPECT_TRUE(!engine_->ResidentOnIndex(0, 2, Tier::kGpu) ||
+              !engine_->ResidentOnIndex(0, 3, Tier::kGpu));
 }
 
 TEST_F(EvictionBehaviorTest, ConsumedEvictsBeforeFlushedUnhinted) {
@@ -112,10 +112,10 @@ TEST_F(EvictionBehaviorTest, ConsumedEvictsBeforeFlushedUnhinted) {
   auto buf = *cluster_->device(0).Allocate(kSize);
   ASSERT_TRUE(engine_->Restore(0, 2, buf, kSize).ok());
   WriteCkpt(4);
-  EXPECT_FALSE(engine_->ResidentOn(0, 2, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 1, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 3, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 2, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 1, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 3, Tier::kGpu));
   ASSERT_TRUE(cluster_->device(0).Free(buf).ok());
 }
 
@@ -131,24 +131,25 @@ TEST_F(EvictionBehaviorTest, LruRefreshesRecencyOnPrefetchPromotion) {
   }
   // GPU (2 slots) holds v2,v3; host (4 slots) holds v0..v3 with LRU order
   // v0 < v1 < v2 < v3.
-  ASSERT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
-  ASSERT_TRUE(engine_->ResidentOn(0, 1, Tier::kHost));
+  ASSERT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  ASSERT_TRUE(engine_->ResidentOnIndex(0, 1, Tier::kHost));
 
   // Promote v0 host -> GPU through the prefetcher: this access makes v0 the
   // hottest checkpoint, so v1 becomes the actually-coldest.
   ASSERT_TRUE(engine_->PrefetchEnqueue(0, 0).ok());
   ASSERT_TRUE(engine_->PrefetchStart(0).ok());
-  for (int i = 0; i < 2000 && !engine_->ResidentOn(0, 0, Tier::kGpu); ++i) {
+  for (int i = 0; i < 2000 && !engine_->ResidentOnIndex(0, 0, Tier::kGpu);
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
+  ASSERT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
 
   // v4's flush stages into the full host tier and must evict exactly one
   // checkpoint: the coldest by *access* time is v1, not the just-read v0.
   WriteCkpt(4);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_FALSE(engine_->ResidentOn(0, 1, Tier::kHost));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 1, Tier::kHost));
 }
 
 TEST_F(EvictionBehaviorTest, ImportFromPfsWhenSsdLost) {

@@ -15,17 +15,22 @@ namespace {
 using rtm::CheckPattern;
 using rtm::FillPattern;
 
+/// The default stack over a fresh in-memory SSD store, without a PFS tier.
+TierStack SsdStack(std::uint64_t gpu_bytes, std::uint64_t host_bytes) {
+  return TierStack::Default(std::make_shared<storage::MemStore>(), nullptr,
+                            gpu_bytes, host_bytes)
+      .value();
+}
+
 TEST(HostCacheWeightsTest, WeightedRunRoundTripsWithSkewedLoad) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.gpus_per_node = 2;
   topo.hbm_capacity = 16 << 20;
   sim::Cluster cluster(topo);
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 128 << 10;
-  opts.host_cache_bytes = 512 << 10;         // per-rank baseline share
-  opts.host_cache_weights = {3.0, 1.0};      // rank 0 writes 3x the data
-  Engine engine(cluster, ssd, nullptr, opts, 2);
+  opts.host_cache_weights = {3.0, 1.0};  // rank 0 writes 3x the data
+  // 512 KiB is the per-rank baseline host share.
+  Engine engine(cluster, SsdStack(128 << 10, 512 << 10), opts, 2);
 
   // Skewed load: rank 0 writes 24 checkpoints, rank 1 writes 8.
   std::vector<std::jthread> threads;
@@ -48,17 +53,15 @@ TEST(HostCacheWeightsTest, WeightedRunRoundTripsWithSkewedLoad) {
   }
   threads.clear();
   // Rank 0's larger partition retains more of its history in host RAM.
-  EXPECT_GT(engine.HostCacheUsed(0), engine.HostCacheUsed(1));
+  EXPECT_GT(engine.CacheUsed(0, Tier::kHost),
+            engine.CacheUsed(1, Tier::kHost));
 }
 
 TEST(HostCacheWeightsTest, WeightedPartitionsStillFunctionalWhenTiny) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 128 << 10;
-  opts.host_cache_bytes = 256 << 10;
   opts.host_cache_weights = {0.0, 1.0};  // rank 0 weighted to zero: clamps
-  Engine engine(cluster, ssd, nullptr, opts, 2);
+  Engine engine(cluster, SsdStack(128 << 10, 256 << 10), opts, 2);
   auto buf = *cluster.device(0).Allocate(32 << 10);
   FillPattern(0, 0, buf, 32 << 10);
   ASSERT_TRUE(engine.Checkpoint(0, 0, buf, 32 << 10).ok());
@@ -72,13 +75,11 @@ TEST(AsyncPinInitTest, ConstructionReturnsBeforeRegistrationFinishes) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pinned_alloc_bw = 8 << 20;  // 4 MiB host cache -> ~500 ms to pin
   sim::Cluster cluster(topo);
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 256 << 10;
-  opts.host_cache_bytes = 4 << 20;
   opts.async_pin_init = true;
+  TierStack stack = SsdStack(256 << 10, 4 << 20);
   const util::Stopwatch sw;
-  Engine engine(cluster, ssd, nullptr, opts, 1);
+  Engine engine(cluster, std::move(stack), opts, 1);
   // Synchronous init would block ~500 ms; async returns immediately.
   EXPECT_LT(sw.ElapsedSec(), 0.2);
   EXPECT_LT(engine.metrics(0).init_s, 0.2);
@@ -92,8 +93,8 @@ TEST(AsyncPinInitTest, ConstructionReturnsBeforeRegistrationFinishes) {
 
   // ...and flushes land once registration completes.
   ASSERT_TRUE(engine.WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine.ResidentOn(0, 0, Tier::kHost));
-  EXPECT_TRUE(engine.ResidentOn(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine.ResidentOnIndex(0, 0, Tier::kHost));
+  EXPECT_TRUE(engine.ResidentOnIndex(0, 0, Tier::kSsd));
   ASSERT_TRUE(engine.Restore(0, 0, buf, 64 << 10).ok());
   EXPECT_TRUE(CheckPattern(0, 0, buf, 64 << 10));
   ASSERT_TRUE(cluster.device(0).Free(buf).ok());
@@ -103,13 +104,11 @@ TEST(AsyncPinInitTest, SynchronousInitPaysUpfront) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pinned_alloc_bw = 8 << 20;
   sim::Cluster cluster(topo);
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 256 << 10;
-  opts.host_cache_bytes = 4 << 20;
   opts.async_pin_init = false;
+  TierStack stack = SsdStack(256 << 10, 4 << 20);
   const util::Stopwatch sw;
-  Engine engine(cluster, ssd, nullptr, opts, 1);
+  Engine engine(cluster, std::move(stack), opts, 1);
   EXPECT_GT(sw.ElapsedSec(), 0.3);  // the §5.4.2 slow-init effect
   EXPECT_GT(engine.metrics(0).init_s, 0.3);
 }
@@ -118,12 +117,10 @@ TEST(AsyncPinInitTest, ShutdownDuringRegistrationIsClean) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pinned_alloc_bw = 4 << 20;  // slow: shutdown lands mid-registration
   sim::Cluster cluster(topo);
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 128 << 10;
-  opts.host_cache_bytes = 4 << 20;
   opts.async_pin_init = true;
-  auto engine = std::make_unique<Engine>(cluster, ssd, nullptr, opts, 1);
+  auto engine =
+      std::make_unique<Engine>(cluster, SsdStack(128 << 10, 4 << 20), opts, 1);
   engine->Shutdown();  // must join the pin thread without deadlock
   engine.reset();
 }
@@ -134,12 +131,9 @@ TEST(AsyncPinInitTest, FullShotUnderWorkloadDriver) {
   topo.hbm_capacity = 8 << 20;
   topo.pinned_alloc_bw = 64 << 20;
   sim::Cluster cluster(topo);
-  auto ssd = std::make_shared<storage::MemStore>();
   EngineOptions opts;
-  opts.gpu_cache_bytes = 128 << 10;
-  opts.host_cache_bytes = 1 << 20;
   opts.async_pin_init = true;
-  Engine engine(cluster, ssd, nullptr, opts, 2);
+  Engine engine(cluster, SsdStack(128 << 10, 1 << 20), opts, 2);
   rtm::ShotConfig shot;
   shot.num_ckpts = 16;
   shot.verify = true;

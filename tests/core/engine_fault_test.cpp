@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "rtm/workload.hpp"  // FillPattern / CheckPattern helpers
 #include "harness/experiment.hpp"
 #include "storage/faulty_store.hpp"
 #include "storage/mem_store.hpp"
+#include "util/trace.hpp"
 
 namespace ckpt::core {
 namespace {
@@ -29,27 +32,31 @@ class EngineFaultTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kCkptSize = 64 << 10;
 
-  void Build(EngineOptions opts, FaultyStore::Options fopts = {},
+  void Build(EngineOptions opts = {}, FaultyStore::Options fopts = {},
              int ranks = 1) {
     engine_.reset();  // must go before the cluster it references
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     mem_ = std::make_shared<storage::MemStore>();
     ssd_ = std::make_shared<FaultyStore>(mem_, fopts);
     pfs_ = std::make_shared<storage::MemStore>();
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, ranks);
+    // Small caches: GPU cache fits 4 checkpoints, host fits 16.
+    Reopen(TierStack::Default(ssd_, pfs_, 4 * kCkptSize, 16 * kCkptSize,
+                              terminal_)
+               .value(),
+           opts, ranks);
   }
 
-  /// Default small caches: GPU cache fits 4 checkpoints, host fits 16.
-  EngineOptions SmallCaches() {
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kCkptSize;
-    opts.host_cache_bytes = 16 * kCkptSize;
+  /// A new engine over `stack` and the current cluster (a restart when the
+  /// stack reuses the stores).
+  void Reopen(TierStack stack, EngineOptions opts = {}, int ranks = 1) {
+    engine_.reset();
     // Keep the retry schedules fast so failure tests stay sub-second.
     opts.flush_retry.initial_backoff = std::chrono::microseconds(50);
     opts.flush_retry.max_backoff = std::chrono::microseconds(200);
     opts.fetch_retry.initial_backoff = std::chrono::microseconds(50);
     opts.fetch_retry.max_backoff = std::chrono::microseconds(200);
-    return opts;
+    engine_ =
+        std::make_unique<Engine>(*cluster_, std::move(stack), opts, ranks);
   }
 
   sim::BytePtr DevAlloc(sim::Rank rank, std::uint64_t size) {
@@ -90,35 +97,36 @@ class EngineFaultTest : public ::testing::Test {
   std::shared_ptr<FaultyStore> ssd_;
   std::shared_ptr<storage::MemStore> pfs_;
   std::unique_ptr<Engine> engine_;
+  Tier terminal_ = Tier::kSsd;
 };
 
 TEST_F(EngineFaultTest, TransientSsdFaultsAreRetriedToSuccess) {
-  Build(SmallCaches());
+  Build();
   ssd_->FailNext(FaultOp::kPut, FaultKind::kTransient, 2);
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
   EXPECT_TRUE(mem_->Exists({0, 0}));  // data really reached the backend
   const RankMetrics& m = engine_->metrics(0);
   EXPECT_GE(m.flush_retries, 2u);
   EXPECT_EQ(m.flush_failures, 0u);
   EXPECT_EQ(m.tier_degradations, 0u);
-  auto tier = engine_->DurableTierOf(0, 0);
+  auto tier = engine_->DurableTierIndexOf(0, 0);
   ASSERT_TRUE(tier.ok()) << tier.status();
   EXPECT_EQ(*tier, Tier::kSsd);
   RestoreAndVerify(0, 0);
 }
 
 TEST_F(EngineFaultTest, PermanentSsdFailureDegradesToHostTier) {
-  Build(SmallCaches());
+  Build();
   ssd_->SetDown(true);
   WriteCkpt(0, 0);
   // The flush pipeline exhausts its retries against the dead SSD, then
   // keeps the checkpoint durable at the host tier instead of wedging.
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kSsd));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
-  auto tier = engine_->DurableTierOf(0, 0);
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  auto tier = engine_->DurableTierIndexOf(0, 0);
   ASSERT_TRUE(tier.ok()) << tier.status();
   EXPECT_EQ(*tier, Tier::kHost);
   const RankMetrics& m = engine_->metrics(0);
@@ -130,23 +138,23 @@ TEST_F(EngineFaultTest, PermanentSsdFailureDegradesToHostTier) {
 }
 
 TEST_F(EngineFaultTest, DegradedCopyIsPinnedAgainstEviction) {
-  Build(SmallCaches());
+  Build();
   ssd_->SetDown(true);
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  ASSERT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
+  ASSERT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
   // Revive the SSD and push enough checkpoints through to thrash both
   // caches. The degraded copy of v0 has no durable backing, so SafeBelow
   // must keep it resident while everything else cycles out.
   ssd_->SetDown(false);
   for (Version v = 1; v <= 18; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
   RestoreAndVerify(0, 0);
 }
 
 TEST_F(EngineFaultTest, StrictModeMarksFlushFailedAndSurfacesErrors) {
-  auto opts = SmallCaches();
+  EngineOptions opts;
   opts.degraded_durability = false;
   Build(opts);
   ssd_->SetDown(true);
@@ -157,9 +165,10 @@ TEST_F(EngineFaultTest, StrictModeMarksFlushFailedAndSurfacesErrors) {
   auto state = engine_->StateOf(0, 0);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, CkptState::kFlushFailed);
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_EQ(engine_->GpuCacheUsed(0), 0u);  // cache space was reclaimed
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  // Cache space was reclaimed.
+  EXPECT_EQ(engine_->CacheUsed(0, Tier::kGpu), 0u);
   const RankMetrics& m = engine_->metrics(0);
   EXPECT_GE(m.checkpoints_lost, 1u);
   EXPECT_EQ(m.tier_degradations, 0u);
@@ -168,7 +177,7 @@ TEST_F(EngineFaultTest, StrictModeMarksFlushFailedAndSurfacesErrors) {
   EXPECT_EQ(engine_->Restore(0, 0, buf, kCkptSize).code(),
             util::ErrorCode::kIoError);
   ASSERT_TRUE(cluster_->device(0).Free(buf).ok());
-  EXPECT_EQ(engine_->DurableTierOf(0, 0).status().code(),
+  EXPECT_EQ(engine_->DurableTierIndexOf(0, 0).status().code(),
             util::ErrorCode::kIoError);
   // Later checkpoints against a revived store proceed normally.
   ssd_->SetDown(false);
@@ -179,38 +188,83 @@ TEST_F(EngineFaultTest, StrictModeMarksFlushFailedAndSurfacesErrors) {
 }
 
 TEST_F(EngineFaultTest, PrefetchPromotionFallsBackToPfsCopy) {
-  auto opts = SmallCaches();
-  opts.terminal_tier = Tier::kPfs;  // copies land on both SSD and PFS
-  Build(opts);
+  terminal_ = Tier::kPfs;  // copies land on both SSD and PFS
+  Build();
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  ASSERT_TRUE(engine_->ResidentOn(0, 0, Tier::kPfs));
+  ASSERT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kPfs));
   // Push v0 out of both caches (4-slot GPU cache, 16-slot host cache).
   for (Version v = 1; v <= 20; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  ASSERT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  ASSERT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
+  ASSERT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  ASSERT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
   // Kill the SSD, then prefetch v0: the promotion must fall back to the
   // PFS copy rather than aborting or wedging the later restore.
   ssd_->SetDown(true);
   ASSERT_TRUE(engine_->PrefetchEnqueue(0, 0).ok());
   ASSERT_TRUE(engine_->PrefetchStart(0).ok());
-  EXPECT_TRUE(WaitFor([&] { return engine_->ResidentOn(0, 0, Tier::kGpu); }))
+  EXPECT_TRUE(
+      WaitFor([&] { return engine_->ResidentOnIndex(0, 0, Tier::kGpu); }))
       << "promotion did not complete from the fallback tier";
   const RankMetrics& m = engine_->metrics(0);
   EXPECT_GE(m.fetch_fallbacks, 1u);
   RestoreAndVerify(0, 0);
 }
 
+TEST_F(EngineFaultTest, RetriedPrefetchReadIsCountedAndTraced) {
+  // The prefetch side reports a retried store read like Restore() does. On
+  // a two-cache stack the stage-in worker reads; on a one-cache stack T_PF.
+  for (const bool two_caches : {true, false}) {
+    SCOPED_TRACE(two_caches ? "two cache tiers" : "one cache tier");
+    util::trace::ResetBuffers();
+    util::trace::Enable();
+    Build();
+    WriteCkpt(0, 0);
+    ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+    // Restart over the same SSD store: version 0 is imported from it.
+    std::vector<TierDesc> tiers;
+    tiers.push_back({"gpu", TierKind::kCache, CacheMedium::kDevice,
+                     4 * kCkptSize, nullptr, {}});
+    if (two_caches) {
+      tiers.push_back({"host", TierKind::kCache, CacheMedium::kPinnedHost,
+                       16 * kCkptSize, nullptr, {}});
+    }
+    tiers.push_back(
+        {"ssd", TierKind::kDurable, CacheMedium::kPinnedHost, 0, ssd_, {}});
+    Reopen(TierStack::Create(std::move(tiers)).value());
+    ssd_->FailNext(FaultOp::kGet, FaultKind::kTransient);
+    ASSERT_TRUE(engine_->PrefetchEnqueue(0, 0).ok());
+    ASSERT_TRUE(engine_->PrefetchStart(0).ok());
+    ASSERT_TRUE(WaitFor([&] { return engine_->ResidentOnIndex(0, 0, 0); }))
+        << "the prefetched version never landed";
+    RestoreAndVerify(0, 0);
+    EXPECT_EQ(engine_->MetricsSnapshot(0).fetch_retries, 1u);
+    engine_.reset();  // the workers publish their queued trace events
+    util::trace::Disable();
+#ifndef CKPT_TRACE_DISABLED
+    int instants = 0;
+    for (const util::trace::ThreadEvents& t : util::trace::Collect().threads) {
+      for (const util::trace::Event& e : t.events) {
+        if (std::strcmp(e.name, "fetch:retries") == 0 && e.version == 0) {
+          ++instants;
+        }
+      }
+    }
+    EXPECT_EQ(instants, 1);
+#endif
+  }
+  util::trace::ResetBuffers();
+}
+
 TEST_F(EngineFaultTest, RestoreFailsFastWhenOnlyDurableTierIsDead) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   // Evict v0 from both caches; the SSD then holds the only copy.
   for (Version v = 1; v <= 20; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  ASSERT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  ASSERT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
+  ASSERT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  ASSERT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
   ssd_->SetDown(true);
   sim::BytePtr buf = DevAlloc(0, kCkptSize);
   const auto st = engine_->Restore(0, 0, buf, kCkptSize);
@@ -223,7 +277,7 @@ TEST_F(EngineFaultTest, RestoreFailsFastWhenOnlyDurableTierIsDead) {
 }
 
 TEST_F(EngineFaultTest, WriteThroughSurfacesTotalStoreFailure) {
-  Build(SmallCaches());
+  Build();
   ssd_->SetDown(true);
   // Oversize for both caches: the synchronous write-through path must
   // return the failure to the caller, who still owns the source buffer.

@@ -26,14 +26,18 @@ class GpuDirectTest : public ::testing::Test {
     cluster_ = std::make_unique<sim::Cluster>(topo);
     ssd_ = std::make_shared<storage::MemStore>();
     pfs_ = std::make_shared<storage::MemStore>();
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, 1);
+    engine_ = std::make_unique<Engine>(*cluster_, Stack(), opts, 1);
+  }
+
+  /// The default stack over ssd_ and pfs_ (PFS-less when null).
+  TierStack Stack() const {
+    return TierStack::Default(ssd_, pfs_, 4 * kSize, 8 * kSize, terminal_)
+        .value();
   }
 
   EngineOptions Direct() {
     EngineOptions opts;
     opts.gpudirect = true;
-    opts.gpu_cache_bytes = 4 * kSize;
-    opts.host_cache_bytes = 8 * kSize;
     return opts;
   }
 
@@ -56,25 +60,25 @@ class GpuDirectTest : public ::testing::Test {
   std::shared_ptr<storage::MemStore> ssd_;
   std::shared_ptr<storage::MemStore> pfs_;
   std::unique_ptr<Engine> engine_;
+  Tier terminal_ = Tier::kSsd;
 };
 
 TEST_F(GpuDirectTest, FlushBypassesHostCache) {
   Build(Direct());
   WriteCkpt(0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
   // The defining property: the host cache is never touched by the flush.
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  EXPECT_EQ(engine_->CacheUsed(0, Tier::kHost), 0u);
   auto state = engine_->StateOf(0, 0);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, CkptState::kFlushed);
 }
 
 TEST_F(GpuDirectTest, TerminalPfsStillReached) {
-  auto opts = Direct();
-  opts.terminal_tier = Tier::kPfs;
-  Build(opts);
+  terminal_ = Tier::kPfs;
+  Build(Direct());
   WriteCkpt(0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   EXPECT_TRUE(ssd_->Exists({0, 0}));
@@ -87,7 +91,7 @@ TEST_F(GpuDirectTest, HistoryBeyondGpuCacheRoundTrips) {
   for (Version v = 0; v < kN; ++v) WriteCkpt(v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   EXPECT_EQ(ssd_->Keys().size(), static_cast<std::size_t>(kN));
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_EQ(engine_->CacheUsed(0, Tier::kHost), 0u);
   for (int v = kN - 1; v >= 0; --v) RestoreAndVerify(static_cast<Version>(v));
 }
 
@@ -107,8 +111,8 @@ TEST_F(GpuDirectTest, PromotionsGoStoreToGpuDirectly) {
   const auto& m = engine_->metrics(0);
   EXPECT_GT(m.prefetch_promotions + m.prefetch_gpu_hits, 0u);
   // The host tier is never involved.
-  EXPECT_EQ(m.restores_from_tier.at(static_cast<std::size_t>(Tier::kHost)), 0u);
-  EXPECT_EQ(engine_->HostCacheUsed(0), 0u);
+  EXPECT_EQ(m.restores_from_tier.at(Tier::kHost), 0u);
+  EXPECT_EQ(engine_->CacheUsed(0, Tier::kHost), 0u);
 }
 
 TEST_F(GpuDirectTest, DirectRestoreSkipsPinnedStaging) {
@@ -123,9 +127,7 @@ TEST_F(GpuDirectTest, DirectRestoreSkipsPinnedStaging) {
   const util::Stopwatch sw;
   RestoreAndVerify(0);  // evicted from GPU cache; store-only
   EXPECT_LT(sw.ElapsedSec(), 0.02);  // no 31 ms pinning penalty
-  EXPECT_EQ(engine_->metrics(0).restores_from_tier.at(
-                static_cast<std::size_t>(Tier::kSsd)),
-            1u);
+  EXPECT_EQ(engine_->metrics(0).restores_from_tier.at(Tier::kSsd), 1u);
 }
 
 TEST_F(GpuDirectTest, DiscardAfterRestoreStillCancelsFlushes) {
@@ -148,7 +150,8 @@ TEST_F(GpuDirectTest, WorksUnderWorkloadDriver) {
   topo.hbm_capacity = 8 << 20;
   cluster_ = std::make_unique<sim::Cluster>(topo);
   ssd_ = std::make_shared<storage::MemStore>();
-  engine_ = std::make_unique<Engine>(*cluster_, ssd_, nullptr, opts, 2);
+  pfs_.reset();
+  engine_ = std::make_unique<Engine>(*cluster_, Stack(), opts, 2);
   rtm::ShotConfig shot;
   shot.num_ckpts = 16;
   shot.verify = true;

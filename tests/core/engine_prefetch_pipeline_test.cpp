@@ -114,10 +114,10 @@ class PrefetchPipelineTest : public ::testing::Test {
   void SetUp() override {
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     store_ = std::make_shared<ReadLedgerStore>();
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kSize;
-    opts.host_cache_bytes = 8 * kSize;
-    engine_ = std::make_unique<Engine>(*cluster_, store_, nullptr, opts, 1);
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(store_, nullptr, 4 * kSize, 8 * kSize).value(),
+        EngineOptions{}, 1);
     buf_ = *cluster_->device(0).Allocate(kSize);
   }
 

@@ -24,21 +24,18 @@ class RestoreSeriesTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kCkptSize = 64 << 10;
 
-  void Build(EngineOptions opts, int ranks = 1,
+  /// Small caches: the GPU cache fits 4 checkpoints of `ckpt_size`, the
+  /// host cache 16.
+  void Build(std::uint64_t ckpt_size = kCkptSize, int ranks = 1,
              sim::TopologyConfig topo = sim::TopologyConfig::Testing()) {
     engine_.reset();  // must go before the cluster it references
     cluster_ = std::make_unique<sim::Cluster>(topo);
     ssd_ = std::make_shared<storage::MemStore>();
     pfs_ = std::make_shared<storage::MemStore>();
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, ranks);
-  }
-
-  /// GPU cache fits 4 checkpoints, host fits 16.
-  EngineOptions SmallCaches(std::uint64_t ckpt_size = kCkptSize) {
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * ckpt_size;
-    opts.host_cache_bytes = 16 * ckpt_size;
-    return opts;
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(ssd_, pfs_, 4 * ckpt_size, 16 * ckpt_size).value(),
+        EngineOptions{}, ranks);
   }
 
   void WriteCkpt(sim::Rank rank, Version v, std::uint64_t size = kCkptSize) {
@@ -78,7 +75,7 @@ class RestoreSeriesTest : public ::testing::Test {
 };
 
 TEST_F(RestoreSeriesTest, GpuHitRestoresRecordPrefetchDistance) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   WriteCkpt(0, 1);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -120,14 +117,14 @@ TEST_F(RestoreSeriesTest, WaitedPromotionRestoreIsRecorded) {
   constexpr std::uint64_t kBigCkpt = 512 << 10;
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pcie_link_bw = 8ull << 20;  // 8 MB/s: ~64 ms per promotion
-  Build(SmallCaches(kBigCkpt), /*ranks=*/1, topo);
+  Build(kBigCkpt, /*ranks=*/1, topo);
   bool waited = false;
   for (Version base = 0; base < 800 && !waited; base += 100) {
     // Fill the 4-slot GPU cache past capacity so `base` gets evicted from
     // the device tier (it survives on host/SSD).
     for (Version v = base; v < base + 6; ++v) WriteCkpt(0, v, kBigCkpt);
     ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-    ASSERT_FALSE(engine_->ResidentOn(0, base, Tier::kGpu))
+    ASSERT_FALSE(engine_->ResidentOnIndex(0, base, Tier::kGpu))
         << "expected version " << base << " to be evicted from the GPU tier";
 
     // Hint a still-resident version first so the restore below observes a
@@ -165,7 +162,7 @@ TEST_F(RestoreSeriesTest, WaitedPromotionRestoreIsRecorded) {
 }
 
 TEST_F(RestoreSeriesTest, ColdRestoreRecordsZeroDistance) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   // No hints, no prefetcher: the series still records the restore, with a

@@ -17,11 +17,13 @@ namespace {
 
 constexpr std::uint64_t kCkptSize = 64 << 10;
 
-EngineOptions SmallCaches() {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kCkptSize;
-  opts.host_cache_bytes = 16 * kCkptSize;
-  return opts;
+/// The default stack over `ssd` and `pfs` with small caches: the GPU cache
+/// fits 4 checkpoints, the host 16.
+TierStack SmallStack(std::shared_ptr<storage::ObjectStore> ssd,
+                     std::shared_ptr<storage::ObjectStore> pfs) {
+  return TierStack::Default(std::move(ssd), std::move(pfs), 4 * kCkptSize,
+                            16 * kCkptSize)
+      .value();
 }
 
 void WriteOne(sim::Cluster& cluster, Engine& engine, sim::Rank rank, Version v,
@@ -52,7 +54,7 @@ TEST(EngineShutdownTest, RepeatedStartStopWithFlushesInFlight) {
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
   for (int i = 0; i < 20; ++i) {
-    Engine engine(cluster, ssd, pfs, SmallCaches(), 2);
+    Engine engine(cluster, SmallStack(ssd, pfs), {}, 2);
     for (sim::Rank r = 0; r < 2; ++r) {
       WriteOne(cluster, engine, r, static_cast<Version>(i));
     }
@@ -71,11 +73,12 @@ TEST(EngineShutdownTest, HandOffRefusedByAClosedQueueEndsTheObject) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pcie_link_bw = 1 << 20;
   sim::Cluster cluster(topo);
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 2 * kBig;
-  opts.host_cache_bytes = 4 * kBig;
-  Engine engine(cluster, std::make_shared<storage::MemStore>(),
-                std::make_shared<storage::MemStore>(), opts, 1);
+  Engine engine(cluster,
+                TierStack::Default(std::make_shared<storage::MemStore>(),
+                                   std::make_shared<storage::MemStore>(),
+                                   2 * kBig, 4 * kBig)
+                    .value(),
+                {}, 1);
   WriteOne(cluster, engine, 0, 0, kBig);
   const util::RateLimiter& d2h = cluster.topology().pcie_link(
       cluster.topology().gpu_of_rank(0), sim::Topology::LinkDir::kD2H);
@@ -99,7 +102,7 @@ TEST(EngineShutdownTest, ImmediateShutdownAfterConstruction) {
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
   for (int i = 0; i < 20; ++i) {
-    Engine engine(cluster, ssd, pfs, SmallCaches(), 2);
+    Engine engine(cluster, SmallStack(ssd, pfs), {}, 2);
     engine.Shutdown();
   }
 }
@@ -108,10 +111,10 @@ TEST(EngineShutdownTest, RepeatedStartStopWithAsyncPinInit) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
-  auto opts = SmallCaches();
+  EngineOptions opts;
   opts.async_pin_init = true;
   for (int i = 0; i < 20; ++i) {
-    Engine engine(cluster, ssd, pfs, opts, 2);
+    Engine engine(cluster, SmallStack(ssd, pfs), opts, 2);
     if (i % 2 == 0) {
       // Race shutdown against the still-registering host cache.
       WriteOne(cluster, engine, 0, static_cast<Version>(i));
@@ -125,7 +128,7 @@ TEST(EngineShutdownTest, ConcurrentShutdownCallsAreSafe) {
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
   for (int i = 0; i < 10; ++i) {
-    Engine engine(cluster, ssd, pfs, SmallCaches(), 2);
+    Engine engine(cluster, SmallStack(ssd, pfs), {}, 2);
     WriteOne(cluster, engine, 0, 0);
     std::thread a([&] { engine.Shutdown(); });
     std::thread b([&] { engine.Shutdown(); });
@@ -139,7 +142,7 @@ TEST(EngineShutdownTest, ShutdownWithPrefetcherWaitingOnHints) {
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
   for (int i = 0; i < 10; ++i) {
-    Engine engine(cluster, ssd, pfs, SmallCaches(), 1);
+    Engine engine(cluster, SmallStack(ssd, pfs), {}, 1);
     WriteOne(cluster, engine, 0, 0);
     // Hint a version that never gets written: T_PF spins on its wait loop
     // and must still observe the stop flag promptly.
@@ -153,7 +156,7 @@ TEST(EngineShutdownTest, BlockedApiCallsUnblockOnShutdown) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
-  Engine engine(cluster, ssd, pfs, SmallCaches(), 1);
+  Engine engine(cluster, SmallStack(ssd, pfs), {}, 1);
   WriteOne(cluster, engine, 0, 0);
   std::thread waiter([&] {
     // Either outcome is fine (flushes may finish first); the call must

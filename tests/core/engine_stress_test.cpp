@@ -27,20 +27,20 @@ struct Stack {
   std::unique_ptr<Engine> engine;
 };
 
-Stack Build(EngineOptions opts, int ranks = 1,
+Stack Build(std::uint64_t gpu_bytes, std::uint64_t host_bytes, int ranks = 1,
             sim::TopologyConfig topo = sim::TopologyConfig::Testing()) {
   Stack s;
   s.cluster = std::make_unique<sim::Cluster>(topo);
   s.ssd = std::make_shared<storage::MemStore>();
-  s.engine = std::make_unique<Engine>(*s.cluster, s.ssd, nullptr, opts, ranks);
+  s.engine = std::make_unique<Engine>(
+      *s.cluster,
+      TierStack::Default(s.ssd, nullptr, gpu_bytes, host_bytes).value(),
+      EngineOptions{}, ranks);
   return s;
 }
 
 TEST(EngineStressTest, RandomizedInterleavedWriteReadHint) {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 6 * (32 << 10);
-  opts.host_cache_bytes = 20 * (32 << 10);
-  Stack s = Build(opts);
+  Stack s = Build(6 * (32 << 10), 20 * (32 << 10));
   auto& engine = *s.engine;
   auto& dev = s.cluster->device(0);
 
@@ -93,10 +93,7 @@ TEST(EngineStressTest, RandomizedInterleavedWriteReadHint) {
 }
 
 TEST(EngineStressTest, HintDeviationTortureReadsBackwardsOfHints) {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * (16 << 10);
-  opts.host_cache_bytes = 8 * (16 << 10);
-  Stack s = Build(opts);
+  Stack s = Build(4 * (16 << 10), 8 * (16 << 10));
   constexpr int kN = 40;
   auto buf = *s.cluster->device(0).Allocate(16 << 10);
   // Hint order 0..N, then read N..0: every single restore deviates and the
@@ -121,10 +118,7 @@ TEST(EngineStressTest, ShutdownWhileFlushesAndPrefetchesInFlight) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pcie_link_bw = 8 << 20;  // slow enough that work is still in flight
   topo.nvme_drive_bw = 8 << 20;
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 8 * (64 << 10);
-  opts.host_cache_bytes = 16 * (64 << 10);
-  Stack s = Build(opts, 1, topo);
+  Stack s = Build(8 * (64 << 10), 16 * (64 << 10), 1, topo);
   auto buf = *s.cluster->device(0).Allocate(64 << 10);
   for (Version v = 0; v < 8; ++v) {
     FillPattern(0, v, buf, 64 << 10);
@@ -143,10 +137,7 @@ TEST(EngineStressTest, ManyRanksManyThreadsSharedDrives) {
   topo.gpus_per_node = 8;
   topo.hbm_capacity = 8 << 20;
   topo.nvme_drive_bw = 64 << 20;  // real contention across rank pairs
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * (16 << 10);
-  opts.host_cache_bytes = 8 * (16 << 10);
-  Stack s = Build(opts, 8, topo);
+  Stack s = Build(4 * (16 << 10), 8 * (16 << 10), 8, topo);
   std::vector<std::jthread> threads;
   for (sim::Rank r = 0; r < 8; ++r) {
     threads.emplace_back([&, r] {
@@ -178,10 +169,8 @@ class EngineGeometryTest : public ::testing::TestWithParam<Geometry> {};
 TEST_P(EngineGeometryTest, FullShotIntegrity) {
   const auto [gpu_slots, host_slots, order, variable] = GetParam();
   constexpr std::uint64_t kSlot = 24 << 10;
-  EngineOptions opts;
-  opts.gpu_cache_bytes = static_cast<std::uint64_t>(gpu_slots) * kSlot;
-  opts.host_cache_bytes = static_cast<std::uint64_t>(host_slots) * kSlot;
-  Stack s = Build(opts);
+  Stack s = Build(static_cast<std::uint64_t>(gpu_slots) * kSlot,
+                  static_cast<std::uint64_t>(host_slots) * kSlot);
   constexpr int kN = 24;
   auto rng = util::MakeRng(5);
   std::vector<std::uint64_t> sizes;

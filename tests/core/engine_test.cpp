@@ -24,21 +24,19 @@ class EngineTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kCkptSize = 64 << 10;
 
-  void Build(EngineOptions opts, int ranks = 1,
+  void Build(EngineOptions opts = {}, int ranks = 1,
              sim::TopologyConfig topo = sim::TopologyConfig::Testing()) {
     engine_.reset();  // must go before the cluster it references
     cluster_ = std::make_unique<sim::Cluster>(topo);
     ssd_ = std::make_shared<storage::MemStore>();
     pfs_ = std::make_shared<storage::MemStore>();
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, ranks);
+    engine_ = std::make_unique<Engine>(*cluster_, Stack(), opts, ranks);
   }
 
-  /// Default small caches: GPU cache fits 4 checkpoints, host fits 16.
-  EngineOptions SmallCaches() {
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kCkptSize;
-    opts.host_cache_bytes = 16 * kCkptSize;
-    return opts;
+  /// The default stack over ssd_/pfs_ with the fixture's cache sizes.
+  TierStack Stack() const {
+    return TierStack::Default(ssd_, pfs_, gpu_bytes_, host_bytes_, terminal_)
+        .value();
   }
 
   sim::BytePtr DevAlloc(sim::Rank rank, std::uint64_t size) {
@@ -67,12 +65,16 @@ class EngineTest : public ::testing::Test {
   std::shared_ptr<storage::MemStore> ssd_;
   std::shared_ptr<storage::MemStore> pfs_;
   std::unique_ptr<Engine> engine_;
+  // Small caches by default: the GPU cache fits 4 checkpoints, host fits 16.
+  std::uint64_t gpu_bytes_ = 4 * kCkptSize;
+  std::uint64_t host_bytes_ = 16 * kCkptSize;
+  Tier terminal_ = Tier::kSsd;
 };
 
 TEST_F(EngineTest, CheckpointRestoreRoundTripFromGpuCache) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
   RestoreAndVerify(0, 0);
   auto state = engine_->StateOf(0, 0);
   ASSERT_TRUE(state.ok());
@@ -80,31 +82,30 @@ TEST_F(EngineTest, CheckpointRestoreRoundTripFromGpuCache) {
 }
 
 TEST_F(EngineTest, CheckpointReachesAllTiersAfterWait) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
   auto state = engine_->StateOf(0, 0);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, CkptState::kFlushed);
 }
 
 TEST_F(EngineTest, TerminalTierPfsFlushesToBothStores) {
-  auto opts = SmallCaches();
-  opts.terminal_tier = Tier::kPfs;
-  Build(opts);
+  terminal_ = Tier::kPfs;
+  Build();
   WriteCkpt(0, 0);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kPfs));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kPfs));
   EXPECT_TRUE(ssd_->Exists({0, 0}));
   EXPECT_TRUE(pfs_->Exists({0, 0}));
 }
 
 TEST_F(EngineTest, DuplicateVersionRejected) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 7);
   sim::BytePtr buf = DevAlloc(0, kCkptSize);
   auto st = engine_->Checkpoint(0, 7, buf, kCkptSize);
@@ -113,7 +114,7 @@ TEST_F(EngineTest, DuplicateVersionRejected) {
 }
 
 TEST_F(EngineTest, RestoreUnknownVersionFails) {
-  Build(SmallCaches());
+  Build();
   sim::BytePtr buf = DevAlloc(0, kCkptSize);
   EXPECT_EQ(engine_->Restore(0, 99, buf, kCkptSize).code(),
             util::ErrorCode::kNotFound);
@@ -121,7 +122,7 @@ TEST_F(EngineTest, RestoreUnknownVersionFails) {
 }
 
 TEST_F(EngineTest, RestoreBufferTooSmallFails) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   sim::BytePtr buf = DevAlloc(0, kCkptSize);
   EXPECT_EQ(engine_->Restore(0, 0, buf, kCkptSize / 2).code(),
@@ -130,18 +131,18 @@ TEST_F(EngineTest, RestoreBufferTooSmallFails) {
 }
 
 TEST_F(EngineTest, HistoryLargerThanCachesSpillsAndRestores) {
-  Build(SmallCaches());
+  Build();
   // 32 checkpoints >> 4-slot GPU cache and 16-slot host cache.
   for (Version v = 0; v < 32; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   // Every checkpoint durable; early ones evicted from the GPU cache.
   EXPECT_EQ(ssd_->Keys().size(), 32u);
-  EXPECT_LE(engine_->GpuCacheUsed(0), 4 * kCkptSize);
+  EXPECT_LE(engine_->CacheUsed(0, Tier::kGpu), 4 * kCkptSize);
   for (Version v = 0; v < 32; ++v) RestoreAndVerify(0, v);
 }
 
 TEST_F(EngineTest, ReverseOrderRestoreWithoutHints) {
-  Build(SmallCaches());
+  Build();
   for (Version v = 0; v < 16; ++v) WriteCkpt(0, v);
   for (int v = 15; v >= 0; --v) RestoreAndVerify(0, static_cast<Version>(v));
   const auto& m = engine_->metrics(0);
@@ -150,7 +151,7 @@ TEST_F(EngineTest, ReverseOrderRestoreWithoutHints) {
 }
 
 TEST_F(EngineTest, PrefetchPromotesInReverseOrder) {
-  Build(SmallCaches());
+  Build();
   constexpr int kN = 24;
   // Hints enqueued before the forward pass, like Listing 1.
   for (int v = kN - 1; v >= 0; --v) {
@@ -167,13 +168,13 @@ TEST_F(EngineTest, PrefetchPromotesInReverseOrder) {
   }
   const auto& m = engine_->metrics(0);
   // With full foreknowledge most restores must be GPU-cache hits.
-  EXPECT_GT(m.restores_from_tier.at(static_cast<std::size_t>(Tier::kGpu)),
+  EXPECT_GT(m.restores_from_tier.at(Tier::kGpu),
             static_cast<std::uint64_t>(kN) / 2);
   EXPECT_GT(m.prefetch_promotions + m.prefetch_gpu_hits, 0u);
 }
 
 TEST_F(EngineTest, PrefetchDistanceGrowsWhileConsumerIdle) {
-  Build(SmallCaches());
+  Build();
   constexpr int kN = 8;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -192,7 +193,7 @@ TEST_F(EngineTest, PrefetchDistanceGrowsWhileConsumerIdle) {
 }
 
 TEST_F(EngineTest, DeviationFromHintsStillCorrect) {
-  Build(SmallCaches());
+  Build();
   constexpr int kN = 12;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -207,7 +208,7 @@ TEST_F(EngineTest, DeviationFromHintsStillCorrect) {
 }
 
 TEST_F(EngineTest, DiscardAfterRestoreCancelsFlushes) {
-  auto opts = SmallCaches();
+  EngineOptions opts;
   opts.discard_after_restore = true;
   Build(opts);
   // Restore immediately after checkpoint: flushes should be cancellable.
@@ -221,7 +222,7 @@ TEST_F(EngineTest, DiscardAfterRestoreCancelsFlushes) {
 }
 
 TEST_F(EngineTest, ConsumedAndDiscardedCannotBeReRead) {
-  auto opts = SmallCaches();
+  EngineOptions opts;
   opts.discard_after_restore = true;
   Build(opts);
   WriteCkpt(0, 0);
@@ -232,25 +233,25 @@ TEST_F(EngineTest, ConsumedAndDiscardedCannotBeReRead) {
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   sim::BytePtr buf = DevAlloc(0, kCkptSize);
   const util::Status st = engine_->Restore(0, 0, buf, kCkptSize);
-  if (engine_->ResidentOn(0, 0, Tier::kSsd)) {
+  if (engine_->ResidentOnIndex(0, 0, Tier::kSsd)) {
     // Flush had completed before the restore: re-read remains possible.
     EXPECT_TRUE(st.ok());
-  } else if (!engine_->ResidentOn(0, 0, Tier::kGpu) &&
-             !engine_->ResidentOn(0, 0, Tier::kHost)) {
+  } else if (!engine_->ResidentOnIndex(0, 0, Tier::kGpu) &&
+             !engine_->ResidentOnIndex(0, 0, Tier::kHost)) {
     EXPECT_EQ(st.code(), util::ErrorCode::kFailedPrecondition);
   }
   ASSERT_TRUE(cluster_->device(0).Free(buf).ok());
 }
 
 TEST_F(EngineTest, ReReadWithoutDiscardIsAllowed) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   RestoreAndVerify(0, 0);
   RestoreAndVerify(0, 0);  // CONSUMED -> READ_COMPLETE -> CONSUMED again
 }
 
 TEST_F(EngineTest, RecoverSizeKnownAndImported) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 3, 12345);
   auto s = engine_->RecoverSize(0, 3);
   ASSERT_TRUE(s.ok());
@@ -260,14 +261,14 @@ TEST_F(EngineTest, RecoverSizeKnownAndImported) {
 }
 
 TEST_F(EngineTest, RestartFromDurableStoreAcrossEngineLifetimes) {
-  Build(SmallCaches());
+  Build();
   std::vector<std::byte> snapshot;
   {
     WriteCkpt(0, 0);
     ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   }
   // New engine over the same stores (process restart scenario).
-  engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, SmallCaches(), 1);
+  engine_ = std::make_unique<Engine>(*cluster_, Stack(), EngineOptions{}, 1);
   auto s = engine_->RecoverSize(0, 0);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(*s, kCkptSize);
@@ -275,32 +276,32 @@ TEST_F(EngineTest, RestartFromDurableStoreAcrossEngineLifetimes) {
 }
 
 TEST_F(EngineTest, OversizeCheckpointFallsBackToHostTier) {
-  auto opts = SmallCaches();  // GPU cache = 4 * 64 KiB = 256 KiB
-  Build(opts);
+  Build();  // GPU cache = 4 * 64 KiB = 256 KiB
   const std::uint64_t big = 512 << 10;  // > GPU cache, < host cache
   WriteCkpt(0, 0, big);
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kHost));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
   RestoreAndVerify(0, 0, big);
 }
 
 TEST_F(EngineTest, OversizeCheckpointFallsBackToStore) {
-  auto opts = SmallCaches();  // host cache = 16 * 64 KiB = 1 MiB
-  Build(opts);
+  Build();  // host cache = 16 * 64 KiB = 1 MiB
   const std::uint64_t huge = 2 << 20;  // > host cache
   WriteCkpt(0, 0, huge);
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kGpu));
-  EXPECT_FALSE(engine_->ResidentOn(0, 0, Tier::kHost));
-  EXPECT_TRUE(engine_->ResidentOn(0, 0, Tier::kSsd));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kGpu));
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 0, Tier::kHost));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
+  // The write-through flush is bookkept like any other.
+  EXPECT_EQ(engine_->MetricsSnapshot(0).flushes_completed, 1u);
   RestoreAndVerify(0, 0, huge);
 }
 
 TEST_F(EngineTest, SplitCacheModeRoundTrips) {
-  auto opts = SmallCaches();
+  EngineOptions opts;
   opts.split_flush_prefetch = true;
-  opts.gpu_cache_bytes = 8 * kCkptSize;  // halves still fit checkpoints
-  opts.host_cache_bytes = 32 * kCkptSize;
+  gpu_bytes_ = 8 * kCkptSize;  // halves still fit checkpoints
+  host_bytes_ = 32 * kCkptSize;
   Build(opts);
   constexpr int kN = 12;
   for (int v = kN - 1; v >= 0; --v) {
@@ -316,7 +317,7 @@ TEST_F(EngineTest, EveryEvictionPolicyRoundTrips) {
   for (EvictionKind kind : {EvictionKind::kScore, EvictionKind::kLru,
                             EvictionKind::kFifo, EvictionKind::kGreedyGap}) {
     SCOPED_TRACE(to_string(kind));
-    auto opts = SmallCaches();
+    EngineOptions opts;
     opts.eviction = kind;
     Build(opts);
     for (Version v = 0; v < 16; ++v) WriteCkpt(0, v);
@@ -329,7 +330,7 @@ TEST_F(EngineTest, MultiRankConcurrentShots) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.gpus_per_node = 4;
   topo.hbm_capacity = 32 << 20;
-  Build(SmallCaches(), /*ranks=*/4, topo);
+  Build({}, /*ranks=*/4, topo);
   constexpr int kN = 16;
   std::vector<std::jthread> threads;
   for (sim::Rank r = 0; r < 4; ++r) {
@@ -348,7 +349,7 @@ TEST_F(EngineTest, MultiRankConcurrentShots) {
 }
 
 TEST_F(EngineTest, InterleavedWriteReadProducerConsumer) {
-  Build(SmallCaches());
+  Build();
   // Binomial-checkpointing-like interleaving: write two, read one, ...
   constexpr int kN = 20;
   Version next_read = 0;
@@ -371,14 +372,14 @@ TEST_F(EngineTest, RestoreWhileFlushStillPendingCondition2) {
   // Throttle flushes so the restore provably overtakes them.
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pcie_link_bw = 2 << 20;  // slow D2H: 64 KiB takes ~31 ms
-  Build(SmallCaches(), 1, topo);
+  Build({}, 1, topo);
   WriteCkpt(0, 0);
   RestoreAndVerify(0, 0);  // must not wait for the flush chain
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
 }
 
 TEST_F(EngineTest, MetricsAccounting) {
-  Build(SmallCaches());
+  Build();
   constexpr int kN = 8;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
@@ -395,7 +396,7 @@ TEST_F(EngineTest, MetricsAccounting) {
 }
 
 TEST_F(EngineTest, ShutdownIsIdempotentAndStopsWork) {
-  Build(SmallCaches());
+  Build();
   WriteCkpt(0, 0);
   engine_->Shutdown();
   engine_->Shutdown();

@@ -53,8 +53,6 @@ class LineageTest : public ::testing::Test {
     engine_.reset();
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kCkptSize;
-    opts.host_cache_bytes = 16 * kCkptSize;
     opts.flush_retry.initial_backoff = std::chrono::microseconds(50);
     opts.flush_retry.max_backoff = std::chrono::microseconds(200);
     opts.fetch_retry.initial_backoff = std::chrono::microseconds(50);
@@ -65,9 +63,12 @@ class LineageTest : public ::testing::Test {
       faulty_ = std::make_shared<FaultyStore>(mem, FaultyStore::Options{});
       ssd = faulty_;
     }
-    engine_ = std::make_unique<Engine>(*cluster_, ssd,
-                                       std::make_shared<storage::MemStore>(),
-                                       opts, ranks);
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(ssd, std::make_shared<storage::MemStore>(),
+                           4 * kCkptSize, 16 * kCkptSize)
+            .value(),
+        opts, ranks);
   }
 
   void WriteCkpt(sim::Rank rank, Version v) {
@@ -312,10 +313,12 @@ TEST_F(LineageTest, DefaultOptionsTrackEveryObjectToDurable) {
   constexpr Version kN = 5;
   engine_.reset();
   cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
-  engine_ = std::make_unique<Engine>(*cluster_,
-                                     std::make_shared<storage::MemStore>(),
-                                     std::make_shared<storage::MemStore>(),
-                                     EngineOptions{}, kRanks);
+  engine_ = std::make_unique<Engine>(
+      *cluster_,
+      TierStack::Default(std::make_shared<storage::MemStore>(),
+                         std::make_shared<storage::MemStore>())
+          .value(),
+      EngineOptions{}, kRanks);
   for (sim::Rank rank = 0; rank < kRanks; ++rank) {
     for (Version v = 0; v < kN; ++v) WriteCkpt(rank, v);
     ASSERT_TRUE(engine_->WaitForFlushes(rank).ok());

@@ -29,11 +29,15 @@ struct Stack {
   std::unique_ptr<Engine> engine;
 };
 
-Stack Build(EngineOptions opts, sim::TopologyConfig topo) {
+Stack Build(std::uint64_t gpu_bytes, std::uint64_t host_bytes,
+            sim::TopologyConfig topo, EngineOptions opts = {}) {
   Stack s;
   s.cluster = std::make_unique<sim::Cluster>(topo);
   s.ssd = std::make_shared<storage::MemStore>();
-  s.engine = std::make_unique<Engine>(*s.cluster, s.ssd, nullptr, opts, 1);
+  s.engine = std::make_unique<Engine>(
+      *s.cluster,
+      TierStack::Default(s.ssd, nullptr, gpu_bytes, host_bytes).value(), opts,
+      1);
   return s;
 }
 
@@ -46,10 +50,7 @@ TEST(PaperConditionsTest, Condition1CheckpointBlocksOnlyForGpuCacheCopy) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.pcie_link_bw = 4 << 20;   // D2H: 512 KiB ~ 110 ms
   topo.nvme_drive_bw = 4 << 20;  // SSD: another ~110 ms
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kBig;  // room: no eviction wait either
-  opts.host_cache_bytes = 8 * kBig;
-  Stack s = Build(opts, topo);
+  Stack s = Build(4 * kBig, 8 * kBig, topo);  // room: no eviction wait either
   auto buf = *s.cluster->device(0).Allocate(kBig);
   FillPattern(0, 0, buf, kBig);
   const util::Stopwatch sw;
@@ -63,10 +64,7 @@ TEST(PaperConditionsTest, Condition1CheckpointBlocksOnlyForGpuCacheCopy) {
 TEST(PaperConditionsTest, Condition2ReadBackWhileFlushesPending) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.nvme_drive_bw = 256 << 10;  // SSD flush of 64 KiB takes ~250 ms
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;
-  opts.host_cache_bytes = 8 * kSize;
-  Stack s = Build(opts, topo);
+  Stack s = Build(4 * kSize, 8 * kSize, topo);
   auto buf = *s.cluster->device(0).Allocate(kSize);
   FillPattern(0, 0, buf, kSize);
   ASSERT_TRUE(s.engine->Checkpoint(0, 0, buf, kSize).ok());
@@ -87,10 +85,7 @@ TEST(PaperConditionsTest, Condition2ReadBackWhileFlushesPending) {
 }
 
 TEST(PaperConditionsTest, Condition3PrefetchFollowsAnnouncedOrder) {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;
-  opts.host_cache_bytes = 16 * kSize;
-  Stack s = Build(opts, sim::TopologyConfig::Testing());
+  Stack s = Build(4 * kSize, 16 * kSize, sim::TopologyConfig::Testing());
   auto buf = *s.cluster->device(0).Allocate(kSize);
   for (Version v = 0; v < 12; ++v) {
     FillPattern(0, v, buf, kSize);
@@ -105,16 +100,13 @@ TEST(PaperConditionsTest, Condition3PrefetchFollowsAnnouncedOrder) {
   while (s.engine->PrefetchDistance(0) < 2 && sw.ElapsedSec() < 5.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(s.engine->ResidentOn(0, 5, Tier::kGpu));
-  EXPECT_TRUE(s.engine->ResidentOn(0, 9, Tier::kGpu));
+  EXPECT_TRUE(s.engine->ResidentOnIndex(0, 5, Tier::kGpu));
+  EXPECT_TRUE(s.engine->ResidentOnIndex(0, 9, Tier::kGpu));
   ASSERT_TRUE(s.cluster->device(0).Free(buf).ok());
 }
 
 TEST(PaperConditionsTest, Condition4PrefetchedPinnedUntilConsumed) {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;
-  opts.host_cache_bytes = 16 * kSize;
-  Stack s = Build(opts, sim::TopologyConfig::Testing());
+  Stack s = Build(4 * kSize, 16 * kSize, sim::TopologyConfig::Testing());
   auto buf = *s.cluster->device(0).Allocate(kSize);
   for (Version v = 0; v < 8; ++v) {
     FillPattern(0, v, buf, kSize);
@@ -124,17 +116,18 @@ TEST(PaperConditionsTest, Condition4PrefetchedPinnedUntilConsumed) {
   ASSERT_TRUE(s.engine->PrefetchEnqueue(0, 0).ok());
   ASSERT_TRUE(s.engine->PrefetchStart(0).ok());
   const util::Stopwatch sw;
-  while (!s.engine->ResidentOn(0, 0, Tier::kGpu) && sw.ElapsedSec() < 5.0) {
+  while (!s.engine->ResidentOnIndex(0, 0, Tier::kGpu) &&
+         sw.ElapsedSec() < 5.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(s.engine->ResidentOn(0, 0, Tier::kGpu));
+  ASSERT_TRUE(s.engine->ResidentOnIndex(0, 0, Tier::kGpu));
   // Now write more checkpoints: evictions must victimize anything but the
   // pinned version 0, which stays resident until it is consumed.
   for (Version v = 8; v < 16; ++v) {
     FillPattern(0, v, buf, kSize);
     ASSERT_TRUE(s.engine->Checkpoint(0, v, buf, kSize).ok());
   }
-  EXPECT_TRUE(s.engine->ResidentOn(0, 0, Tier::kGpu))
+  EXPECT_TRUE(s.engine->ResidentOnIndex(0, 0, Tier::kGpu))
       << "prefetched checkpoint evicted before consumption";
   ASSERT_TRUE(s.engine->Restore(0, 0, buf, kSize).ok());  // consume
   EXPECT_TRUE(CheckPattern(0, 0, buf, kSize));
@@ -145,10 +138,8 @@ TEST(PaperConditionsTest, Condition5DiscardableConsumedSkipsFlushes) {
   sim::TopologyConfig topo = sim::TopologyConfig::Testing();
   topo.nvme_drive_bw = 256 << 10;  // slow SSD so the flush is still pending
   EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;
-  opts.host_cache_bytes = 8 * kSize;
   opts.discard_after_restore = true;
-  Stack s = Build(opts, topo);
+  Stack s = Build(4 * kSize, 8 * kSize, topo, opts);
   auto buf = *s.cluster->device(0).Allocate(kSize);
   FillPattern(0, 0, buf, kSize);
   ASSERT_TRUE(s.engine->Checkpoint(0, 0, buf, kSize).ok());
@@ -171,10 +162,7 @@ TEST(PaperConditionsTest, Condition5DiscardableConsumedSkipsFlushes) {
 // the prefetcher live (hints known and started up front) must never find
 // every cache slot pinned.
 TEST(PaperConditionsTest, InterleavedProducerNeverStarvedByPins) {
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * kSize;
-  opts.host_cache_bytes = 12 * kSize;
-  Stack s = Build(opts, sim::TopologyConfig::Testing());
+  Stack s = Build(4 * kSize, 12 * kSize, sim::TopologyConfig::Testing());
   auto buf = *s.cluster->device(0).Allocate(kSize);
   ASSERT_TRUE(s.engine->PrefetchStart(0).ok());  // prefetcher live from t=0
   constexpr int kN = 24;

@@ -33,12 +33,13 @@ class TelemetryTest : public ::testing::Test {
   void Build(int ranks = 2) {
     engine_.reset();
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kCkptSize;
-    opts.host_cache_bytes = 16 * kCkptSize;
     engine_ = std::make_unique<Engine>(
-        *cluster_, std::make_shared<storage::MemStore>(),
-        std::make_shared<storage::MemStore>(), opts, ranks);
+        *cluster_,
+        TierStack::Default(std::make_shared<storage::MemStore>(),
+                           std::make_shared<storage::MemStore>(),
+                           4 * kCkptSize, 16 * kCkptSize)
+            .value(),
+        EngineOptions{}, ranks);
   }
 
   void WriteCkpt(sim::Rank rank, Version v) {

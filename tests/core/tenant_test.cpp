@@ -104,6 +104,7 @@ class TenantEngineTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kCkptSize = 64 << 10;
 
+  /// Small caches: the GPU cache fits 4 checkpoints, the host 16.
   void Build(EngineOptions opts, int ranks,
              const std::string& tenants = "") {
     if (!tenants.empty()) {
@@ -117,14 +118,10 @@ class TenantEngineTest : public ::testing::Test {
     cluster_ = std::make_unique<sim::Cluster>(topo);
     ssd_ = std::make_shared<storage::MemStore>();
     pfs_ = std::make_shared<storage::MemStore>();
-    engine_ = std::make_unique<Engine>(*cluster_, ssd_, pfs_, opts, ranks);
-  }
-
-  EngineOptions SmallCaches() {
-    EngineOptions opts;
-    opts.gpu_cache_bytes = 4 * kCkptSize;
-    opts.host_cache_bytes = 16 * kCkptSize;
-    return opts;
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(ssd_, pfs_, 4 * kCkptSize, 16 * kCkptSize).value(),
+        opts, ranks);
   }
 
   void WriteCkpt(sim::Rank rank, Version v) {
@@ -142,7 +139,7 @@ class TenantEngineTest : public ::testing::Test {
 };
 
 TEST_F(TenantEngineTest, LegacyModeOpensOneDefaultTenantOverAllRanks) {
-  Build(SmallCaches(), 2);
+  Build({}, 2);
   EXPECT_FALSE(engine_->multi_tenant());
   const TenantRegistry& reg = engine_->tenant_registry();
   EXPECT_EQ(reg.count(), 1);
@@ -155,7 +152,7 @@ TEST_F(TenantEngineTest, LegacyModeOpensOneDefaultTenantOverAllRanks) {
 }
 
 TEST_F(TenantEngineTest, TenantsSplitRanksIntoContiguousBlocks) {
-  Build(SmallCaches(), 4, "a:1Mi;b:2Mi:0.5");
+  Build({}, 4, "a:1Mi;b:2Mi:0.5");
   EXPECT_TRUE(engine_->multi_tenant());
   const TenantRegistry& reg = engine_->tenant_registry();
   ASSERT_EQ(reg.count(), 2);
@@ -170,7 +167,7 @@ TEST_F(TenantEngineTest, TenantsSplitRanksIntoContiguousBlocks) {
 }
 
 TEST_F(TenantEngineTest, UnevenSplitGivesRemainderToEarlierTenants) {
-  Build(SmallCaches(), 5, "a:0;b:0");
+  Build({}, 5, "a:0;b:0");
   const TenantRegistry& reg = engine_->tenant_registry();
   ASSERT_EQ(reg.count(), 2);
   EXPECT_EQ(reg.Get(0)->num_ranks, 3);
@@ -179,7 +176,7 @@ TEST_F(TenantEngineTest, UnevenSplitGivesRemainderToEarlierTenants) {
 }
 
 TEST_F(TenantEngineTest, ClosedTenantRejectsTrafficNeighborUnaffected) {
-  Build(SmallCaches(), 2, "a:0;b:0");
+  Build({}, 2, "a:0;b:0");
   WriteCkpt(0, 0);
   WriteCkpt(1, 0);
   ASSERT_TRUE(engine_->CloseTenant(0).ok());
@@ -203,7 +200,7 @@ TEST_F(TenantEngineTest, QuotaTenantIsCappedWhileUnlimitedNeighborRuns) {
   // Tenant a: 2-checkpoint quota. Tenant b: unlimited. Both write a long
   // series; a's cache residency must never exceed its quota while b keeps
   // its full working set.
-  EngineOptions opts = SmallCaches();
+  EngineOptions opts;
   Build(opts, 2, "a:128Ki;b:0");
   const std::uint64_t quota = 128 << 10;
   for (Version v = 0; v < 12; ++v) {
@@ -245,7 +242,7 @@ TEST_F(TenantEngineTest, QuotaIsRecheckedWhenAnotherReservationCommitsFirst) {
   };
   const auto race = std::make_shared<Race>();
   race->writer = std::this_thread::get_id();
-  EngineOptions opts = SmallCaches();
+  EngineOptions opts;
   opts.test_force_stale_plan = [this, race](int) {
     if (std::this_thread::get_id() != race->writer || !race->armed ||
         race->fired.exchange(true)) {
@@ -285,7 +282,7 @@ TEST_F(TenantEngineTest, QuotaIsRecheckedWhenAnotherReservationCommitsFirst) {
 }
 
 TEST_F(TenantEngineTest, OpenTenantAfterInitFailsWhenRanksExhausted) {
-  Build(SmallCaches(), 2, "a:0;b:0");
+  Build({}, 2, "a:0;b:0");
   EXPECT_FALSE(engine_->OpenTenant(TenantSpec{.name = "c"}, 1).ok());
 }
 
@@ -295,7 +292,7 @@ TEST_F(TenantEngineTest, StaleReplanRoundsReuseTheFragmentSnapshot) {
   // Force the first two commit attempts stale without touching the table:
   // the geometry is unchanged, so rounds 1 and 2 must reuse round 0's
   // snapshot instead of re-copying the fragment list.
-  EngineOptions opts = SmallCaches();
+  EngineOptions opts;
   opts.test_force_stale_plan = [](int round) { return round < 2; };
   Build(opts, 1);
   WriteCkpt(0, 0);
@@ -312,7 +309,7 @@ TEST_F(TenantEngineTest, StaleReplanRoundsReuseTheFragmentSnapshot) {
 TEST_F(TenantEngineTest, VersionChangeBetweenRoundsRebuildsSnapshot) {
   // Consistency check for the reuse gate: a fresh engine's first write has
   // no prior snapshot, so a single non-stale reservation never reuses.
-  Build(SmallCaches(), 1);
+  Build({}, 1);
   WriteCkpt(0, 0);
   const RankMetrics m = engine_->MetricsSnapshot(0);
   EXPECT_EQ(m.reserve_snapshot_reuse, 0u);
@@ -321,7 +318,7 @@ TEST_F(TenantEngineTest, VersionChangeBetweenRoundsRebuildsSnapshot) {
 // --- Tenant-labeled telemetry -------------------------------------------
 
 TEST_F(TenantEngineTest, TenantLabeledScrapeIsValidOpenMetrics) {
-  Build(SmallCaches(), 2, "a:1Mi;b:0");
+  Build({}, 2, "a:1Mi;b:0");
   WriteCkpt(0, 0);
   WriteCkpt(1, 0);
   const std::string text = OpenMetricsText(*engine_);
@@ -335,7 +332,7 @@ TEST_F(TenantEngineTest, TenantLabeledScrapeIsValidOpenMetrics) {
 }
 
 TEST_F(TenantEngineTest, TenantNamesAreEscapedInLabels) {
-  Build(SmallCaches(), 1, "we\"ird:0");
+  Build({}, 1, "we\"ird:0");
   const std::string text = OpenMetricsText(*engine_);
   const TelemetryCheck check = ValidateOpenMetrics(text);
   EXPECT_TRUE(check.ok) << check.error;
@@ -367,7 +364,7 @@ TEST(TenantTelemetryGoldenTest, InvalidTenantLabeledPayloadsAreRejected) {
 }
 
 TEST_F(TenantEngineTest, MetricsJsonCarriesTenantAttribution) {
-  Build(SmallCaches(), 2, "a:0;b:0");
+  Build({}, 2, "a:0;b:0");
   WriteCkpt(0, 0);
   const std::string json = MetricsSnapshotJson(*engine_);
   EXPECT_NE(json.find("\"tenant\":\"a\""), std::string::npos);
@@ -375,7 +372,7 @@ TEST_F(TenantEngineTest, MetricsJsonCarriesTenantAttribution) {
   EXPECT_NE(json.find("\"reserve_snapshot_reuse\""), std::string::npos);
   EXPECT_NE(json.find("\"reserve_quota_waits\""), std::string::npos);
   // Single-tenant JSON stays tenant-free.
-  Build(SmallCaches(), 1);
+  Build({}, 1);
   EXPECT_EQ(MetricsSnapshotJson(*engine_).find("\"tenant\""),
             std::string::npos);
 }

@@ -26,7 +26,7 @@ TierDesc Durable(std::string name) {
                   0, Mem()};
 }
 
-// --- Default (legacy) stack -----------------------------------------------
+// --- Default stack ------------------------------------------------------
 
 TEST(TierStackDefault, MatchesTheLegacyFourTierLayout) {
   auto stack = TierStack::Default(Mem(), Mem(), 4 << 20, 32 << 20, Tier::kSsd);
@@ -34,14 +34,14 @@ TEST(TierStackDefault, MatchesTheLegacyFourTierLayout) {
   EXPECT_EQ(stack->size(), kTierCount);
   EXPECT_EQ(stack->num_cache_tiers(), 2);
   EXPECT_EQ(stack->num_durable_tiers(), 2);
-  // The Tier enum doubles as this stack's indices.
-  EXPECT_EQ(stack->name(static_cast<std::size_t>(Tier::kGpu)), "gpu");
-  EXPECT_EQ(stack->name(static_cast<std::size_t>(Tier::kHost)), "host");
-  EXPECT_EQ(stack->name(static_cast<std::size_t>(Tier::kSsd)), "ssd");
-  EXPECT_EQ(stack->name(static_cast<std::size_t>(Tier::kPfs)), "pfs");
+  // The Tier names are this stack's indices.
+  EXPECT_EQ(stack->name(Tier::kGpu), "gpu");
+  EXPECT_EQ(stack->name(Tier::kHost), "host");
+  EXPECT_EQ(stack->name(Tier::kSsd), "ssd");
+  EXPECT_EQ(stack->name(Tier::kPfs), "pfs");
   EXPECT_TRUE(stack->is_device(0));
   EXPECT_FALSE(stack->is_device(1));
-  EXPECT_EQ(stack->terminal(), static_cast<int>(Tier::kSsd));
+  EXPECT_EQ(stack->terminal(), Tier::kSsd);
   EXPECT_EQ(stack->terminal_ordinal(), 0);
   EXPECT_EQ((*stack)[0].capacity_bytes, 4u << 20);
   EXPECT_EQ((*stack)[1].capacity_bytes, 32u << 20);
@@ -50,7 +50,7 @@ TEST(TierStackDefault, MatchesTheLegacyFourTierLayout) {
 TEST(TierStackDefault, PfsTerminalAndPfsLessVariants) {
   auto deep = TierStack::Default(Mem(), Mem(), 1 << 20, 1 << 20, Tier::kPfs);
   ASSERT_TRUE(deep.ok()) << deep.status();
-  EXPECT_EQ(deep->terminal(), static_cast<int>(Tier::kPfs));
+  EXPECT_EQ(deep->terminal(), Tier::kPfs);
   EXPECT_EQ(deep->terminal_ordinal(), 1);
 
   auto no_pfs = TierStack::Default(Mem(), nullptr, 1 << 20, 1 << 20);
@@ -157,9 +157,9 @@ TEST(TierStack, IndexAndOrdinalMappingOnAFiveTierStack) {
 TEST(TierStack, OutOfRangeNamesResolveToAStablePlaceholder) {
   auto stack = TierStack::Create({Cache("host", 1 << 20), Durable("ssd")});
   ASSERT_TRUE(stack.ok());
-  // A legacy Tier enum value beyond this 2-tier stack must still produce a
-  // greppable log token, not "?" or UB.
-  EXPECT_EQ(stack->name(static_cast<std::size_t>(Tier::kPfs)), "out-of-stack");
+  // A Tier name beyond this 2-tier stack must still produce a greppable
+  // log token, not "?" or UB.
+  EXPECT_EQ(stack->name(Tier::kPfs), "out-of-stack");
   EXPECT_EQ(stack->name(99), "out-of-stack");
   EXPECT_EQ(stack->name(0), "host");
 }

@@ -19,10 +19,11 @@ using rtm::FillPattern;
 TEST(EnduranceTest, ThreeConsecutiveShotsOnOneEngine) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   auto ssd = std::make_shared<storage::MemStore>();
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 4 * (24 << 10);
-  opts.host_cache_bytes = 12 * (24 << 10);
-  Engine engine(cluster, ssd, nullptr, opts, 1);
+  constexpr std::uint64_t kGpuBytes = 4 * (24 << 10);
+  constexpr std::uint64_t kHostBytes = 12 * (24 << 10);
+  Engine engine(cluster,
+                TierStack::Default(ssd, nullptr, kGpuBytes, kHostBytes).value(),
+                {}, 1);
   auto buf = *cluster.device(0).Allocate(24 << 10);
 
   constexpr int kPerShot = 20;
@@ -42,8 +43,8 @@ TEST(EnduranceTest, ThreeConsecutiveShotsOnOneEngine) {
       ASSERT_TRUE(CheckPattern(0, v, buf, 24 << 10)) << "shot " << shot;
     }
     // Steady state between shots: caches bounded, store holds all history.
-    EXPECT_LE(engine.GpuCacheUsed(0), opts.gpu_cache_bytes);
-    EXPECT_LE(engine.HostCacheUsed(0), opts.host_cache_bytes);
+    EXPECT_LE(engine.CacheUsed(0, Tier::kGpu), kGpuBytes);
+    EXPECT_LE(engine.CacheUsed(0, Tier::kHost), kHostBytes);
     EXPECT_EQ(ssd->Keys().size(),
               static_cast<std::size_t>((shot + 1) * kPerShot));
   }
@@ -60,10 +61,11 @@ TEST(EnduranceTest, EngineOverChecksummedCompressedStore) {
   auto checksummed = std::make_shared<storage::ChecksumStore>(mem);
   auto compressed = std::make_shared<compress::CompressedStore>(
       checksummed, compress::CodecKind::kDeltaRle);
-  EngineOptions opts;
-  opts.gpu_cache_bytes = 2 * (32 << 10);
-  opts.host_cache_bytes = 4 * (32 << 10);
-  Engine engine(cluster, compressed, nullptr, opts, 1);
+  Engine engine(
+      cluster,
+      TierStack::Default(compressed, nullptr, 2 * (32 << 10), 4 * (32 << 10))
+          .value(),
+      {}, 1);
   auto buf = *cluster.device(0).Allocate(32 << 10);
   constexpr int kN = 16;  // history >> caches: store reads guaranteed
   for (Version v = 0; v < kN; ++v) {
@@ -87,10 +89,12 @@ TEST(EnduranceTest, CorruptionOnDiskSurfacesAsIoError) {
   auto mem = std::make_shared<storage::MemStore>();
   auto checksummed = std::make_shared<storage::ChecksumStore>(mem);
   EngineOptions opts;
-  opts.gpu_cache_bytes = 2 * (16 << 10);
-  opts.host_cache_bytes = 2 * (16 << 10);
   opts.discard_after_restore = false;
-  Engine engine(cluster, checksummed, nullptr, opts, 1);
+  Engine engine(
+      cluster,
+      TierStack::Default(checksummed, nullptr, 2 * (16 << 10), 2 * (16 << 10))
+          .value(),
+      opts, 1);
   auto buf = *cluster.device(0).Allocate(16 << 10);
   // Fill caches past v0 so v0 lives only on the (corruptible) store.
   for (Version v = 0; v < 8; ++v) {
@@ -98,8 +102,8 @@ TEST(EnduranceTest, CorruptionOnDiskSurfacesAsIoError) {
     ASSERT_TRUE(engine.Checkpoint(0, v, buf, 16 << 10).ok());
   }
   ASSERT_TRUE(engine.WaitForFlushes(0).ok());
-  ASSERT_FALSE(engine.ResidentOn(0, 0, Tier::kGpu));
-  ASSERT_FALSE(engine.ResidentOn(0, 0, Tier::kHost));
+  ASSERT_FALSE(engine.ResidentOnIndex(0, 0, Tier::kGpu));
+  ASSERT_FALSE(engine.ResidentOnIndex(0, 0, Tier::kHost));
 
   // Flip one stored bit of v0.
   std::vector<std::byte> framed(*mem->Size({0, 0}));

@@ -208,8 +208,9 @@ TEST_F(TierStackEngineTest, HostOnlyStackCheckpointsAndRestores) {
   Build(std::move(*stack));
   for (core::Version v = 0; v < 4; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  EXPECT_EQ(engine_->GpuCacheUsed(0), 0u);  // no device tier exists
-  EXPECT_GT(engine_->HostCacheUsed(0), 0u);
+  // No device tier exists: the host cache is stack index 0.
+  EXPECT_FALSE(engine_->tiers().is_device(0));
+  EXPECT_GT(engine_->CacheUsed(0, 0), 0u);
   for (core::Version v = 0; v < 4; ++v) {
     EXPECT_TRUE(engine_->ResidentOnIndex(0, v, 1));  // durable on "ssd"
     RestoreAndVerify(0, v);

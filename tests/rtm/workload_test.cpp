@@ -58,10 +58,10 @@ class WorkloadRunTest : public ::testing::Test {
     topo.hbm_capacity = 8 << 20;
     cluster_ = std::make_unique<sim::Cluster>(topo);
     ssd_ = std::make_shared<storage::MemStore>();
-    core::EngineOptions opts;
-    opts.gpu_cache_bytes = 256 << 10;
-    opts.host_cache_bytes = 1 << 20;
-    engine_ = std::make_unique<core::Engine>(*cluster_, ssd_, nullptr, opts, 4);
+    engine_ = std::make_unique<core::Engine>(
+        *cluster_,
+        core::TierStack::Default(ssd_, nullptr, 256 << 10, 1 << 20).value(),
+        core::EngineOptions{}, 4);
   }
 
   ShotConfig SmallShot() {
