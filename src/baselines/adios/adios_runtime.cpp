@@ -18,10 +18,8 @@ storage::ObjectKey KeyOf(sim::Rank rank, core::Version v) {
 
 AdiosRuntime::AdiosRuntime(sim::Cluster& cluster,
                            std::shared_ptr<storage::ObjectStore> ssd,
-                           std::shared_ptr<storage::ObjectStore> pfs,
                            AdiosOptions options, int num_ranks)
-    : cluster_(cluster), ssd_(std::move(ssd)), pfs_(std::move(pfs)),
-      options_(options) {
+    : cluster_(cluster), ssd_(std::move(ssd)), options_(options) {
   assert(ssd_ != nullptr);
   ranks_.reserve(static_cast<std::size_t>(num_ranks));
   for (sim::Rank r = 0; r < num_ranks; ++r) {
@@ -153,9 +151,6 @@ util::Status AdiosRuntime::Checkpoint(sim::Rank rank, core::Version v,
     std::vector<std::byte> staging(size);
     st = StagedD2H(c, src, staging.data(), size);
     if (st.ok()) st = ssd_->Put(KeyOf(rank, v), staging.data(), size);
-    if (st.ok() && options_.terminal_tier == core::Tier::kPfs) {
-      st = pfs_->Put(KeyOf(rank, v), staging.data(), size);
-    }
     std::lock_guard lock(c.mu);
     --c.inflight;
     c.cv.notify_all();
@@ -202,7 +197,6 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
   }
 
   util::Status st;
-  core::Tier served = core::Tier::kSsd;
   if (from_buffer) {
     std::byte* src = nullptr;
     {
@@ -213,21 +207,17 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
     std::lock_guard lock(c.mu);
     --c.buffered.at(v).readers;
     c.cv.notify_all();
-    served = core::Tier::kHost;
   } else {
     // On-demand read from the BP file on the SSD, then staged H2D.
     std::vector<std::byte> staging(size);
     st = ssd_->Get(KeyOf(rank, v), staging.data(), size);
-    if (!st.ok() && pfs_ != nullptr) {
-      served = core::Tier::kPfs;
-      st = pfs_->Get(KeyOf(rank, v), staging.data(), size);
-    }
     if (st.ok()) st = StagedH2D(c, staging.data(), dst, size);
   }
   if (!st.ok()) return st;
 
   std::lock_guard lock(c.mu);
-  ++c.metrics.restores_from_tier[served];
+  ++c.metrics.restores_from_tier[from_buffer ? core::Tier::kHost
+                                             : core::Tier::kSsd];
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{
@@ -290,10 +280,7 @@ void AdiosRuntime::DrainLoop(RankCtx& c) {
       src = it->second.data.data();
       size = it->second.data.size();
     }
-    util::Status st = ssd_->Put(KeyOf(c.rank, v), src, size);
-    if (st.ok() && options_.terminal_tier == core::Tier::kPfs) {
-      st = pfs_->Put(KeyOf(c.rank, v), src, size);
-    }
+    const util::Status st = ssd_->Put(KeyOf(c.rank, v), src, size);
     std::unique_lock lock(c.mu);
     if (!st.ok()) {
       CKPT_LOG(kError, "adios") << "drain failed: " << st.ToString();

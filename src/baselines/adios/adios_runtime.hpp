@@ -34,7 +34,6 @@ struct AdiosOptions {
   std::uint64_t host_buffer_bytes = 64ull << 20;
   /// Pinned bounce buffer used for the staged D2H/H2D hops.
   std::uint64_t bounce_bytes = 4ull << 20;
-  core::Tier terminal_tier = core::Tier::kSsd;
   /// BP5 marshaling rate: Put() serializes payload + metadata into the BP
   /// buffer format on the CPU, single-threaded (~0.8 GB/s real; scaled
   /// /100). This is the overhead that makes ADIOS2 the slowest writer in
@@ -44,9 +43,10 @@ struct AdiosOptions {
 
 class AdiosRuntime final : public core::Runtime {
  public:
+  /// `ssd` holds the BP files: every drain and write-through lands there,
+  /// and restores that miss the host buffer read from it.
   AdiosRuntime(sim::Cluster& cluster, std::shared_ptr<storage::ObjectStore> ssd,
-               std::shared_ptr<storage::ObjectStore> pfs, AdiosOptions options,
-               int num_ranks);
+               AdiosOptions options, int num_ranks);
   ~AdiosRuntime() override;
 
   util::Status Checkpoint(sim::Rank rank, core::Version v, sim::ConstBytePtr src,
@@ -98,7 +98,6 @@ class AdiosRuntime final : public core::Runtime {
 
   sim::Cluster& cluster_;
   std::shared_ptr<storage::ObjectStore> ssd_;
-  std::shared_ptr<storage::ObjectStore> pfs_;
   AdiosOptions options_;
   std::vector<std::unique_ptr<RankCtx>> ranks_;
   bool shutdown_ = false;

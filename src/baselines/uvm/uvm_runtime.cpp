@@ -16,10 +16,8 @@ storage::ObjectKey KeyOf(sim::Rank rank, core::Version v) {
 
 UvmRuntime::UvmRuntime(sim::Cluster& cluster,
                        std::shared_ptr<storage::ObjectStore> ssd,
-                       std::shared_ptr<storage::ObjectStore> pfs,
                        UvmRuntimeOptions options, int num_ranks)
-    : cluster_(cluster), ssd_(std::move(ssd)), pfs_(std::move(pfs)),
-      options_(options) {
+    : cluster_(cluster), ssd_(std::move(ssd)), options_(options) {
   assert(ssd_ != nullptr);
   ranks_.reserve(static_cast<std::size_t>(num_ranks));
   for (sim::Rank r = 0; r < num_ranks; ++r) {
@@ -326,9 +324,6 @@ void UvmRuntime::FlushLoop(RankCtx& c) {
     std::vector<std::byte> staging(size);
     util::Status st = c.space->HostRead(region, 0, staging.data(), size);
     if (st.ok()) st = ssd_->Put(KeyOf(c.rank, v), staging.data(), size);
-    if (st.ok() && options_.terminal_tier == core::Tier::kPfs) {
-      st = pfs_->Put(KeyOf(c.rank, v), staging.data(), size);
-    }
     std::lock_guard lock(c.mu);
     auto it = c.records.find(v);
     if (it != c.records.end()) {

@@ -12,7 +12,7 @@
 //    immediately and cleanly.
 //
 // Durability matches the other runtimes: a background flusher writes each
-// checkpoint's host backing to the SSD store (and optionally the PFS).
+// checkpoint's host backing to the SSD store.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +33,6 @@ namespace ckpt::uvm {
 
 struct UvmRuntimeOptions {
   UvmConfig uvm;
-  core::Tier terminal_tier = core::Tier::kSsd;
   bool discard_after_restore = false;
   /// Grant the hint optimizations (advise + prefetch). Disable to model
   /// plain UVM without foreknowledge.
@@ -48,8 +47,9 @@ struct UvmRuntimeOptions {
 
 class UvmRuntime final : public core::Runtime {
  public:
+  /// `ssd` is the one durable store: the flusher pages backings out to it
+  /// and restores of paged-out checkpoints read from it.
   UvmRuntime(sim::Cluster& cluster, std::shared_ptr<storage::ObjectStore> ssd,
-             std::shared_ptr<storage::ObjectStore> pfs,
              UvmRuntimeOptions options, int num_ranks);
   ~UvmRuntime() override;
 
@@ -107,7 +107,6 @@ class UvmRuntime final : public core::Runtime {
 
   sim::Cluster& cluster_;
   std::shared_ptr<storage::ObjectStore> ssd_;
-  std::shared_ptr<storage::ObjectStore> pfs_;
   UvmRuntimeOptions options_;
   std::vector<std::unique_ptr<RankCtx>> ranks_;
   bool shutdown_ = false;

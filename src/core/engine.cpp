@@ -148,9 +148,7 @@ void Engine::Init(int num_ranks) {
     c->metrics.evictions_from_tier.resize(stack_.size(), 0);
     c->metrics.evicted_bytes_from_tier.resize(stack_.size(), 0);
     c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
-    c->metrics.durable_lag_hist.resize(stack_.size());
     c->tier_probe = std::make_unique<TierCells[]>(stack_.size());
-    c->lineage_journal = std::make_unique<LineageCell[]>(kLineageJournalCap);
 
     c->tiers.resize(static_cast<std::size_t>(ncache));
     for (int i = 0; i < ncache; ++i) {
@@ -1215,7 +1213,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
 
   if (!lock.owns_lock()) lock.lock();
   c.metrics.ckpt_block_s.Add(sw.ElapsedSec());
-  c.metrics.ckpt_block_hist.Add(sw.ElapsedSec());
   ProbeAdd(c.probe.checkpoints);
   ProbeAdd(c.probe.bytes_checkpointed, size);
   return util::OkStatus();
@@ -1374,12 +1371,12 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   ++c.restore_counter;
   app_span.SetBytes(rec.size);
   app_span.SetTier(src_tier);
-  c.metrics.restore_block_s.Add(sw.ElapsedSec());
-  c.metrics.restore_block_hist.Add(sw.ElapsedSec());
+  const double block_s = sw.ElapsedSec();
+  c.metrics.restore_block_s.Add(block_s);
   ProbeAdd(c.probe.restores);
   ProbeAdd(c.probe.bytes_restored, rec.size);
-  c.metrics.restore_series.push_back(RestorePoint{
-      c.restore_counter - 1, v, sw.ElapsedSec(), rec.size, pdist});
+  c.metrics.restore_series.push_back(
+      RestorePoint{c.restore_counter - 1, v, block_s, rec.size, pdist});
   // Advance and ReleasePin above already woke the state/reserve channels.
   stop_waiting();
   NoteStageable(c, rec);  // a later re-read hint of a direct-served copy
@@ -1454,9 +1451,13 @@ RankMetrics Engine::MetricsSnapshot(sim::Rank rank) const {
   }
   m.flush_bytes_to_tier.resize(stack_.size());
   m.restores_from_tier.resize(stack_.size());
+  m.durability_lag.resize(stack_.size());
   for (std::size_t i = 0; i < stack_.size(); ++i) {
     m.flush_bytes_to_tier[i] = c.tier_probe[i].flush_bytes.load(relax);
     m.restores_from_tier[i] = c.tier_probe[i].restores.load(relax);
+    if (stack_.is_durable(static_cast<TierIndex>(i))) {
+      m.durability_lag[i] = LoadLag(c.tier_probe[i]);
+    }
   }
   return m;
 }
@@ -1494,12 +1495,7 @@ util::telemetry::RankSample Engine::Probe(sim::Rank rank) const {
     tp.restores = cells.restores.load(relax);
     const auto ti = static_cast<TierIndex>(i);
     if (stack_.is_durable(ti)) {
-      tp.lag_buckets.resize(util::telemetry::kDurabilityLagBuckets, 0);
-      for (std::size_t b = 0; b < tp.lag_buckets.size(); ++b) {
-        tp.lag_buckets[b] = cells.lag_buckets[b].load(relax);
-      }
-      tp.lag_count = cells.lag_count.load(relax);
-      tp.lag_sum_ns = cells.lag_sum_ns.load(relax);
+      tp.lag = LoadLag(cells);
     } else {
       tp.bytes_used = CacheUsed(rank, ti);
       // capacity is written once at Init, before any worker or sampler can
@@ -1531,45 +1527,6 @@ void Engine::NoteStall(sim::Rank rank, StallKind kind) {
 // Deferred trace emission (S1: trace bookkeeping off the rank lock)
 // ---------------------------------------------------------------------------
 
-void Engine::QueueInstant(RankCtx& ctx_, trace::Kind kind, const char* name,
-                          int tier, Version v, std::uint64_t bytes, double a,
-                          double b) {
-  if (!trace::enabled()) return;
-  CKPT_ASSERT_HELD(ctx_.mu);
-  trace::Event e;
-  e.ts_ns = trace::Now();
-  e.dur_ns = -1;
-  e.name = name;
-  e.kind = kind;
-  e.rank = static_cast<std::int16_t>(ctx_.rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = v;
-  e.bytes = bytes;
-  e.a = a;
-  e.b = b;
-  ctx_.pending_trace.push_back(e);
-}
-
-void Engine::QueueSpanSince(RankCtx& ctx_, trace::Kind kind, const char* name,
-                            std::int64_t begin_ns, int tier, Version v,
-                            std::uint64_t bytes, double a, double b) {
-  if (!trace::enabled()) return;
-  CKPT_ASSERT_HELD(ctx_.mu);
-  trace::Event e;
-  e.ts_ns = begin_ns;
-  e.dur_ns = trace::Now() - begin_ns;
-  if (e.dur_ns < 0) e.dur_ns = 0;
-  e.name = name;
-  e.kind = kind;
-  e.rank = static_cast<std::int16_t>(ctx_.rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = v;
-  e.bytes = bytes;
-  e.a = a;
-  e.b = b;
-  ctx_.pending_trace.push_back(e);
-}
-
 void Engine::PublishQueuedTrace(RankCtx& ctx_) {
   std::vector<trace::Event> batch;
   {
@@ -1596,25 +1553,6 @@ void Engine::PublishQueuedTraceLocked(
 // ---------------------------------------------------------------------------
 // Per-checkpoint lineage (DESIGN.md §14)
 // ---------------------------------------------------------------------------
-
-void Engine::QueueFlow(RankCtx& ctx_, trace::Kind kind, const char* name,
-                       std::uint64_t flow_id, trace::FlowPhase phase,
-                       int tier, Version v, std::uint64_t bytes) {
-  if (!trace::enabled() || flow_id == 0) return;
-  CKPT_ASSERT_HELD(ctx_.mu);
-  trace::Event e;
-  e.ts_ns = trace::Now();
-  e.dur_ns = -1;
-  e.name = name;
-  e.kind = kind;
-  e.flow = phase;
-  e.rank = static_cast<std::int16_t>(ctx_.rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = v;
-  e.bytes = bytes;
-  e.flow_id = flow_id;
-  ctx_.pending_trace.push_back(e);
-}
 
 void Engine::LineageAdmit(RankCtx& ctx_, Record& rec) {
   CKPT_ASSERT_HELD(ctx_.mu);
@@ -1647,20 +1585,6 @@ void Engine::LineageTerminal(RankCtx& ctx_, Record& rec, LineageOutcome outcome,
       ProbeAdd(ctx_.probe.objects_erased);
       break;
   }
-  constexpr auto relax = std::memory_order_relaxed;
-  const std::uint64_t h = ctx_.lineage_head.load(relax);
-  LineageCell& cell = ctx_.lineage_journal[h % kLineageJournalCap];
-  const std::uint64_t s = cell.stamp.load(relax);
-  cell.stamp.store(s + 1, std::memory_order_release);  // odd: mid-write
-  cell.version.store(rec.version, relax);
-  cell.flow_id.store(rec.flow_id, relax);
-  cell.admit_ns.store(rec.admit_ns, relax);
-  cell.durable_ns.store(rec.first_durable_ns, relax);
-  cell.terminal_ns.store(util::NowNs(), relax);
-  cell.durable_tier.store(rec.first_durable_tier, relax);
-  cell.outcome.store(static_cast<std::uint8_t>(outcome), relax);
-  cell.stamp.store(s + 2, std::memory_order_release);  // even: stable
-  ctx_.lineage_head.store(h + 1, std::memory_order_release);
   QueueFlow(ctx_, trace::Kind::kLifecycle, flow_name, rec.flow_id,
             trace::FlowPhase::kEnd, tier, rec.version, rec.size);
 }
@@ -1670,22 +1594,14 @@ void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
   if (rec.flow_id == 0 || rec.admit_ns <= 0) return;
   const auto idx =
       static_cast<std::size_t>(stack_.durable_index(static_cast<int>(d)));
-  const std::int64_t now = util::NowNs();
-  if (rec.first_durable_ns == 0) {
-    rec.first_durable_ns = now;
+  if (rec.first_durable_tier < 0) {
     rec.first_durable_tier = static_cast<std::int16_t>(idx);
   }
+  const std::int64_t now = util::NowNs();
   const std::int64_t lag_ns = now > rec.admit_ns ? now - rec.admit_ns : 0;
-  const double lag_s = static_cast<double>(lag_ns) / 1e9;
-  ctx_.metrics.durable_lag_hist[idx].Add(lag_s);
   TierCells& cells = ctx_.tier_probe[idx];
-  // First bucket whose upper edge covers the sample (`le` convention).
-  constexpr std::size_t n_edges = util::telemetry::kDurabilityLagBuckets - 1;
-  std::size_t b = 0;
-  while (b < n_edges && lag_s > util::telemetry::kDurabilityLagEdgesS[b]) {
-    ++b;
-  }
-  ProbeAdd(cells.lag_buckets[b]);
+  ProbeAdd(cells.lag_buckets[util::telemetry::LagBucketOf(
+      static_cast<double>(lag_ns) / 1e9)]);
   ProbeAdd(cells.lag_count);
   ProbeAdd(cells.lag_sum_ns, static_cast<std::uint64_t>(lag_ns));
   QueueFlow(ctx_, trace::Kind::kFlush, flow_ack_names_[d], rec.flow_id,
@@ -1693,43 +1609,14 @@ void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
             rec.size);
 }
 
-Engine::LineageSnapshot Engine::Lineage(sim::Rank rank) const {
+util::telemetry::LagHistogram Engine::LoadLag(const TierCells& cells) {
   constexpr auto relax = std::memory_order_relaxed;
-  const RankCtx& c = ctx(rank);
-  LineageSnapshot s;
-  s.admitted = c.probe.objects_admitted.load(relax);
-  s.durable = c.probe.objects_durable.load(relax);
-  s.degraded = c.probe.objects_degraded.load(relax);
-  s.lost = c.probe.objects_lost.load(relax);
-  s.erased = c.probe.objects_erased.load(relax);
-  const std::uint64_t head = c.lineage_head.load(std::memory_order_acquire);
-  s.journal_total = head;
-  const std::uint64_t n = head < kLineageJournalCap ? head : kLineageJournalCap;
-  s.journal.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = head - n; i < head; ++i) {
-    const LineageCell& cell = c.lineage_journal[i % kLineageJournalCap];
-    // Seqlock read: a slot caught mid-write (odd stamp) or overwritten
-    // between the two stamp reads is retried a few times, then skipped —
-    // a sampler must never spin against the hot path.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint64_t s1 = cell.stamp.load(std::memory_order_acquire);
-      if ((s1 & 1) != 0) continue;
-      if (s1 == 0) break;  // never written
-      LineageEntry e;
-      e.version = cell.version.load(relax);
-      e.flow_id = cell.flow_id.load(relax);
-      e.admit_ns = cell.admit_ns.load(relax);
-      e.durable_ns = cell.durable_ns.load(relax);
-      e.terminal_ns = cell.terminal_ns.load(relax);
-      e.durable_tier = static_cast<int>(cell.durable_tier.load(relax));
-      e.outcome = static_cast<LineageOutcome>(cell.outcome.load(relax));
-      if (cell.stamp.load(std::memory_order_acquire) == s1) {
-        s.journal.push_back(e);
-        break;
-      }
-    }
-  }
-  return s;
+  util::telemetry::LagHistogram h;
+  h.buckets.reserve(cells.lag_buckets.size());
+  for (const auto& b : cells.lag_buckets) h.buckets.push_back(b.load(relax));
+  h.count = cells.lag_count.load(relax);
+  h.sum_ns = cells.lag_sum_ns.load(relax);
+  return h;
 }
 
 util::StatusOr<CkptState> Engine::StateOf(sim::Rank rank, Version v) const {

@@ -258,50 +258,6 @@ class Engine final : public Runtime {
   /// rank lock — trip path only, never the sample path.
   void NoteStall(sim::Rank rank, StallKind kind);
 
-  // --- Per-checkpoint lineage (DESIGN.md §14) ---
-  /// Terminal disposition of one admitted checkpoint object. Every object
-  /// admitted by Checkpoint() ends in exactly one of these (the
-  /// conservation invariant the lineage auditor checks).
-  enum class LineageOutcome : std::uint8_t {
-    kDurable = 0,  ///< reached the configured terminal tier
-    kDegraded,     ///< durable at a shallower tier (terminal tier failed)
-    kLost,         ///< entered FLUSH_FAILED with no surviving copy
-    kErased,       ///< record dropped before a durability outcome (admit
-                   ///< rollback, condition-(5) discard, shutdown abort)
-  };
-  /// One terminal record in the rank's lineage journal.
-  struct LineageEntry {
-    Version version = 0;
-    std::uint64_t flow_id = 0;
-    std::int64_t admit_ns = 0;
-    std::int64_t durable_ns = 0;  ///< first durable ack; 0 = never durable
-    std::int64_t terminal_ns = 0;
-    int durable_tier = -1;        ///< stack index of the first durable ack
-    LineageOutcome outcome = LineageOutcome::kDurable;
-  };
-  /// Lock-free snapshot of one rank's lineage ledger: outcome counters plus
-  /// the newest journal entries (oldest first).
-  struct LineageSnapshot {
-    std::uint64_t admitted = 0;
-    std::uint64_t durable = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t erased = 0;
-    std::uint64_t journal_total = 0;  ///< terminals ever journaled
-    std::vector<LineageEntry> journal;
-
-    [[nodiscard]] std::uint64_t terminated() const noexcept {
-      return durable + degraded + lost + erased;
-    }
-    [[nodiscard]] std::uint64_t inflight() const noexcept {
-      const std::uint64_t t = terminated();
-      return admitted >= t ? admitted - t : 0;
-    }
-  };
-  /// Samples the rank's lineage cells and journal without the rank lock
-  /// (seqlock-stamped journal cells; torn entries are skipped).
-  [[nodiscard]] LineageSnapshot Lineage(sim::Rank rank) const;
-
  private:
   struct Residency {
     bool valid = false;       ///< data present and complete on this tier
@@ -347,8 +303,8 @@ class Engine final : public Runtime {
     // conservation ledger and emit no flow events.
     std::int64_t admit_ns = 0;          ///< NowNs() at admission
     std::uint64_t flow_id = 0;          ///< util::trace::FlowIdOf(rank, v)
-    std::int64_t first_durable_ns = 0;  ///< first durable ack (0 = none)
-    std::int16_t first_durable_tier = -1;  ///< stack index of that ack
+    /// Stack index of the first durable ack; -1 until one arrives.
+    std::int16_t first_durable_tier = -1;
     bool lineage_done = false;          ///< terminal outcome recorded
 
     [[nodiscard]] bool AnyDurable() const noexcept {
@@ -486,26 +442,6 @@ class Engine final : public Runtime {
        &util::telemetry::RankSample::objects_erased},
   };
 
-  /// One slot of the per-rank lineage journal (DESIGN.md §14): a
-  /// seqlock-stamped terminal record. The writer (any thread holding
-  /// ctx.mu) bumps `stamp` to odd, stores the fields, bumps to even; the
-  /// lock-free reader retries/skips slots it catches mid-write. Fields are
-  /// individually relaxed atomics so concurrent reads stay data-race-free
-  /// under TSan; the stamp protocol supplies whole-record consistency.
-  struct LineageCell {
-    std::atomic<std::uint64_t> stamp{0};  ///< odd while a write is in flight
-    std::atomic<std::uint64_t> version{0};
-    std::atomic<std::uint64_t> flow_id{0};
-    std::atomic<std::int64_t> admit_ns{0};
-    std::atomic<std::int64_t> durable_ns{0};
-    std::atomic<std::int64_t> terminal_ns{0};
-    std::atomic<std::int32_t> durable_tier{-1};
-    std::atomic<std::uint8_t> outcome{0};
-  };
-  /// Journal capacity per rank: newest kLineageJournalCap terminals are
-  /// retained; the monotone head counter records how many were ever logged.
-  static constexpr std::size_t kLineageJournalCap = 1024;
-
   struct RankCtx {
     sim::Rank rank = 0;
     mutable util::CheckedMutex mu;
@@ -550,13 +486,6 @@ class Engine final : public Runtime {
     RankCells probe;
     /// One cell block per stack tier (cache AND durable), sized at Init.
     std::unique_ptr<TierCells[]> tier_probe;
-
-    /// Lineage journal ring (DESIGN.md §14), allocated at Init.
-    /// lineage_head counts terminals ever journaled (slot = index %
-    /// kLineageJournalCap); writers append under mu, the Lineage() reader
-    /// walks the ring lock-free.
-    std::unique_ptr<LineageCell[]> lineage_journal;
-    std::atomic<std::uint64_t> lineage_head{0};
 
     /// Trace events recorded inside the rank-lock critical section, queued
     /// for emission after the lock is released (the per-thread trace buffer
@@ -637,17 +566,41 @@ class Engine final : public Runtime {
 
   // --- Deferred trace emission (keep trace-buffer locking off the
   // rank-lock critical section) ---
-  /// Queues an instant event under ctx.mu; emitted by PublishQueuedTrace.
+  /// Queues `e` under ctx.mu; emitted by PublishQueuedTrace.
+  static void QueueEvent(RankCtx& ctx, const util::trace::Event& e) {
+    CKPT_ASSERT_HELD(ctx.mu);
+    ctx.pending_trace.push_back(e);
+  }
+  /// Queues an instant event (util::trace::MakeInstant).
   static void QueueInstant(RankCtx& ctx, util::trace::Kind kind,
                            const char* name, int tier = -1, Version v = 0,
                            std::uint64_t bytes = 0, double a = 0.0,
-                           double b = 0.0);
+                           double b = 0.0) {
+    if (!util::trace::enabled()) return;
+    QueueEvent(ctx, util::trace::MakeInstant(kind, name, ctx.rank, tier, v,
+                                             bytes, a, b));
+  }
   /// Queues a span that began at `begin_ns` and ends now.
   static void QueueSpanSince(RankCtx& ctx, util::trace::Kind kind,
                              const char* name, std::int64_t begin_ns,
                              int tier = -1, Version v = 0,
                              std::uint64_t bytes = 0, double a = 0.0,
-                             double b = 0.0);
+                             double b = 0.0) {
+    if (!util::trace::enabled()) return;
+    QueueEvent(ctx, util::trace::MakeSpanSince(kind, name, begin_ns, ctx.rank,
+                                               tier, v, bytes, a, b));
+  }
+  /// Queues a flow event (ph "s"/"t"/"f" keyed by `flow_id`) on the
+  /// object's causal chain. No-op unless tracing is on and `flow_id` is
+  /// nonzero (imported records carry none).
+  static void QueueFlow(RankCtx& ctx, util::trace::Kind kind,
+                        const char* name, std::uint64_t flow_id,
+                        util::trace::FlowPhase phase, int tier = -1,
+                        Version v = 0, std::uint64_t bytes = 0) {
+    if (!util::trace::enabled() || flow_id == 0) return;
+    QueueEvent(ctx, util::trace::MakeFlow(kind, name, flow_id, phase, ctx.rank,
+                                          tier, v, bytes));
+  }
   /// Emits and clears ctx.pending_trace. Call WITHOUT ctx.mu held (briefly
   /// re-acquires it to swap the queue out). Events land on the calling
   /// thread's track; the sink orders tracks by timestamp, so a worker
@@ -669,27 +622,34 @@ class Engine final : public Runtime {
     RankCtx& ctx_;
   };
   // --- Lineage helpers (DESIGN.md §14); all require ctx.mu held ---
-  /// Queues a flow event (ph "s"/"t"/"f" keyed by `flow_id`) on the
-  /// object's causal chain. No-op unless tracing is on and `flow_id` is
-  /// nonzero (imported records carry none).
-  static void QueueFlow(RankCtx& ctx, util::trace::Kind kind,
-                        const char* name, std::uint64_t flow_id,
-                        util::trace::FlowPhase phase, int tier = -1,
-                        Version v = 0, std::uint64_t bytes = 0);
-  /// Records `rec`'s admission into the lineage ledger: counters, metrics,
-  /// and the flow-start event. Checkpoint() admission only.
+  /// Terminal disposition of one admitted checkpoint object. Every object
+  /// admitted by Checkpoint() ends in exactly one of these (the
+  /// conservation invariant the lineage auditor checks).
+  enum class LineageOutcome : std::uint8_t {
+    kDurable = 0,  ///< reached the configured terminal tier
+    kDegraded,     ///< durable at a shallower tier (terminal tier failed)
+    kLost,         ///< entered FLUSH_FAILED with no surviving copy
+    kErased,       ///< record dropped before a durability outcome (admit
+                   ///< rollback, condition-(5) discard, shutdown abort)
+  };
+  /// Records `rec`'s admission into the lineage ledger: the admitted
+  /// counter and the flow-start event. Checkpoint() admission only.
   void LineageAdmit(RankCtx& ctx, Record& rec);
-  /// Records `rec`'s terminal outcome exactly once: outcome counters and
-  /// metrics, the journal entry, and the terminating flow event
-  /// (`flow_name`, ph "f"). Later calls for the same record are no-ops, so
-  /// every terminal/erase site may call it unconditionally — the first
-  /// disposition wins, which is what conservation needs.
+  /// Records `rec`'s terminal outcome exactly once: its outcome counter and
+  /// the terminating flow event (`flow_name`, ph "f"). Later calls for the
+  /// same record are no-ops, so every terminal/erase site may call it
+  /// unconditionally — the first disposition wins, which is what
+  /// conservation needs.
   void LineageTerminal(RankCtx& ctx, Record& rec, LineageOutcome outcome,
                        const char* flow_name, int tier = -1);
-  /// Charges the put -> durable-ack lag of `rec` for durable ordinal `d`:
-  /// the metrics histogram and probe lag cells at the tier's stack index,
-  /// plus the per-tier ack flow step. First ack stamps first_durable_*.
+  /// Charges the put -> durable-ack lag of `rec` for durable ordinal `d` to
+  /// the lag cells at the tier's stack index, plus the per-tier ack flow
+  /// step. The first ack sets first_durable_tier.
   void LineageDurableAck(RankCtx& ctx, Record& rec, std::size_t d);
+  /// Plain-value copy of one tier's lag cells (relaxed loads; exact and
+  /// mutually consistent under ctx.mu, which every bump holds).
+  [[nodiscard]] static util::telemetry::LagHistogram LoadLag(
+      const TierCells& cells);
 
   /// Drops the victims' residencies on `tier`. Requires EvictableNow.
   util::Status EvictVictims(RankCtx& ctx, TierIndex tier,

@@ -17,24 +17,16 @@ void RankMetrics::Merge(const RankMetrics& other) {
   merge_per_tier(flush_bytes_to_tier, other.flush_bytes_to_tier);
   merge_per_tier(evictions_from_tier, other.evictions_from_tier);
   merge_per_tier(evicted_bytes_from_tier, other.evicted_bytes_from_tier);
-  ckpt_block_hist.Merge(other.ckpt_block_hist);
-  restore_block_hist.Merge(other.restore_block_hist);
   promotion_hist.Merge(other.promotion_hist);
   reserve_round_hist.Merge(other.reserve_round_hist);
   // Same size-reconciliation rule as the counter vectors: grow to the
   // larger stack before accumulating.
-  if (flush_stage_hist.size() < other.flush_stage_hist.size()) {
-    flush_stage_hist.resize(other.flush_stage_hist.size());
-  }
-  for (std::size_t i = 0; i < other.flush_stage_hist.size(); ++i) {
-    flush_stage_hist[i].Merge(other.flush_stage_hist[i]);
-  }
-  if (durable_lag_hist.size() < other.durable_lag_hist.size()) {
-    durable_lag_hist.resize(other.durable_lag_hist.size());
-  }
-  for (std::size_t i = 0; i < other.durable_lag_hist.size(); ++i) {
-    durable_lag_hist[i].Merge(other.durable_lag_hist[i]);
-  }
+  const auto merge_each = [](auto& into, const auto& from) {
+    if (into.size() < from.size()) into.resize(from.size());
+    for (std::size_t i = 0; i < from.size(); ++i) into[i].Merge(from[i]);
+  };
+  merge_each(flush_stage_hist, other.flush_stage_hist);
+  merge_each(durability_lag, other.durability_lag);
   objects_admitted += other.objects_admitted;
   objects_durable += other.objects_durable;
   objects_degraded += other.objects_degraded;

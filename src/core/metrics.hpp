@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/stats.hpp"
+#include "util/telemetry.hpp"
 
 namespace ckpt::core {
 
@@ -85,8 +86,6 @@ struct RankMetrics {
   // Per-stage latency distributions (seconds), log-bucketed. The scalar
   // accumulators above give totals; these show the shape — a bimodal flush
   // stage (fast overlap vs. backlog stall) is invisible in a sum.
-  util::LogHistogram ckpt_block_hist;
-  util::LogHistogram restore_block_hist;
   util::LogHistogram promotion_hist;      // prefetch promotion copy time
   util::LogHistogram reserve_round_hist;  // one eviction plan/commit round
   // Stage copy latency per cache tier, indexed by TierStack position
@@ -100,11 +99,12 @@ struct RankMetrics {
   std::uint64_t objects_degraded = 0;   // durable short of the terminal tier
   std::uint64_t objects_lost = 0;       // entered FLUSH_FAILED with no copy
   std::uint64_t objects_erased = 0;     // record erased before any outcome
-  // Durability lag (seconds, put -> per-tier durable ack), indexed by
-  // TierStack position; cache positions stay empty. Never-durable objects
+  // Durability lag (put -> per-tier durable ack), indexed by TierStack
+  // position: the engine's fixed-edge lag cells, copied by
+  // MetricsSnapshot(); cache positions stay empty. Never-durable objects
   // (lost/erased) charge nothing — the family measures ack latency, not
   // failure rate (those have their own counters above).
-  std::vector<util::LogHistogram> durable_lag_hist;
+  std::vector<util::telemetry::LagHistogram> durability_lag;
 
   // Engine init cost (slow pinned host-cache allocation, §5.4.2).
   double init_s = 0.0;

@@ -545,14 +545,14 @@ std::string OpenMetricsText(const TelemetrySample& s,
           "# TYPE ckpt_durability_lag_seconds histogram\n");
   for (const RankSample& rs : s.ranks) {
     for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
-      const TierSample& t = rs.tiers[i];
-      if (t.lag_buckets.empty()) continue;  // cache tier
+      const util::telemetry::LagHistogram& lag = rs.tiers[i].lag;
+      if (lag.buckets.empty()) continue;  // cache tier
       const std::string labels = TierRankLabel(tier_names, i, rs);
       std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < t.lag_buckets.size(); ++b) {
-        cum += t.lag_buckets[b];
+      for (std::size_t b = 0; b < lag.buckets.size(); ++b) {
+        cum += lag.buckets[b];
         std::string le;
-        if (b + 1 == t.lag_buckets.size()) {
+        if (b + 1 == lag.buckets.size()) {
           le = "+Inf";
         } else {
           char buf[32];
@@ -564,8 +564,8 @@ std::string OpenMetricsText(const TelemetrySample& s,
                     labels + ",le=\"" + le + "\"", cum);
       }
       x.SampleF64("ckpt_durability_lag_seconds_sum", labels,
-                  static_cast<double>(t.lag_sum_ns) / 1e9);
-      x.SampleU64("ckpt_durability_lag_seconds_count", labels, t.lag_count);
+                  static_cast<double>(lag.sum_ns) / 1e9);
+      x.SampleU64("ckpt_durability_lag_seconds_count", labels, lag.count);
     }
   }
   out += "# EOF\n";

@@ -104,9 +104,9 @@ void AppendSeriesJson(std::string& out, const char* key,
   out += "}";
 }
 
-void AppendHistJson(std::string& out, const char* key,
-                    const util::LogHistogram& h) {
-  AppendF(out, "\"%s\":{\"total\":%" PRIu64 ",", key,
+/// Renders `h` as a JSON object (no key).
+void AppendHistBody(std::string& out, const util::LogHistogram& h) {
+  AppendF(out, "{\"total\":%" PRIu64 ",",
           static_cast<std::uint64_t>(h.total()));
   out += "\"min\":";
   AppendNum(out, h.min());
@@ -132,16 +132,37 @@ void AppendHistJson(std::string& out, const char* key,
   out += "]}";
 }
 
+void AppendHistJson(std::string& out, const char* key,
+                    const util::LogHistogram& h) {
+  AppendF(out, "\"%s\":", key);
+  AppendHistBody(out, h);
+}
+
+/// Renders one tier's durability-lag histogram as a JSON object: sample
+/// count, mean and percentiles taken at bucket upper edges.
+void AppendLagBody(std::string& out, const util::telemetry::LagHistogram& h) {
+  AppendF(out, "{\"total\":%" PRIu64 ",\"mean\":", h.count);
+  AppendNum(out, h.mean_s());
+  out += ",\"p50\":";
+  AppendNum(out, h.Percentile(50));
+  out += ",\"p95\":";
+  AppendNum(out, h.Percentile(95));
+  out += "}";
+}
+
+std::string TierLabel(const std::vector<std::string>& tier_names,
+                      std::size_t i) {
+  return i < tier_names.size() ? tier_names[i] : "tier" + std::to_string(i);
+}
+
 void AppendTierVector(std::string& out, const char* key,
                       const std::vector<std::uint64_t>& v,
                       const std::vector<std::string>& tier_names) {
   AppendF(out, "\"%s\":{", key);
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) out += ",";
-    const std::string label = i < tier_names.size()
-                                  ? tier_names[i]
-                                  : "tier" + std::to_string(i);
-    out += "\"" + util::json::Escape(label) + "\":" + std::to_string(v[i]);
+    out += "\"" + util::json::Escape(TierLabel(tier_names, i)) +
+           "\":" + std::to_string(v[i]);
   }
   out += "}";
 }
@@ -305,26 +326,14 @@ std::string MetricsJson(const RankMetrics& m,
   out += ",\"init_s\":";
   AppendNum(out, m.init_s);
   out += ",";
-  AppendHistJson(out, "ckpt_block_hist", m.ckpt_block_hist);
-  out += ",";
-  AppendHistJson(out, "restore_block_hist", m.restore_block_hist);
-  out += ",";
   AppendHistJson(out, "promotion_hist", m.promotion_hist);
   out += ",";
   AppendHistJson(out, "reserve_round_hist", m.reserve_round_hist);
   out += ",\"flush_stage_hist\":{";
   for (std::size_t i = 0; i < m.flush_stage_hist.size(); ++i) {
     if (i) out += ",";
-    const std::string label = i < tier_names.size()
-                                  ? tier_names[i]
-                                  : "tier" + std::to_string(i);
-    const std::string key = "\"" + util::json::Escape(label) + "\":";
-    out += key;
-    // Reuse the histogram renderer body by emitting with a dummy key into a
-    // scratch string, then stripping the key prefix.
-    std::string scratch;
-    AppendHistJson(scratch, "h", m.flush_stage_hist[i]);
-    out += scratch.substr(scratch.find(':') + 1);
+    out += "\"" + util::json::Escape(TierLabel(tier_names, i)) + "\":";
+    AppendHistBody(out, m.flush_stage_hist[i]);
   }
   out += "}";
   // Lineage accounting (DESIGN.md §14).
@@ -336,17 +345,12 @@ std::string MetricsJson(const RankMetrics& m,
           m.objects_lost, m.objects_erased);
   out += ",\"durability_lag_s\":{";
   bool first_tier = true;
-  for (std::size_t i = 0; i < m.durable_lag_hist.size(); ++i) {
-    if (m.durable_lag_hist[i].total() == 0) continue;
+  for (std::size_t i = 0; i < m.durability_lag.size(); ++i) {
+    if (m.durability_lag[i].count == 0) continue;
     if (!first_tier) out += ",";
     first_tier = false;
-    const std::string label = i < tier_names.size()
-                                  ? tier_names[i]
-                                  : "tier" + std::to_string(i);
-    out += "\"" + util::json::Escape(label) + "\":";
-    std::string scratch;
-    AppendHistJson(scratch, "h", m.durable_lag_hist[i]);
-    out += scratch.substr(scratch.find(':') + 1);
+    out += "\"" + util::json::Escape(TierLabel(tier_names, i)) + "\":";
+    AppendLagBody(out, m.durability_lag[i]);
   }
   out += "}";
   out += ",\"restore_series\":[";

@@ -79,14 +79,14 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
       opts.uvm.device_cache_bytes = cfg.gpu_cache_bytes;
       opts.discard_after_restore = cfg.discard_after_restore;
       opts.use_hints = cfg.shot.hint_mode != rtm::HintMode::kNone;
-      runtime = std::make_unique<uvm::UvmRuntime>(cluster, *ssd, *pfs, opts,
+      runtime = std::make_unique<uvm::UvmRuntime>(cluster, *ssd, opts,
                                                   cfg.num_ranks);
       break;
     }
     case Approach::kAdios: {
       adios::AdiosOptions opts;
       opts.host_buffer_bytes = cfg.host_cache_bytes * 2;  // BP5 pools are roomy
-      runtime = std::make_unique<adios::AdiosRuntime>(cluster, *ssd, *pfs, opts,
+      runtime = std::make_unique<adios::AdiosRuntime>(cluster, *ssd, opts,
                                                       cfg.num_ranks);
       break;
     }

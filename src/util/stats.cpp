@@ -54,42 +54,6 @@ double SampleSeries::Max() const {
   return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram requires hi > lo and buckets > 0");
-  }
-}
-
-void Histogram::Add(double x) noexcept {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    std::snprintf(line, sizeof(line), "[%12.3f .. %12.3f): %llu\n", bucket_lo(i),
-                  bucket_lo(i) + width_, static_cast<unsigned long long>(counts_[i]));
-    out += line;
-  }
-  return out;
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t buckets_per_decade)
     : lo_(lo), log_lo_(std::log10(lo)), buckets_per_decade_(buckets_per_decade) {
   if (lo <= 0 || hi <= lo || buckets_per_decade == 0) {

@@ -72,27 +72,6 @@ class SampleSeries {
   std::vector<double> samples_;
 };
 
-/// Fixed-width linear histogram over [lo, hi); out-of-range values clamp to
-/// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x) noexcept;
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t num_buckets() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-
-  /// Render "lo..hi: count" lines, for debugging/bench output.
-  [[nodiscard]] std::string ToString() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Log-bucketed histogram for latency distributions: buckets are uniform in
 /// log10(x) with `buckets_per_decade` buckets per decade over [lo, hi).
 /// Values below lo (including non-positive) land in the first bucket,

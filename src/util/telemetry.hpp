@@ -28,8 +28,10 @@
 //   CKPT_TELEMETRY_STRICT     1|on: a watchdog trip fails the run
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +50,37 @@ inline constexpr double kDurabilityLagEdgesS[] = {
 inline constexpr std::size_t kDurabilityLagBuckets =
     sizeof(kDurabilityLagEdgesS) / sizeof(double) + 1;
 
+/// Bucket of a `lag_s` sample: the first whose upper edge covers it (the
+/// `le` convention), else the trailing +Inf bucket.
+[[nodiscard]] inline std::size_t LagBucketOf(double lag_s) noexcept {
+  return static_cast<std::size_t>(
+      std::lower_bound(std::begin(kDurabilityLagEdgesS),
+                       std::end(kDurabilityLagEdgesS), lag_s) -
+      std::begin(kDurabilityLagEdgesS));
+}
+
+/// Plain-value reading of one tier's durability-lag histogram (the engine's
+/// lag cells, DESIGN.md §14): per-bucket (non-cumulative) counts over
+/// kDurabilityLagEdgesS plus the +Inf bucket, with the classic count and
+/// sum. `buckets` is empty for tiers that record no lag (cache tiers).
+struct LagHistogram {
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  std::uint64_t sum_ns = 0;
+
+  /// Adds `other`'s counts; an empty side takes the other's bucket shape.
+  void Merge(const LagHistogram& other);
+  /// Upper edge (seconds) of the bucket holding the p-th percentile sample,
+  /// p in [0, 100]. A sample in the +Inf bucket reports the last finite
+  /// edge, a lower bound. 0 when empty.
+  [[nodiscard]] double Percentile(double p) const noexcept;
+  [[nodiscard]] double mean_s() const noexcept {
+    return count ? static_cast<double>(sum_ns) / 1e9 /
+                       static_cast<double>(count)
+                 : 0.0;
+  }
+};
+
 /// Per-tier gauges/counters inside one rank's sample. For cache tiers all
 /// fields are live; durable tiers report only the flush byte counter.
 struct TierSample {
@@ -57,12 +90,8 @@ struct TierSample {
   std::uint64_t flush_bytes = 0;      ///< cumulative bytes landed (counter)
   std::uint64_t restores = 0;         ///< cumulative restores served (counter)
   double flush_Bps = 0.0;             ///< derived from the previous sample
-  /// Durability-lag histogram cells of a durable tier (DESIGN.md §14):
-  /// per-bucket (non-cumulative) counts over kDurabilityLagEdgesS plus the
-  /// +Inf bucket, with the classic _count and _sum. Empty for cache tiers.
-  std::vector<std::uint64_t> lag_buckets;
-  std::uint64_t lag_count = 0;
-  std::uint64_t lag_sum_ns = 0;
+  /// Durability-lag histogram of a durable tier; empty for cache tiers.
+  LagHistogram lag;
 };
 
 /// One rank's slice of a sample. Counter fields are cumulative since engine

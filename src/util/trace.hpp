@@ -132,14 +132,15 @@ namespace detail {
 void EmitEvent(const Event& e);
 }  // namespace detail
 
-/// Records an instant event (Chrome `ph:"i"`).
-inline void Instant(Kind kind, const char* name, int rank, int tier = -1,
-                    std::uint64_t version = 0, std::uint64_t bytes = 0,
-                    double a = 0.0, double b = 0.0) {
-  if (!enabled()) return;
+/// Builds an instant event (Chrome `ph:"i"`) stamped now. The Make*
+/// builders are the one construction of each event shape, shared by the
+/// emitters below and by callers that queue events for later emission.
+[[nodiscard]] inline Event MakeInstant(Kind kind, const char* name, int rank,
+                                       int tier = -1, std::uint64_t version = 0,
+                                       std::uint64_t bytes = 0, double a = 0.0,
+                                       double b = 0.0) noexcept {
   Event e;
   e.ts_ns = Now();
-  e.dur_ns = -1;
   e.name = name;
   e.kind = kind;
   e.rank = static_cast<std::int16_t>(rank);
@@ -148,7 +149,42 @@ inline void Instant(Kind kind, const char* name, int rank, int tier = -1,
   e.bytes = bytes;
   e.a = a;
   e.b = b;
-  detail::EmitEvent(e);
+  return e;
+}
+
+/// Builds a complete span (Chrome `ph:"X"`) that began at `begin_ns` (a
+/// prior Now() reading) and ends now.
+[[nodiscard]] inline Event MakeSpanSince(Kind kind, const char* name,
+                                         std::int64_t begin_ns, int rank,
+                                         int tier = -1,
+                                         std::uint64_t version = 0,
+                                         std::uint64_t bytes = 0,
+                                         double a = 0.0,
+                                         double b = 0.0) noexcept {
+  Event e = MakeInstant(kind, name, rank, tier, version, bytes, a, b);
+  e.dur_ns = e.ts_ns > begin_ns ? e.ts_ns - begin_ns : 0;
+  e.ts_ns = begin_ns;
+  return e;
+}
+
+/// Builds a causal-flow event (Chrome ph "s"/"t"/"f" keyed by `flow_id`).
+[[nodiscard]] inline Event MakeFlow(Kind kind, const char* name,
+                                    std::uint64_t flow_id, FlowPhase phase,
+                                    int rank, int tier = -1,
+                                    std::uint64_t version = 0,
+                                    std::uint64_t bytes = 0) noexcept {
+  Event e = MakeInstant(kind, name, rank, tier, version, bytes);
+  e.flow = phase;
+  e.flow_id = flow_id;
+  return e;
+}
+
+/// Records an instant event (Chrome `ph:"i"`).
+inline void Instant(Kind kind, const char* name, int rank, int tier = -1,
+                    std::uint64_t version = 0, std::uint64_t bytes = 0,
+                    double a = 0.0, double b = 0.0) {
+  if (!enabled()) return;
+  detail::EmitEvent(MakeInstant(kind, name, rank, tier, version, bytes, a, b));
 }
 
 /// Records a complete span (Chrome `ph:"X"`) that began at `begin_ns`
@@ -157,19 +193,8 @@ inline void SpanSince(Kind kind, const char* name, std::int64_t begin_ns,
                       int rank, int tier = -1, std::uint64_t version = 0,
                       std::uint64_t bytes = 0, double a = 0.0, double b = 0.0) {
   if (!enabled()) return;
-  Event e;
-  e.ts_ns = begin_ns;
-  e.dur_ns = Now() - begin_ns;
-  if (e.dur_ns < 0) e.dur_ns = 0;
-  e.name = name;
-  e.kind = kind;
-  e.rank = static_cast<std::int16_t>(rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = version;
-  e.bytes = bytes;
-  e.a = a;
-  e.b = b;
-  detail::EmitEvent(e);
+  detail::EmitEvent(
+      MakeSpanSince(kind, name, begin_ns, rank, tier, version, bytes, a, b));
 }
 
 /// Records a causal-flow event (Chrome ph "s"/"t"/"f" keyed by `flow_id`).
@@ -178,18 +203,8 @@ inline void Flow(Kind kind, const char* name, std::uint64_t flow_id,
                  FlowPhase phase, int rank, int tier = -1,
                  std::uint64_t version = 0, std::uint64_t bytes = 0) {
   if (!enabled() || flow_id == 0 || phase == FlowPhase::kNone) return;
-  Event e;
-  e.ts_ns = Now();
-  e.dur_ns = -1;
-  e.name = name;
-  e.kind = kind;
-  e.flow = phase;
-  e.rank = static_cast<std::int16_t>(rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = version;
-  e.bytes = bytes;
-  e.flow_id = flow_id;
-  detail::EmitEvent(e);
+  detail::EmitEvent(
+      MakeFlow(kind, name, flow_id, phase, rank, tier, version, bytes));
 }
 
 /// RAII span: captures the begin time at construction, emits on destruction.

@@ -22,7 +22,7 @@ class AdiosRuntimeTest : public ::testing::Test {
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     ssd_ = std::make_shared<storage::MemStore>();
     runtime_ =
-        std::make_unique<AdiosRuntime>(*cluster_, ssd_, nullptr, opts, ranks);
+        std::make_unique<AdiosRuntime>(*cluster_, ssd_, opts, ranks);
   }
 
   AdiosOptions Small() {
@@ -115,7 +115,7 @@ TEST_F(AdiosRuntimeTest, RecoverSizeAndRestartFromStore) {
   WriteCkpt(0, 3);
   ASSERT_TRUE(runtime_->WaitForFlushes(0).ok());
   EXPECT_EQ(*runtime_->RecoverSize(0, 3), kCkptSize);
-  runtime_ = std::make_unique<AdiosRuntime>(*cluster_, ssd_, nullptr, Small(), 1);
+  runtime_ = std::make_unique<AdiosRuntime>(*cluster_, ssd_, Small(), 1);
   EXPECT_EQ(*runtime_->RecoverSize(0, 3), kCkptSize);
   RestoreAndVerify(0, 3);
   EXPECT_EQ(runtime_->metrics(0).restores_from_tier.at(core::Tier::kSsd), 1u);

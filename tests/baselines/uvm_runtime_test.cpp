@@ -21,7 +21,7 @@ class UvmRuntimeTest : public ::testing::Test {
     runtime_.reset();
     cluster_ = std::make_unique<sim::Cluster>(sim::TopologyConfig::Testing());
     ssd_ = std::make_shared<storage::MemStore>();
-    runtime_ = std::make_unique<UvmRuntime>(*cluster_, ssd_, nullptr, opts, ranks);
+    runtime_ = std::make_unique<UvmRuntime>(*cluster_, ssd_, opts, ranks);
   }
 
   UvmRuntimeOptions Small() {
@@ -118,7 +118,7 @@ TEST_F(UvmRuntimeTest, RestartFromStoreAfterRebuild) {
   Build(Small());
   WriteCkpt(0, 0);
   ASSERT_TRUE(runtime_->WaitForFlushes(0).ok());
-  runtime_ = std::make_unique<UvmRuntime>(*cluster_, ssd_, nullptr, Small(), 1);
+  runtime_ = std::make_unique<UvmRuntime>(*cluster_, ssd_, Small(), 1);
   RestoreAndVerify(0, 0);
   EXPECT_GT(runtime_->metrics(0).bytes_restored, 0u);
 }

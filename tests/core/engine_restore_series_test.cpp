@@ -104,8 +104,8 @@ TEST_F(RestoreSeriesTest, GpuHitRestoresRecordPrefetchDistance) {
   EXPECT_EQ(m.restore_series[1].version, 1u);
   EXPECT_EQ(m.restore_series[1].prefetch_distance, 1u);
   EXPECT_GT(m.restore_series[1].blocking_s, 0.0);
-  // The blocking time also lands in the latency histogram.
-  EXPECT_EQ(m.restore_block_hist.total(), 2u);
+  // The blocking time also lands in the restore blocking series.
+  EXPECT_EQ(m.restore_block_s.size(), 2u);
 }
 
 TEST_F(RestoreSeriesTest, WaitedPromotionRestoreIsRecorded) {

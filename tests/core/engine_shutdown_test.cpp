@@ -36,11 +36,14 @@ void WriteOne(sim::Cluster& cluster, Engine& engine, sim::Rank rank, Version v,
 }
 
 // Shutdown() abandons queued flush work but accounts for all of it: every
-// admitted object reached a lineage terminal and no queue depth stays
-// counted.
+// admitted object reached a lineage terminal (admitted == durable +
+// degraded + lost + erased) and no queue depth stays counted.
 void ExpectNothingInFlight(const Engine& engine) {
   for (sim::Rank r = 0; r < engine.num_ranks(); ++r) {
-    EXPECT_EQ(engine.Lineage(r).inflight(), 0u) << "rank " << r;
+    const RankMetrics m = engine.MetricsSnapshot(r);
+    EXPECT_EQ(m.objects_admitted, m.objects_durable + m.objects_degraded +
+                                      m.objects_lost + m.objects_erased)
+        << "rank " << r;
     const auto probe = engine.Probe(r);
     for (std::size_t t = 0; t < probe.tiers.size(); ++t) {
       EXPECT_EQ(probe.tiers[t].flush_queue_depth, 0u)
@@ -91,10 +94,10 @@ TEST(EngineShutdownTest, HandOffRefusedByAClosedQueueEndsTheObject) {
   ASSERT_LT(d2h.admitted_bytes(), kBig) << "the copy finished before Shutdown";
   engine.Shutdown();
   ExpectNothingInFlight(engine);
-  const Engine::LineageSnapshot ls = engine.Lineage(0);
-  EXPECT_EQ(ls.admitted, 1u);
-  EXPECT_EQ(ls.erased, 1u);
-  EXPECT_EQ(engine.MetricsSnapshot(0).flushes_cancelled, 1u);
+  const RankMetrics m = engine.MetricsSnapshot(0);
+  EXPECT_EQ(m.objects_admitted, 1u);
+  EXPECT_EQ(m.objects_erased, 1u);
+  EXPECT_EQ(m.flushes_cancelled, 1u);
 }
 
 TEST(EngineShutdownTest, ImmediateShutdownAfterConstruction) {

@@ -2,8 +2,8 @@
 // (every admitted object terminates in exactly one of durable / degraded /
 // lost / erased) under quiet and concurrent-storm conditions, durability-lag
 // accounting (and its exclusion of never-durable objects), flow-event
-// emission and validation, the lineage journal, and the lineage families
-// every engine exposes.
+// emission and validation, and the lineage families every engine exposes,
+// whose durability-lag counts agree between the metrics JSON and the scrape.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "rtm/workload.hpp"
 #include "storage/faulty_store.hpp"
 #include "storage/mem_store.hpp"
+#include "util/json.hpp"
 #include "util/trace.hpp"
 
 namespace ckpt::core {
@@ -86,7 +87,7 @@ class LineageTest : public ::testing::Test {
 
   static std::uint64_t LagTotal(const RankMetrics& m) {
     std::uint64_t n = 0;
-    for (const auto& h : m.durable_lag_hist) n += h.total();
+    for (const auto& h : m.durability_lag) n += h.count;
     return n;
   }
 
@@ -162,20 +163,6 @@ TEST_F(LineageTest, ConservationHoldsUnderConcurrentCkptRestoreStorm) {
     // least every durable object, never more than one per terminated one.
     EXPECT_GE(LagTotal(m), m.objects_durable) << "rank " << rank;
     EXPECT_LE(LagTotal(m), Terminated(m)) << "rank " << rank;
-    const Engine::LineageSnapshot ls = engine_->Lineage(rank);
-    EXPECT_EQ(ls.admitted, m.objects_admitted);
-    EXPECT_EQ(ls.terminated(), Terminated(m));
-    EXPECT_EQ(ls.inflight(), 0u);
-    EXPECT_EQ(ls.journal_total, Terminated(m));
-    for (const auto& e : ls.journal) {
-      EXPECT_NE(e.flow_id, 0u);
-      EXPECT_GT(e.admit_ns, 0);
-      EXPECT_GE(e.terminal_ns, e.admit_ns);
-      if (e.outcome == Engine::LineageOutcome::kDurable) {
-        EXPECT_GE(e.durable_ns, e.admit_ns);
-        EXPECT_GE(e.durable_tier, 0);
-      }
-    }
   }
 }
 
@@ -197,15 +184,7 @@ TEST_F(LineageTest, FailedDurablePutsDegradeAndSkipLagHistogram) {
   EXPECT_EQ(m.objects_degraded, kN);
   EXPECT_EQ(m.objects_durable, 0u);
   EXPECT_EQ(Terminated(m), m.objects_admitted);
-  EXPECT_EQ(LagTotal(m), 0u);
-
-  const Engine::LineageSnapshot ls = engine_->Lineage(0);
-  EXPECT_EQ(ls.degraded, kN);
-  for (const auto& e : ls.journal) {
-    EXPECT_EQ(e.outcome, Engine::LineageOutcome::kDegraded);
-    EXPECT_EQ(e.durable_ns, 0);  // never durable-acked
-    EXPECT_EQ(e.durable_tier, -1);
-  }
+  EXPECT_EQ(LagTotal(m), 0u);  // never durable-acked
 }
 
 TEST_F(LineageTest, RecoveredBackendRecordsLagOnlyForDurableObjects) {
@@ -308,7 +287,7 @@ TEST(FlowValidationTest, DanglingFlowsAreCountedNotFatal) {
 
 TEST_F(LineageTest, DefaultOptionsTrackEveryObjectToDurable) {
   // Lineage has no switch: a default-constructed engine on the default
-  // stack keeps the ledger, the journal and the exposition families.
+  // stack keeps the ledger and the exposition families.
   constexpr int kRanks = 2;
   constexpr Version kN = 5;
   engine_.reset();
@@ -329,8 +308,7 @@ TEST_F(LineageTest, DefaultOptionsTrackEveryObjectToDurable) {
     const RankMetrics m = engine_->MetricsSnapshot(rank);
     EXPECT_EQ(m.objects_admitted, kN) << "rank " << rank;
     EXPECT_EQ(m.objects_durable, kN) << "rank " << rank;
-    EXPECT_EQ(engine_->Lineage(rank).journal_total, m.objects_admitted)
-        << "rank " << rank;
+    EXPECT_EQ(Terminated(m), m.objects_admitted) << "rank " << rank;
     const std::string rank_label = "rank=\"" + std::to_string(rank) + "\"";
     bool objects = false;
     bool lag = false;
@@ -379,6 +357,54 @@ TEST_F(LineageTest, LineageOnExposesObjectsAndDurabilityLagFamilies) {
   EXPECT_EQ(inflight, 0.0);
   // Cumulative histogram: the +Inf bucket equals the count.
   EXPECT_EQ(inf_bucket, lag_count);
+}
+
+TEST_F(LineageTest, MetricsJsonLagTotalsMatchScrapeCounts) {
+  // The metrics JSON and the scrape render the same lag cells: per durable
+  // tier, the merged `durability_lag_s.<tier>.total` equals the scrape's
+  // ckpt_durability_lag_seconds_count summed over ranks — and both stay 0
+  // when no object ever became durable.
+  constexpr int kRanks = 2;
+  constexpr Version kN = 4;
+  for (const bool down : {false, true}) {
+    SCOPED_TRACE(down ? "durable backend down" : "durable backend up");
+    Build(kRanks, /*faulty_durable=*/true);
+    faulty_->SetDown(down);
+    for (sim::Rank rank = 0; rank < kRanks; ++rank) {
+      for (Version v = 0; v < kN; ++v) WriteCkpt(rank, v);
+      ASSERT_TRUE(engine_->WaitForFlushes(rank).ok());
+    }
+    const auto json = util::json::Parse(MetricsSnapshotJson(*engine_));
+    ASSERT_TRUE(json.ok()) << json.status();
+    const util::json::Value* merged = json->Find("merged");
+    ASSERT_NE(merged, nullptr);
+    const util::json::Value* lag = merged->Find("durability_lag_s");
+    ASSERT_NE(lag, nullptr);
+    const TelemetryCheck scrape =
+        ValidateOpenMetrics(OpenMetricsText(*engine_));
+    ASSERT_TRUE(scrape.ok) << scrape.error;
+
+    const TierStack& stack = engine_->tiers();
+    double acks = 0;
+    for (std::size_t i = 0; i < stack.size(); ++i) {
+      if (!stack.is_durable(static_cast<TierIndex>(i))) continue;
+      const std::string tier(stack.name(i));
+      const util::json::Value* h = lag->Find(tier);  // absent: no samples
+      const double json_total =
+          h != nullptr ? h->Find("total")->as_number(-1) : 0.0;
+      double scrape_count = 0;
+      for (sim::Rank rank = 0; rank < kRanks; ++rank) {
+        const std::string key = "ckpt_durability_lag_seconds_count{tier=\"" +
+                                tier + "\",rank=\"" + std::to_string(rank) +
+                                "\"}";
+        ASSERT_TRUE(scrape.values.count(key)) << key;
+        scrape_count += scrape.values.at(key);
+      }
+      EXPECT_EQ(json_total, scrape_count) << "tier " << tier;
+      acks += json_total;
+    }
+    EXPECT_EQ(acks, down ? 0.0 : static_cast<double>(kRanks * kN));
+  }
 }
 
 // --- OpenMetrics histogram validation (pure format) -----------------------

@@ -157,9 +157,10 @@ TEST_F(TraceIntegrationTest, HarnessEmbedsParseableMetricsSnapshot) {
   const util::json::Value& point = series->as_array().front();
   EXPECT_NE(point.Find("prefetch_distance"), nullptr);
   EXPECT_NE(point.Find("blocking_s"), nullptr);
-  // Per-stage latency histograms keyed by tier name.
+  // Per-stage latency histograms keyed by tier name, and the checkpoint
+  // blocking series.
   EXPECT_NE(merged->Find("flush_stage_hist"), nullptr);
-  EXPECT_NE(merged->Find("ckpt_block_hist"), nullptr);
+  EXPECT_NE(merged->Find("ckpt_block_s"), nullptr);
 }
 
 TEST_F(TraceIntegrationTest, ValidatorRejectsMalformedTraces) {

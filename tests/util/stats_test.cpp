@@ -79,26 +79,6 @@ TEST(SampleSeriesTest, AggregatesAndEmpty) {
   EXPECT_DOUBLE_EQ(s.Max(), 3.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);   // clamps to bucket 0
-  h.Add(0.5);    // bucket 0
-  h.Add(3.0);    // bucket 1
-  h.Add(9.99);   // bucket 4
-  h.Add(100.0);  // clamps to bucket 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_FALSE(h.ToString().empty());
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0, 0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0, 10, 0), std::invalid_argument);
-}
-
 TEST(FormatTest, RatesAndBytes) {
   EXPECT_EQ(FormatRate(25e9), "25.00 GB/s");
   EXPECT_EQ(FormatRate(512), "512.00 B/s");

@@ -63,7 +63,7 @@ def summarize_run_report(report):
                 "reserve_plans_stale": _agg(ranks, "reserve_plans_stale"),
             }
         # Lineage ledger (PR 10): conservation counters plus per-durable-tier
-        # durability-lag percentiles (put -> first durable ack, seconds).
+        # durability-lag percentiles (put -> that tier's ack, seconds).
         merged = row.get("metrics", {}).get("merged", {})
         lineage = merged.get("lineage")
         if lineage:
@@ -75,7 +75,6 @@ def summarize_run_report(report):
                         "total": h.get("total"),
                         "p50": h.get("p50"),
                         "p95": h.get("p95"),
-                        "max": h.get("max"),
                     }
                     for tier, h in lag.items()
                 }
