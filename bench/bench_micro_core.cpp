@@ -124,7 +124,7 @@ BENCHMARK(BM_MpmcQueuePushPop);
 /// Rank hot path end to end: checkpoint + immediate restore against a deep
 /// 4-cache-tier stack, so every round trip crosses the reserve/evict path
 /// (the cache holds only a handful of checkpoints). Tracks the per-op cost
-/// of the sharded-lock design; compare against BENCH_hotpath.json.
+/// of the sharded-lock design.
 void BM_EngineHotPath(benchmark::State& state) {
   constexpr std::uint64_t kSize = 64 << 10;
   auto stack = core::ParseTierStack(
@@ -156,8 +156,8 @@ BENCHMARK(BM_EngineHotPath)->UseRealTime();
 /// Reserve path with tenant quota admission armed: two tenants with
 /// asymmetric non-zero quotas (so every reservation pays the cross-rank
 /// TenantCacheUsed sum) churning one shared cache tier. Compare against
-/// BM_EngineHotPath in BENCH_hotpath.json — the quota check must stay in
-/// the noise.
+/// BM_EngineHotPath in the same run — the quota check must stay in the
+/// noise.
 void BM_MultiTenantReserve(benchmark::State& state) {
   constexpr std::uint64_t kSize = 64 << 10;
   auto stack = core::ParseTierStack(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/clock.hpp"
 #include "util/flow_id.hpp"
@@ -58,7 +59,7 @@ std::shared_ptr<AggregatingStore::Group> AggregatingStore::SealLocked(
   }
   util::trace::Flow(util::trace::Kind::kFlush, "agg:seal",
                     GroupFlowId(sealed->id), util::trace::FlowPhase::kStep,
-                    kGroupRank, /*tier=*/-1, sealed->id, sealed->buf.size());
+                    kGroupRank, /*tier=*/-1, sealed->id, sealed->used);
   staged_[sealed->id] = sealed;
   if (by_deadline) {
     ++stats_.agg_deadline_flushes;
@@ -77,8 +78,8 @@ util::Status AggregatingStore::UploadGroup(const std::shared_ptr<Group>& g) {
   }
   util::trace::Flow(util::trace::Kind::kFlush, "agg:upload",
                     GroupFlowId(g->id), util::trace::FlowPhase::kStep,
-                    kGroupRank, /*tier=*/-1, g->id, g->buf.size());
-  util::Status st = inner_->Put(GroupKey(g->id), g->buf.data(), g->buf.size());
+                    kGroupRank, /*tier=*/-1, g->id, g->used);
+  util::Status st = inner_->Put(GroupKey(g->id), g->buf.data(), g->used);
   bool erase_inner = false;
   {
     std::lock_guard lock(mu_);
@@ -93,7 +94,7 @@ util::Status AggregatingStore::UploadGroup(const std::shared_ptr<Group>& g) {
       } else {
         util::trace::Flow(util::trace::Kind::kFlush, "agg:reclaimed",
                           GroupFlowId(g->id), util::trace::FlowPhase::kEnd,
-                          kGroupRank, /*tier=*/-1, g->id, g->buf.size());
+                          kGroupRank, /*tier=*/-1, g->id, g->used);
       }
       return st;
     }
@@ -103,13 +104,13 @@ util::Status AggregatingStore::UploadGroup(const std::shared_ptr<Group>& g) {
       erase_inner = true;
       util::trace::Flow(util::trace::Kind::kFlush, "agg:reclaimed",
                         GroupFlowId(g->id), util::trace::FlowPhase::kEnd,
-                        kGroupRank, /*tier=*/-1, g->id, g->buf.size());
+                        kGroupRank, /*tier=*/-1, g->id, g->used);
     } else {
       staged_.erase(g->id);
       group_live_[g->id] = g->live_members;
       util::trace::Flow(util::trace::Kind::kFlush, "agg:landed",
                         GroupFlowId(g->id), util::trace::FlowPhase::kEnd,
-                        kGroupRank, /*tier=*/-1, g->id, g->buf.size());
+                        kGroupRank, /*tier=*/-1, g->id, g->used);
     }
   }
   if (erase_inner) {
@@ -166,20 +167,21 @@ void AggregatingStore::FlusherLoop(const std::stop_token& stop) {
     }
     lock.unlock();
     for (const auto& g : work) (void)UploadGroup(g);
+    work.clear();  // a landed group's buffer is unmapped off the lock
     lock.lock();
   }
 }
 
-void AggregatingStore::DropMemberLocked(const ObjectKey& key,
-                                        const MemberLoc& loc,
-                                        std::vector<ObjectKey>* reclaim) {
+std::shared_ptr<AggregatingStore::Group> AggregatingStore::DropMemberLocked(
+    const ObjectKey& key, const MemberLoc& loc,
+    std::vector<ObjectKey>* reclaim) {
   total_bytes_ -= loc.size;
   if (!loc.sealed) {
     // Tombstone in the open group: the bytes stay as dead space in the
     // buffer, only the index entry and the live count go.
     --pending_->live_members;
     index_.erase(key);
-    return;
+    return nullptr;
   }
   const std::uint64_t gid = loc.group_id;
   index_.erase(key);
@@ -193,8 +195,9 @@ void AggregatingStore::DropMemberLocked(const ObjectKey& key,
       util::trace::Instant(util::trace::Kind::kFlush, "agg:reclaim",
                            kGroupRank, /*tier=*/-1, gid);
     }
-    return;
+    return nullptr;
   }
+  std::shared_ptr<Group> emptied;
   if (auto it = staged_.find(gid); it != staged_.end()) {
     if (--it->second->live_members == 0) {
       if (it->second->uploading) {
@@ -205,29 +208,53 @@ void AggregatingStore::DropMemberLocked(const ObjectKey& key,
                           GroupFlowId(gid), util::trace::FlowPhase::kEnd,
                           kGroupRank, /*tier=*/-1, gid);
       }
+      emptied = std::move(it->second);
       staged_.erase(it);
     }
   }
+  return emptied;
 }
 
 util::Status AggregatingStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
                                    std::uint64_t size) {
   if (data == nullptr && size > 0) return util::InvalidArgument("Put: null data");
   std::shared_ptr<Group> sealed;
+  // Buffers this Put replaces; unmapped after the lock drops.
+  std::shared_ptr<Group> emptied;
+  PageBuffer outgrown;
   {
     std::lock_guard lock(mu_);
+    // Grow the open group first, so a failed mapping changes nothing. A
+    // group whose members were all erased restarts at offset 0, reclaiming
+    // its tombstone-only dead space.
+    const std::uint64_t used =
+        pending_->live_members == 0 ? 0 : pending_->used;
+    if (used + size > pending_->buf.size()) {
+      auto grown = PageBuffer::Allocate(
+          std::max(used + size, 2 * pending_->buf.size()));
+      if (!grown.ok()) return grown.status();
+      if (used > 0) {
+        std::memcpy(grown->data(), pending_->buf.data(),
+                    static_cast<std::size_t>(used));
+      }
+      outgrown = std::exchange(pending_->buf, std::move(*grown));
+    }
     if (auto it = index_.find(key); it != index_.end()) {
-      DropMemberLocked(key, it->second, nullptr);  // overwrite semantics
+      emptied = DropMemberLocked(key, it->second, nullptr);  // overwrite
     }
     if (pending_->live_members == 0) {
       pending_->opened_ns = util::NowNs();
-      pending_->buf.clear();  // reclaim tombstone-only dead space
+      pending_->used = 0;
     }
     MemberLoc loc;
     loc.group_id = pending_->id;
-    loc.offset = pending_->buf.size();
+    loc.offset = pending_->used;
     loc.size = size;
-    pending_->buf.insert(pending_->buf.end(), data, data + size);
+    if (size > 0) {
+      std::memcpy(pending_->buf.data() + loc.offset, data,
+                  static_cast<std::size_t>(size));
+    }
+    pending_->used += size;
     ++pending_->live_members;
     index_[key] = loc;
     total_bytes_ += size;
@@ -250,7 +277,7 @@ util::Status AggregatingStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
     const bool by_count = options_.group_members > 0 &&
                           pending_->live_members >= options_.group_members;
     const bool by_bytes = options_.group_bytes > 0 &&
-                          pending_->buf.size() >= options_.group_bytes;
+                          pending_->used >= options_.group_bytes;
     if (by_count || by_bytes) sealed = SealLocked(/*by_deadline=*/false);
   }
   // The member is acknowledged regardless: a failed group upload stays
@@ -280,8 +307,11 @@ util::Status AggregatingStore::GetRange(const ObjectKey& key,
       buffered = &sit->second;
     }
     if (buffered != nullptr) {
-      std::memcpy(dst, (*buffered)->buf.data() + loc.offset + offset,
-                  static_cast<std::size_t>(len));
+      // Copy under the lock: an Erase must not unmap the group mid-memcpy.
+      if (len > 0) {
+        std::memcpy(dst, (*buffered)->buf.data() + loc.offset + offset,
+                    static_cast<std::size_t>(len));
+      }
       ++stats_.agg_gets_from_pending;
       return util::OkStatus();
     }
@@ -323,11 +353,12 @@ bool AggregatingStore::Exists(const ObjectKey& key) const {
 
 util::Status AggregatingStore::Erase(const ObjectKey& key) {
   std::vector<ObjectKey> reclaim;
+  std::shared_ptr<Group> emptied;  // unmapped after the lock drops
   {
     std::lock_guard lock(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) return util::NotFound("object " + key.ToString());
-    DropMemberLocked(key, it->second, &reclaim);
+    emptied = DropMemberLocked(key, it->second, &reclaim);
   }
   for (const ObjectKey& gkey : reclaim) (void)inner_->Erase(gkey);
   return util::OkStatus();
@@ -351,10 +382,10 @@ bool AggregatingStore::CollectStats(StoreStats& out) const {
   std::lock_guard lock(mu_);
   out.Merge(stats_);
   out.agg_pending_members += pending_->live_members;
-  out.agg_pending_bytes += pending_->buf.size();
+  out.agg_pending_bytes += pending_->used;
   for (const auto& [id, g] : staged_) {
     out.agg_pending_members += g->live_members;
-    out.agg_pending_bytes += g->buf.size();
+    out.agg_pending_bytes += g->used;
   }
   return true;
 }

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "storage/object_store.hpp"
+#include "storage/page_buffer.hpp"
 
 namespace ckpt::storage {
 
@@ -79,9 +80,11 @@ class AggregatingStore final : public ObjectStore {
  private:
   /// One group of coalesced members. Sealed groups live in staged_ until
   /// their upload lands; `uploading` serializes upload attempts per group.
+  /// Only the open group's bytes change; a sealed group's are read-only.
   struct Group {
     std::uint64_t id = 0;
-    std::vector<std::byte> buf;
+    PageBuffer buf;          ///< capacity; members fill [0, used)
+    std::uint64_t used = 0;  ///< bytes of live and tombstoned members
     std::uint64_t live_members = 0;
     std::int64_t opened_ns = 0;  ///< NowNs() of the first member
     bool uploading = false;
@@ -109,8 +112,11 @@ class AggregatingStore final : public ObjectStore {
   /// Uploads `g` as one inner object; handles retry/cancel bookkeeping.
   util::Status UploadGroup(const std::shared_ptr<Group>& g);
   /// Removes `key`'s member (overwrite or erase). Requires mu_ held.
-  void DropMemberLocked(const ObjectKey& key, const MemberLoc& loc,
-                        std::vector<ObjectKey>* reclaim);
+  /// Returns the staged group the member emptied, if any, so the caller
+  /// unmaps its buffer after mu_ drops.
+  [[nodiscard]] std::shared_ptr<Group> DropMemberLocked(
+      const ObjectKey& key, const MemberLoc& loc,
+      std::vector<ObjectKey>* reclaim);
   void FlusherLoop(const std::stop_token& stop);
 
   std::shared_ptr<ObjectStore> inner_;

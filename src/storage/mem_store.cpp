@@ -1,13 +1,20 @@
 #include "storage/mem_store.hpp"
 
+#include <cstring>
+#include <utility>
+
 namespace ckpt::storage {
 
 util::Status MemStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
                            std::uint64_t size) {
   if (data == nullptr && size > 0) return util::InvalidArgument("Put: null data");
-  std::vector<std::byte> copy(data, data + size);
-  std::lock_guard lock(mu_);
-  objects_[key] = std::move(copy);
+  auto copy = PageBuffer::CopyOf(data, size);
+  if (!copy.ok()) return copy.status();
+  PageBuffer replaced;  // unmapped after the lock drops
+  {
+    std::lock_guard lock(mu_);
+    replaced = std::exchange(objects_[key], std::move(*copy));
+  }
   return util::OkStatus();
 }
 
@@ -18,11 +25,13 @@ util::Status MemStore::Get(const ObjectKey& key, sim::BytePtr dst,
   if (it == objects_.end()) {
     return util::NotFound("object " + key.ToString());
   }
-  if (size < it->second.size()) {
+  const PageBuffer& obj = it->second;
+  if (size < obj.size()) {
     return util::InvalidArgument("Get: buffer smaller than object " + key.ToString());
   }
-  // Copy under the lock: Erase of the same key must not race the memcpy.
-  std::memcpy(dst, it->second.data(), it->second.size());
+  // Copy under the lock: Erase of the same key must not unmap the bytes
+  // under the memcpy.
+  if (!obj.empty()) std::memcpy(dst, obj.data(), obj.size());
   return util::OkStatus();
 }
 
@@ -30,7 +39,7 @@ util::StatusOr<std::uint64_t> MemStore::Size(const ObjectKey& key) const {
   std::lock_guard lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return util::NotFound("object " + key.ToString());
-  return static_cast<std::uint64_t>(it->second.size());
+  return it->second.size();
 }
 
 bool MemStore::Exists(const ObjectKey& key) const {
@@ -39,8 +48,14 @@ bool MemStore::Exists(const ObjectKey& key) const {
 }
 
 util::Status MemStore::Erase(const ObjectKey& key) {
-  std::lock_guard lock(mu_);
-  if (objects_.erase(key) == 0) return util::NotFound("object " + key.ToString());
+  PageBuffer erased;  // unmapped after the lock drops
+  {
+    std::lock_guard lock(mu_);
+    auto it = objects_.find(key);
+    if (it == objects_.end()) return util::NotFound("object " + key.ToString());
+    erased = std::move(it->second);
+    objects_.erase(it);
+  }
   return util::OkStatus();
 }
 
@@ -57,11 +72,14 @@ util::Status MemStore::GetRange(const ObjectKey& key, std::uint64_t offset,
   std::lock_guard lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return util::NotFound("object " + key.ToString());
-  if (offset + len > it->second.size() || offset + len < offset) {
+  const PageBuffer& obj = it->second;
+  if (offset + len > obj.size() || offset + len < offset) {
     return util::InvalidArgument("GetRange: out of bounds for " +
                                  key.ToString());
   }
-  std::memcpy(dst, it->second.data() + offset, static_cast<std::size_t>(len));
+  if (len > 0) {
+    std::memcpy(dst, obj.data() + offset, static_cast<std::size_t>(len));
+  }
   return util::OkStatus();
 }
 

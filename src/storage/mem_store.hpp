@@ -1,14 +1,15 @@
 // In-memory ObjectStore. Used as the backing medium for the simulated SSD
 // and PFS tiers in benches (the bandwidth model supplies the timing; see
-// ThrottledStore) and directly in unit tests.
+// ThrottledStore) and directly in unit tests. Each object's bytes live in
+// their own PageBuffer (storage/page_buffer.hpp).
 #pragma once
 
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "storage/object_store.hpp"
+#include "storage/page_buffer.hpp"
 
 namespace ckpt::storage {
 
@@ -28,7 +29,7 @@ class MemStore final : public ObjectStore {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<ObjectKey, std::vector<std::byte>, ObjectKeyHash> objects_;
+  std::unordered_map<ObjectKey, PageBuffer, ObjectKeyHash> objects_;
 };
 
 }  // namespace ckpt::storage

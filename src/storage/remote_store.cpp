@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "storage/aggregating_store.hpp"
 #include "util/config.hpp"
@@ -159,7 +160,12 @@ util::Status RemoteStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
               key.rank, /*tier=*/-1, key.version, size);
   // Multipart upload: parts stream concurrently (bounded by max_inflight)
   // into a staging buffer; "completing" the upload publishes it atomically.
-  std::vector<std::byte> staged(static_cast<std::size_t>(size));
+  auto staging = PageBuffer::Allocate(size);
+  if (!staging.ok()) {
+    span.Cancel();
+    return staging.status();
+  }
+  PageBuffer staged = std::move(*staging);
   const std::uint64_t nparts =
       size == 0 ? 1 : (size + options_.part_bytes - 1) / options_.part_bytes;
   const int workers = static_cast<int>(std::min<std::uint64_t>(
@@ -209,9 +215,10 @@ util::Status RemoteStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
   }
   // Complete-multipart round trip: latency only, no payload.
   ChargeRequest(0);
+  PageBuffer replaced;  // unmapped after the lock drops
   {
     std::lock_guard lock(mu_);
-    objects_[key] = std::move(staged);
+    replaced = std::exchange(objects_[key], std::move(staged));
   }
   // Lineage hop: complete-multipart published the staged parts atomically;
   // only now is the object readable (and durable) at the remote tier.
@@ -235,13 +242,15 @@ util::Status RemoteStore::Get(const ObjectKey& key, sim::BytePtr dst,
       span.Cancel();
       return util::NotFound("object " + key.ToString());
     }
-    if (size < it->second.size()) {
+    const PageBuffer& obj = it->second;
+    if (size < obj.size()) {
       span.Cancel();
       return util::InvalidArgument("Get: buffer smaller than object " +
                                    key.ToString());
     }
-    object_size = it->second.size();
-    std::memcpy(dst, it->second.data(), it->second.size());
+    object_size = obj.size();
+    // Copy under the lock: an Erase must not unmap the bytes mid-memcpy.
+    if (!obj.empty()) std::memcpy(dst, obj.data(), obj.size());
   }
   ChargeRequest(object_size);
   gets_.fetch_add(1, std::memory_order_relaxed);
@@ -260,13 +269,15 @@ util::Status RemoteStore::GetRange(const ObjectKey& key, std::uint64_t offset,
       span.Cancel();
       return util::NotFound("object " + key.ToString());
     }
-    if (offset + len > it->second.size() || offset + len < offset) {
+    const PageBuffer& obj = it->second;
+    if (offset + len > obj.size() || offset + len < offset) {
       span.Cancel();
       return util::InvalidArgument("GetRange: out of bounds for " +
                                    key.ToString());
     }
-    std::memcpy(dst, it->second.data() + offset,
-                static_cast<std::size_t>(len));
+    if (len > 0) {
+      std::memcpy(dst, obj.data() + offset, static_cast<std::size_t>(len));
+    }
   }
   // A ranged GET pays one round trip and only the range's bytes.
   ChargeRequest(len);
@@ -282,7 +293,7 @@ util::StatusOr<std::uint64_t> RemoteStore::Size(const ObjectKey& key) const {
   std::lock_guard lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return util::NotFound("object " + key.ToString());
-  return static_cast<std::uint64_t>(it->second.size());
+  return it->second.size();
 }
 
 bool RemoteStore::Exists(const ObjectKey& key) const {
@@ -291,11 +302,15 @@ bool RemoteStore::Exists(const ObjectKey& key) const {
 }
 
 util::Status RemoteStore::Erase(const ObjectKey& key) {
+  PageBuffer erased;  // unmapped after the lock drops
   {
     std::lock_guard lock(mu_);
-    if (objects_.erase(key) == 0) {
+    auto it = objects_.find(key);
+    if (it == objects_.end()) {
       return util::NotFound("object " + key.ToString());
     }
+    erased = std::move(it->second);
+    objects_.erase(it);
   }
   // DELETE round trip, no payload.
   ChargeRequest(0);

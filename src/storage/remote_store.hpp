@@ -32,6 +32,7 @@
 
 #include "simgpu/topology.hpp"
 #include "storage/object_store.hpp"
+#include "storage/page_buffer.hpp"
 #include "util/retry.hpp"
 
 namespace ckpt::storage {
@@ -88,7 +89,7 @@ class RemoteStore final : public ObjectStore {
   const sim::Topology* topo_;  // may be null (tests)
 
   mutable std::mutex mu_;
-  std::unordered_map<ObjectKey, std::vector<std::byte>, ObjectKeyHash> objects_;
+  std::unordered_map<ObjectKey, PageBuffer, ObjectKeyHash> objects_;
 
   // Stats (mu_-free: atomically incremented from part workers).
   std::atomic<std::uint64_t> puts_{0};

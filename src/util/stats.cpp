@@ -7,26 +7,6 @@
 
 namespace ckpt::util {
 
-void OnlineStats::Merge(const OnlineStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double SampleSeries::Percentile(double p) const {
   if (samples_.empty()) return 0.0;
   std::vector<double> sorted = samples_;

@@ -12,44 +12,6 @@
 
 namespace ckpt::util {
 
-/// Welford-style single-pass accumulator: count/mean/variance/min/max/sum.
-class OnlineStats {
- public:
-  void Add(double x) noexcept {
-    ++count_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  void Merge(const OnlineStats& other) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept {
-    return count_ ? min_ : 0.0;
-  }
-  [[nodiscard]] double max() const noexcept {
-    return count_ ? max_ : 0.0;
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// Reservoir of raw samples with exact percentiles. Fine for the volumes we
 /// record (hundreds of operations per shot).
 class SampleSeries {

@@ -103,6 +103,42 @@ TEST(AggregatingStoreTest, PartialFinalGroupFlushesExplicitly) {
   EXPECT_EQ(std::memcmp(out.data(), blob.data(), blob.size()), 0);
 }
 
+TEST(AggregatingStoreTest, GroupOutgrowingItsFirstBufferStaysByteExact) {
+  auto mem = std::make_shared<MemStore>();
+  AggregatingStore store(mem, NoDeadline(4));
+  // The first member sizes the group's first buffer; each later one is
+  // larger than everything buffered so far, so every Put grows the group.
+  std::vector<std::vector<std::byte>> blobs;
+  const std::size_t sizes[] = {100, 3001, 50001, 7};
+  const auto expect_all_readable = [&] {
+    for (std::size_t r = 0; r < blobs.size(); ++r) {
+      const auto& blob = blobs[r];
+      std::vector<std::byte> out(blob.size());
+      ASSERT_TRUE(
+          store.Get({static_cast<int>(r), 0}, out.data(), out.size()).ok());
+      EXPECT_EQ(std::memcmp(out.data(), blob.data(), blob.size()), 0) << r;
+    }
+  };
+  for (std::size_t r = 0; r < 3; ++r) {
+    blobs.push_back(Blob(sizes[r], static_cast<std::uint8_t>(r + 1)));
+    ASSERT_TRUE(store
+                    .Put({static_cast<int>(r), 0}, blobs.back().data(),
+                         blobs.back().size())
+                    .ok());
+    expect_all_readable();
+  }
+  EXPECT_EQ(GroupObjects(*mem), 0u);  // still buffered
+  blobs.push_back(Blob(sizes[3], 4));
+  ASSERT_TRUE(store.Put({3, 0}, blobs.back().data(), blobs.back().size()).ok());
+  ASSERT_EQ(GroupObjects(*mem), 1u);  // the fourth member sealed and landed
+  EXPECT_EQ(mem->TotalBytes(), 100u + 3001u + 50001u + 7u);
+  expect_all_readable();
+  StoreStats st;
+  ASSERT_TRUE(store.CollectStats(st));
+  EXPECT_EQ(st.agg_pending_bytes, 0u);
+  EXPECT_EQ(st.agg_group_puts, 1u);
+}
+
 TEST(AggregatingStoreTest, SealsOnByteThreshold) {
   auto mem = std::make_shared<MemStore>();
   AggregatingStore store(mem, NoDeadline(0, 4096));

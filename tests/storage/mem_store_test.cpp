@@ -104,6 +104,95 @@ TEST(MemStoreTest, ConcurrentPutsAndGets) {
   EXPECT_EQ(store.TotalBytes(), static_cast<std::uint64_t>(kThreads * kObjects) * 256);
 }
 
+/// Expects `key` to hold exactly `blob`.
+void ExpectHolds(MemStore& store, const ObjectKey& key,
+                 const std::vector<std::byte>& blob) {
+  ASSERT_EQ(*store.Size(key), blob.size()) << key.ToString();
+  std::vector<std::byte> out(blob.size() + 1, std::byte{0xEE});
+  ASSERT_TRUE(store.Get(key, out.data(), out.size()).ok()) << key.ToString();
+  EXPECT_EQ(std::memcmp(out.data(), blob.data(), blob.size()), 0)
+      << key.ToString();
+  EXPECT_EQ(out[blob.size()], std::byte{0xEE}) << "Get wrote past the object";
+}
+
+TEST(MemStoreTest, OddSizedNeighboursStayByteExactThroughOverwriteAndErase) {
+  MemStore store;
+  const ObjectKey a{0, 1}, b{0, 2}, c{1, 1};
+  const auto blob_a = Blob(4097, 1);  // one byte past a page
+  const auto blob_c = Blob(1, 3);
+  ASSERT_TRUE(store.Put(a, blob_a.data(), blob_a.size()).ok());
+  const auto b0 = Blob(12289, 2);
+  ASSERT_TRUE(store.Put(b, b0.data(), b0.size()).ok());
+  ASSERT_TRUE(store.Put(c, blob_c.data(), blob_c.size()).ok());
+
+  const auto larger = Blob(70001, 4);
+  ASSERT_TRUE(store.Put(b, larger.data(), larger.size()).ok());
+  ExpectHolds(store, a, blob_a);
+  ExpectHolds(store, b, larger);
+  ExpectHolds(store, c, blob_c);
+
+  const auto smaller = Blob(3, 5);
+  ASSERT_TRUE(store.Put(b, smaller.data(), smaller.size()).ok());
+  ExpectHolds(store, a, blob_a);
+  ExpectHolds(store, b, smaller);
+  ExpectHolds(store, c, blob_c);
+  EXPECT_EQ(store.TotalBytes(), blob_a.size() + smaller.size() + blob_c.size());
+
+  ASSERT_TRUE(store.Erase(b).ok());
+  ExpectHolds(store, a, blob_a);
+  ExpectHolds(store, c, blob_c);
+  EXPECT_FALSE(store.Exists(b));
+
+  const auto reput = Blob(8191, 6);
+  ASSERT_TRUE(store.Put(b, reput.data(), reput.size()).ok());
+  ExpectHolds(store, a, blob_a);
+  ExpectHolds(store, b, reput);
+  ExpectHolds(store, c, blob_c);
+  EXPECT_EQ(store.TotalBytes(), blob_a.size() + reput.size() + blob_c.size());
+}
+
+TEST(MemStoreTest, ZeroByteObjectRoundTrips) {
+  MemStore store;
+  ASSERT_TRUE(store.Put({3, 3}, nullptr, 0).ok());
+  EXPECT_TRUE(store.Exists({3, 3}));
+  EXPECT_EQ(*store.Size({3, 3}), 0u);
+  EXPECT_EQ(store.TotalBytes(), 0u);
+  EXPECT_TRUE(store.Get({3, 3}, nullptr, 0).ok());
+  EXPECT_TRUE(store.GetRange({3, 3}, 0, nullptr, 0).ok());
+  ASSERT_TRUE(store.Erase({3, 3}).ok());
+  EXPECT_FALSE(store.Exists({3, 3}));
+  EXPECT_EQ(store.Size({3, 3}).status().code(), util::ErrorCode::kNotFound);
+}
+
+TEST(MemStoreTest, GetRangeReachesTheLastByteAndNoFurther) {
+  MemStore store;
+  const auto blob = Blob(4097, 8);
+  ASSERT_TRUE(store.Put({0, 0}, blob.data(), blob.size()).ok());
+  std::byte last{};
+  ASSERT_TRUE(store.GetRange({0, 0}, blob.size() - 1, &last, 1).ok());
+  EXPECT_EQ(last, blob.back());
+  std::byte past{0xEE};
+  EXPECT_EQ(store.GetRange({0, 0}, blob.size(), &past, 1).code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(store.GetRange({0, 0}, blob.size() - 1, &past, 2).code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(past, std::byte{0xEE});
+}
+
+TEST(MemStoreTest, UnmappablePutIsOutOfMemoryAndKeepsTheOldObject) {
+  MemStore store;
+  const auto blob = Blob(100, 9);
+  ASSERT_TRUE(store.Put({0, 0}, blob.data(), blob.size()).ok());
+  // The mapping fails before any source byte is read.
+  EXPECT_EQ(store.Put({0, 0}, blob.data(), 1ull << 62).code(),
+            util::ErrorCode::kOutOfMemory);
+  EXPECT_EQ(store.Put({0, 1}, blob.data(), 1ull << 62).code(),
+            util::ErrorCode::kOutOfMemory);
+  EXPECT_FALSE(store.Exists({0, 1}));
+  ExpectHolds(store, {0, 0}, blob);
+  EXPECT_EQ(store.TotalBytes(), blob.size());
+}
+
 TEST(ObjectKeyTest, ToStringFormat) {
   EXPECT_EQ((ObjectKey{3, 17}).ToString(), "r3_v17");
 }

@@ -143,6 +143,40 @@ TEST(RemoteStoreTest, PartFaultsRetryAndSucceed) {
   EXPECT_EQ(st.remote_parts, 8u);
 }
 
+TEST(RemoteStoreTest, FailedUploadPublishesNothing) {
+  RemoteOptions o = FastOptions();
+  o.part_fail_rate = 1.0;
+  o.part_retry.max_attempts = 2;
+  o.part_retry.initial_backoff = std::chrono::microseconds(1);
+  o.part_retry.max_backoff = std::chrono::microseconds(2);
+  RemoteStore store(o, nullptr);
+  const std::uint64_t before = store.TotalBytes();
+  const auto blob = Blob(10 << 10, 4);
+  EXPECT_EQ(store.Put({0, 1}, blob.data(), blob.size()).code(),
+            util::ErrorCode::kUnavailable);
+  EXPECT_FALSE(store.Exists({0, 1}));
+  EXPECT_TRUE(store.Keys().empty());
+  EXPECT_EQ(store.TotalBytes(), before);
+  StoreStats st;
+  ASSERT_TRUE(store.CollectStats(st));
+  EXPECT_EQ(st.remote_puts, 0u);
+  EXPECT_EQ(st.remote_put_bytes, 0u);
+}
+
+TEST(RemoteStoreTest, UnmappableUploadIsOutOfMemoryAndKeepsTheOldObject) {
+  RemoteStore store(FastOptions(), nullptr);
+  const auto blob = Blob(5000, 6);
+  ASSERT_TRUE(store.Put({0, 0}, blob.data(), blob.size()).ok());
+  // The staging mapping fails before any part is uploaded or read.
+  EXPECT_EQ(store.Put({0, 0}, blob.data(), 1ull << 62).code(),
+            util::ErrorCode::kOutOfMemory);
+  EXPECT_EQ(*store.Size({0, 0}), blob.size());
+  std::vector<std::byte> out(blob.size());
+  ASSERT_TRUE(store.Get({0, 0}, out.data(), out.size()).ok());
+  EXPECT_EQ(std::memcmp(out.data(), blob.data(), blob.size()), 0);
+  EXPECT_EQ(store.TotalBytes(), blob.size());
+}
+
 TEST(RemoteStoreTest, ConcurrentSameKeyAndCrossKeyStorm) {
   RemoteStore store(FastOptions(), nullptr);
   constexpr int kThreads = 8;

@@ -3,59 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <random>
 #include <stdexcept>
 
 namespace ckpt::util {
 namespace {
-
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStatsTest, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-}
-
-TEST(OnlineStatsTest, MergeMatchesCombinedStream) {
-  std::mt19937_64 rng(1);
-  std::normal_distribution<double> dist(10.0, 3.0);
-  OnlineStats a, b, all;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = dist(rng);
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmptySides) {
-  OnlineStats a, b;
-  a.Add(1.0);
-  OnlineStats a2 = a;
-  a2.Merge(b);  // empty rhs
-  EXPECT_EQ(a2.count(), 1u);
-  b.Merge(a);  // empty lhs
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
 
 TEST(SampleSeriesTest, PercentilesExact) {
   SampleSeries s;
