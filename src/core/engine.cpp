@@ -528,11 +528,12 @@ std::string Engine::TenantThreadPrefix(const RankCtx& ctx_) const {
   return t != nullptr ? t->spec.name + "/" : std::string{};
 }
 
-sim::Flow Engine::FlowOf(const RankCtx& ctx_) const noexcept {
+util::IoTag Engine::IoTagOf(const RankCtx& ctx_,
+                            util::IoClass io_class) const noexcept {
   const TenantCtx* t =
       tenant_registry_->Get(tenant_registry_->tenant_of(ctx_.rank));
-  if (t == nullptr) return sim::Flow{};
-  return sim::Flow{t->id, t->spec.weight};
+  if (t == nullptr) return util::IoTag{.io_class = io_class};
+  return util::IoTag{t->id, t->spec.weight, io_class};
 }
 
 std::uint64_t Engine::TenantCacheUsed(TenantId id) const {
@@ -1104,7 +1105,7 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
                        v, size);
   const Stopwatch sw;
   RankCtx& c = ctx(rank);
-  const sim::Flow flow = FlowOf(c);
+  const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   // Declared before the lock: flushes the trace events this call queues
   // under c.mu right after the lock is released, on every return path.
   ScopedTracePublisher trace_pub(c);
@@ -1167,7 +1168,7 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
         stack_.is_device(placed) ? sim::MemcpyKind::kD2D : sim::MemcpyKind::kD2H;
     lock.unlock();
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
-                                                 src, size, kind, flow);
+                                                 src, size, kind);
     lock.lock();
     rr.io_pending = false;
     if (!st.ok()) {
@@ -1190,7 +1191,7 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
                              cluster_.topology().node_of_rank(rank), size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
-                                                 sim::MemcpyKind::kD2H, flow);
+                                                 sim::MemcpyKind::kD2H);
     if (!st.ok()) {
       lock.lock();
       return cleanup_failure(st);
@@ -1225,7 +1226,7 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   trace::Span app_span(trace::Kind::kApp, "app:restore", rank, /*tier=*/-1, v);
   const Stopwatch sw;
   RankCtx& c = ctx(rank);
-  const sim::Flow flow = FlowOf(c);
+  const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   ScopedTracePublisher trace_pub(c);  // flushes queued events after unlock
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(rank);
   std::unique_lock lock(c.mu);
@@ -1304,7 +1305,7 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
                                      : sim::MemcpyKind::kH2D;
     lock.unlock();
     st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst, src, rec.size,
-                              kind, flow);
+                              kind);
     lock.lock();
     --rr.read_refs;
     NotifyReserve(c, src_tier);  // the copy may have become evictable
@@ -1337,7 +1338,7 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
       if (r.status.ok()) {
         r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
                                         staging.data(), size,
-                                        sim::MemcpyKind::kH2D, flow);
+                                        sim::MemcpyKind::kH2D);
       }
     }
     lock.lock();
@@ -1699,7 +1700,7 @@ std::uint64_t Engine::PrefetchDistance(sim::Rank rank) const {
 void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(c.rank);
   std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(tier));
-  const sim::Flow flow = FlowOf(c);
+  const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kFlush));
   CacheTierRt& t = *c.tiers[static_cast<std::size_t>(tier)];
   const int ncache = stack_.num_cache_tiers();
   const std::string tier_name(stack_.name(static_cast<std::size_t>(tier)));
@@ -1729,7 +1730,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
     sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
                                                  staging.data(), src, size,
-                                                 sim::MemcpyKind::kD2H, flow);
+                                                 sim::MemcpyKind::kD2H);
     if (!st.ok()) {
       CKPT_LOG(kError, "flush") << "direct store flush failed: " << st.ToString();
       return TerminalPutResult{};
@@ -1872,7 +1873,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
 
     const std::int64_t t0 = util::NowNs();
     const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
-                                                 src, rec.size, kind, flow);
+                                                 src, rec.size, kind);
 
     lock.lock();
     --mine.read_refs;
@@ -1912,7 +1913,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
   trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
                        "/prefetch");
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(c.rank);
-  const sim::Flow flow = FlowOf(c);
+  const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   const int ncache = stack_.num_cache_tiers();
   std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache));
   const std::uint64_t pin_cap = static_cast<std::uint64_t>(
@@ -2081,8 +2082,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
       const sim::MemcpyKind kind = stack_.is_device(0) ? sim::MemcpyKind::kH2D
                                                        : sim::MemcpyKind::kH2H;
       lock.unlock();
-      st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot, src, size, kind,
-                                flow);
+      st = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot, src, size, kind);
       lock.lock();
       --sres.read_refs;
       NotifyReserve(c, src_tier);  // source copy may now be evictable
@@ -2112,7 +2112,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
         if (r.status.ok()) {
           r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
                                           staging.data(), size,
-                                          sim::MemcpyKind::kH2D, flow);
+                                          sim::MemcpyKind::kH2D);
         }
       } else {
         r = GetDurable(c, v, slot, size, durable, rng, abandon);
@@ -2152,6 +2152,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
 void Engine::StageInLoop(RankCtx& c) {
   trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
                        "/prefetch:stage");
+  const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   const int ncache = stack_.num_cache_tiers();
   const int deepest = ncache - 1;
   // T_PF never reads the stores while this worker runs, so the prefetch

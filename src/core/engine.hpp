@@ -51,6 +51,7 @@
 #include "util/checked_mutex.hpp"
 #include "util/clock.hpp"
 #include "util/mpmc_queue.hpp"
+#include "util/rate_limiter.hpp"
 #include "util/retry.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
@@ -659,10 +660,11 @@ class Engine final : public Runtime {
   /// kFailedPrecondition when the rank's tenant was closed; Ok otherwise
   /// (including the unassigned-rank case, which only tests can reach).
   [[nodiscard]] util::Status CheckTenantOpen(sim::Rank rank) const;
-  /// Fair-queuing attribution for the rank's transfers: flow = tenant id,
-  /// weight = tenant weight. Single-tenant mode yields {0, 1.0} == the
-  /// limiters' default flow.
-  [[nodiscard]] sim::Flow FlowOf(const RankCtx& ctx) const noexcept;
+  /// The I/O tag a rank's thread installs for transfers of `io_class`:
+  /// flow = tenant id, weight = tenant weight. Single-tenant mode yields
+  /// flow 0, weight 1.0, the limiters' default flow.
+  [[nodiscard]] util::IoTag IoTagOf(const RankCtx& ctx,
+                                    util::IoClass io_class) const noexcept;
   /// "<tenant>/" for worker thread/track names in multi-tenant mode; empty
   /// (single-tenant) keeps every thread name byte-identical to PR 7.
   [[nodiscard]] std::string TenantThreadPrefix(const RankCtx& ctx) const;

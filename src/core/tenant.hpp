@@ -15,7 +15,7 @@
 //   e.g.    tenants = rtm:24Mi;synth:8Mi:0.5
 //
 // quota caps the tenant's total bytes across *cache* tiers (0 = unlimited);
-// weight scales its share of rate-limiter bandwidth under contention
+// weight scales its share of every link's bandwidth under contention
 // (start-time fair queuing, util/rate_limiter.hpp). Ranks are split into
 // contiguous blocks in declaration order, remainder to the earlier tenants.
 #pragma once

@@ -12,16 +12,15 @@ namespace ckpt::sim {
 namespace {
 
 /// Charges `n` bytes to each of `links` in kCopyChunk steps, every chunk to
-/// the limiters in list order, on `flow`; `after_chunk(done, chunk)` runs
-/// once the chunk is admitted.
+/// the limiters in list order, under the calling thread's I/O tag;
+/// `after_chunk(done, chunk)` runs once the chunk is admitted.
 template <typename AfterChunk>
 void ChargeChunked(std::initializer_list<util::RateLimiter*> links,
-                   std::uint64_t n, Flow flow, AfterChunk&& after_chunk) {
+                   std::uint64_t n, AfterChunk&& after_chunk) {
+  const util::IoTag tag = util::CurrentIoTag();
   for (std::uint64_t done = 0; done < n;) {
     const std::uint64_t chunk = std::min(kCopyChunk, n - done);
-    for (util::RateLimiter* link : links) {
-      link->Acquire(chunk, flow.id, flow.weight);
-    }
+    for (util::RateLimiter* link : links) link->Acquire(chunk, tag);
     after_chunk(done, chunk);
     done += chunk;
   }
@@ -29,14 +28,13 @@ void ChargeChunked(std::initializer_list<util::RateLimiter*> links,
 
 void ChargeChunked(std::initializer_list<util::RateLimiter*> links,
                    std::uint64_t n) {
-  ChargeChunked(links, n, Flow{}, [](std::uint64_t, std::uint64_t) {});
+  ChargeChunked(links, n, [](std::uint64_t, std::uint64_t) {});
 }
 
 }  // namespace
 
 util::Status ThrottledMemcpy(const Topology& topo, GpuId gpu, BytePtr dst,
-                             ConstBytePtr src, std::uint64_t n, MemcpyKind kind,
-                             Flow flow) {
+                             ConstBytePtr src, std::uint64_t n, MemcpyKind kind) {
   if (dst == nullptr || src == nullptr) {
     return util::InvalidArgument("ThrottledMemcpy: null pointer");
   }
@@ -53,18 +51,18 @@ util::Status ThrottledMemcpy(const Topology& topo, GpuId gpu, BytePtr dst,
   util::RateLimiter* host = &topo.host_mem(gpu);
   switch (kind) {
     case MemcpyKind::kD2D:
-      ChargeChunked({&topo.d2d(gpu)}, n, flow, copy);
+      ChargeChunked({&topo.d2d(gpu)}, n, copy);
       break;
     case MemcpyKind::kD2H:
       ChargeChunked({&topo.pcie_link(gpu, Topology::LinkDir::kD2H), host}, n,
-                    flow, copy);
+                    copy);
       break;
     case MemcpyKind::kH2D:
       ChargeChunked({&topo.pcie_link(gpu, Topology::LinkDir::kH2D), host}, n,
-                    flow, copy);
+                    copy);
       break;
     case MemcpyKind::kH2H:
-      ChargeChunked({host}, n, flow, copy);
+      ChargeChunked({host}, n, copy);
       break;
   }
   return util::OkStatus();

@@ -1,7 +1,10 @@
 // Throttled memory transfers. Copies move real bytes (memcpy) in chunks,
 // acquiring bandwidth tokens from the topology's shared limiters per chunk,
 // so concurrent transfers genuinely interleave and contend exactly where the
-// hardware would make them contend (PCIe link, DDR, NVMe, PFS).
+// hardware would make them contend (PCIe link, DDR, NVMe, PFS). Every copy
+// and charge below pays under the calling thread's I/O tag (tenant flow,
+// weight and class; util::CurrentIoTag), so a caller attributes a transfer
+// by scoping a util::ScopedIoTag around it, not by argument.
 #pragma once
 
 #include <cstdint>
@@ -17,26 +20,14 @@ namespace ckpt::sim {
 /// negligible.
 inline constexpr std::uint64_t kCopyChunk = 64ull << 10;
 
-/// Fair-queuing attribution for a transfer: which flow (tenant) pays for it
-/// and with what bandwidth share. The default flow 0 / weight 1 reproduces
-/// plain FIFO admission on every limiter (see util/rate_limiter.hpp).
-struct Flow {
-  int id = 0;
-  double weight = 1.0;
-};
-
 /// Synchronous throttled copy attributed to GPU `gpu`:
 ///  - kD2D  pays the GPU's on-device copy-engine bandwidth;
 ///  - kD2H / kH2D pay the GPU pair's shared PCIe link, then node DDR;
 ///  - kH2H  pays node DDR only.
 /// A fixed per-operation launch latency (config.copy_latency_ns) is paid
-/// once. `flow` tags the limiter grants for weighted fair sharing between
-/// tenants (the Charge* helpers below stay on the default flow — storage
-/// timing charges are not yet tenant-attributed). Returns kInvalidArgument
-/// for null pointers or n == 0.
+/// once. Returns kInvalidArgument for null pointers or n == 0.
 util::Status ThrottledMemcpy(const Topology& topo, GpuId gpu, BytePtr dst,
-                             ConstBytePtr src, std::uint64_t n, MemcpyKind kind,
-                             Flow flow = {});
+                             ConstBytePtr src, std::uint64_t n, MemcpyKind kind);
 
 /// Pays storage bandwidth for `n` bytes written to / read from the NVMe
 /// drive assigned to `rank` (no data movement; the SSD tier moves the bytes

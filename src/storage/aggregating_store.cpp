@@ -6,6 +6,7 @@
 
 #include "util/clock.hpp"
 #include "util/flow_id.hpp"
+#include "util/rate_limiter.hpp"
 #include "util/status.hpp"
 #include "util/trace.hpp"
 
@@ -140,6 +141,8 @@ util::Status AggregatingStore::Flush() {
 }
 
 void AggregatingStore::FlusherLoop(const std::stop_token& stop) {
+  // Groups mix ranks, so their uploads pay on the default flow.
+  const util::ScopedIoTag io_tag({.io_class = util::IoClass::kFlush});
   std::unique_lock lock(mu_);
   while (!stop.stop_requested()) {
     const auto deadline_ns =

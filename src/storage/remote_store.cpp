@@ -8,6 +8,7 @@
 #include "storage/aggregating_store.hpp"
 #include "util/config.hpp"
 #include "util/flow_id.hpp"
+#include "util/rate_limiter.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -120,7 +121,9 @@ void RemoteStore::ChargeRequest(std::uint64_t bytes) const {
   if (options_.request_latency.count() > 0) {
     std::this_thread::sleep_for(options_.request_latency);
   }
-  if (topo_ != nullptr && bytes > 0) topo_->pfs().Acquire(bytes);
+  if (topo_ != nullptr && bytes > 0) {
+    topo_->pfs().Acquire(bytes, util::CurrentIoTag());
+  }
 }
 
 util::Status RemoteStore::PutPart(const ObjectKey& key,
@@ -202,9 +205,16 @@ util::Status RemoteStore::Put(const ObjectKey& key, sim::ConstBytePtr data,
   if (workers <= 1) {
     upload_loop();
   } else {
+    // Parts pay the fabric under the caller's I/O tag.
+    const util::IoTag tag = util::CurrentIoTag();
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(upload_loop);
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&upload_loop, tag] {
+        const util::ScopedIoTag scoped(tag);
+        upload_loop();
+      });
+    }
     for (std::thread& t : pool) t.join();
   }
   part_retries_.fetch_add(retries.load(std::memory_order_relaxed),

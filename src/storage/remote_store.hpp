@@ -79,7 +79,8 @@ class RemoteStore final : public ObjectStore {
   }
 
  private:
-  /// One simulated request: round-trip latency plus `bytes` on the fabric.
+  /// One simulated request: round-trip latency plus `bytes` on the fabric,
+  /// paid under the calling thread's I/O tag.
   void ChargeRequest(std::uint64_t bytes) const;
   /// Uploads one part with transient-fault injection; called under retry.
   util::Status PutPart(const ObjectKey& key, std::uint64_t part_index,

@@ -4,6 +4,18 @@
 
 namespace ckpt::util {
 
+namespace {
+thread_local IoTag t_io_tag;
+}  // namespace
+
+IoTag CurrentIoTag() noexcept { return t_io_tag; }
+
+ScopedIoTag::ScopedIoTag(const IoTag& tag) noexcept : prev_(t_io_tag) {
+  t_io_tag = tag;
+}
+
+ScopedIoTag::~ScopedIoTag() { t_io_tag = prev_; }
+
 RateLimiter::RateLimiter(std::uint64_t bytes_per_sec, std::uint64_t burst_bytes)
     : rate_(bytes_per_sec),
       burst_(std::max<std::uint64_t>(burst_bytes, 1)),
@@ -25,121 +37,93 @@ std::chrono::nanoseconds RateLimiter::TimeToSolvency() const {
   return std::chrono::nanoseconds(static_cast<std::int64_t>(secs * 1e9) + 1);
 }
 
-RateLimiter::Key RateLimiter::Enqueue(std::uint64_t n, int flow,
-                                      double weight) {
-  if (waiting_.empty() && !in_service_) {
+void RateLimiter::Enqueue(Waiter& w) {
+  if (head_ == nullptr) {
     // Idle reset: with no backlog there is no contention to arbitrate, so
     // virtual time restarts and stale per-flow finish tags are dropped
     // (standard SFQ idle handling — an idle flow is not owed back-credit).
     vclock_ = 0.0;
-    flow_finish_.clear();
+    for (auto& [id, f] : flows_) f.finish = 0.0;
   }
-  const double start = std::max(vclock_, flow_finish_[flow]);
-  flow_finish_[flow] =
-      start + static_cast<double>(n) / (weight > 0.0 ? weight : 1.0);
-  const Key key{start, next_ticket_++};
-  waiting_.insert(key);
-  queued_bytes_ += n;
-  return key;
+  FlowQueue& f = flows_[w.flow];
+  if (f.Next() == nullptr) f.start = std::max(vclock_, f.finish);
+  const auto c = static_cast<std::size_t>(w.io_class);
+  if (f.tail[c] != nullptr) {
+    f.tail[c]->next = &w;
+  } else {
+    f.head[c] = &w;
+  }
+  f.tail[c] = &w;
+  queued_bytes_ += w.n;
+  PickHead();
 }
 
-void RateLimiter::Grant(const Key& key, std::uint64_t n, int flow) {
-  tokens_ -= static_cast<double>(n);
+void RateLimiter::PickHead() {
+  head_ = nullptr;
+  head_flow_ = nullptr;
+  for (auto& [id, f] : flows_) {
+    Waiter* w = f.Next();
+    if (w == nullptr) continue;
+    if (head_ == nullptr || f.start < head_flow_->start ||
+        (f.start == head_flow_->start && w->ticket < head_->ticket)) {
+      head_ = w;
+      head_flow_ = &f;
+    }
+  }
+}
+
+void RateLimiter::Count(std::uint64_t n, int flow) {
   admitted_ += n;
+  // Flow 0 (every untagged caller) bypasses the per-flow map so the
+  // unlimited fast path stays a couple of adds.
   if (flow == 0) {
     flow0_admitted_ += n;
   } else {
     flow_admitted_[flow] += n;
   }
-  queued_bytes_ -= n;
-  vclock_ = std::max(vclock_, key.first);
-  waiting_.erase(key);
-  in_service_ = false;
+}
+
+void RateLimiter::Grant() {
+  Waiter& w = *head_;
+  FlowQueue& f = *head_flow_;
+  tokens_ -= static_cast<double>(w.n);
+  Count(w.n, w.flow);
+  queued_bytes_ -= w.n;
+  vclock_ = std::max(vclock_, f.start);
+  f.finish = f.start + static_cast<double>(w.n) / w.weight;
+  const auto c = static_cast<std::size_t>(w.io_class);
+  f.head[c] = w.next;
+  if (f.head[c] == nullptr) f.tail[c] = nullptr;
+  if (f.Next() != nullptr) f.start = std::max(vclock_, f.finish);
+  PickHead();
   cv_.notify_all();
 }
 
-void RateLimiter::Abandon(const Key& key, std::uint64_t n) {
-  waiting_.erase(key);
-  queued_bytes_ -= n;
-  cv_.notify_all();  // the head may have changed
-}
-
-void RateLimiter::Acquire(std::uint64_t n, int flow, double weight) {
+void RateLimiter::Acquire(std::uint64_t n, const IoTag& tag) {
   std::unique_lock lock(mu_);
   if (rate_ == 0) {
-    admitted_ += n;  // unlimited: still count traffic
-    // Flow 0 (every single-flow legacy caller) bypasses the per-flow map so
-    // the unlimited fast path stays a couple of adds.
-    if (flow == 0) {
-      flow0_admitted_ += n;
-    } else {
-      flow_admitted_[flow] += n;
-    }
+    Count(n, tag.flow);  // unlimited: still count traffic
     return;
   }
-  const Key key = Enqueue(n, flow, weight);
-  cv_.wait(lock, [&] { return !in_service_ && *waiting_.begin() == key; });
-  in_service_ = true;
-  // Head of the queue: wait until the bucket recovers from prior debt.
+  Waiter w{n, tag.weight > 0.0 ? tag.weight : 1.0, next_ticket_++, tag.flow,
+           tag.io_class};
+  Enqueue(w);
   for (;;) {
-    Refill(Clock::now());
-    if (tokens_ >= 0 || rate_ == 0) break;
-    cv_.wait_for(lock, TimeToSolvency());
-  }
-  Grant(key, n, flow);
-}
-
-bool RateLimiter::TryAcquire(std::uint64_t n) {
-  std::unique_lock lock(mu_);
-  if (rate_ == 0) {
-    admitted_ += n;
-    flow0_admitted_ += n;
-    return true;
-  }
-  if (!waiting_.empty() || in_service_) return false;  // someone is queued
-  Refill(Clock::now());
-  if (tokens_ < 0) return false;
-  tokens_ -= static_cast<double>(n);
-  admitted_ += n;
-  flow0_admitted_ += n;
-  return true;
-}
-
-Status RateLimiter::AcquireFor(std::uint64_t n, std::chrono::nanoseconds timeout,
-                               int flow, double weight) {
-  const auto deadline = Clock::now() + timeout;
-  std::unique_lock lock(mu_);
-  if (rate_ == 0) {
-    admitted_ += n;
-    if (flow == 0) {
-      flow0_admitted_ += n;
-    } else {
-      flow_admitted_[flow] += n;
+    cv_.wait(lock, [&] { return !in_service_ && head_ == &w; });
+    in_service_ = true;
+    // Head of the queue: wait until the bucket recovers from prior debt.
+    for (;;) {
+      Refill(Clock::now());
+      if (tokens_ >= 0 || rate_ == 0) break;
+      cv_.wait_for(lock, TimeToSolvency());
     }
-    return OkStatus();
+    in_service_ = false;
+    if (head_ == &w) break;
+    // A request that goes first arrived during the wait (a demand request
+    // of this flow, or an earlier-tagged flow): the link is its.
+    cv_.notify_all();
   }
-  const Key key = Enqueue(n, flow, weight);
-  if (!cv_.wait_until(lock, deadline, [&] {
-        return !in_service_ && *waiting_.begin() == key;
-      })) {
-    Abandon(key, n);
-    return Timeout("rate limiter admission timed out");
-  }
-  in_service_ = true;
-  for (;;) {
-    Refill(Clock::now());
-    if (tokens_ >= 0 || rate_ == 0) break;
-    if (Clock::now() >= deadline) {
-      in_service_ = false;
-      Abandon(key, n);
-      return Timeout("rate limiter token wait timed out");
-    }
-    const auto wait = std::min<Clock::duration>(TimeToSolvency(),
-                                                deadline - Clock::now());
-    cv_.wait_for(lock, wait);
-  }
-  Grant(key, n, flow);
-  return OkStatus();
+  Grant();
 }
 
 void RateLimiter::set_rate(std::uint64_t bytes_per_sec) {

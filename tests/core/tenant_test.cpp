@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,7 +18,9 @@
 #include "core/telemetry_sink.hpp"
 #include "core/trace_sink.hpp"
 #include "rtm/workload.hpp"
+#include "simgpu/copy.hpp"
 #include "storage/mem_store.hpp"
+#include "storage/throttled_store.hpp"
 
 namespace ckpt::core {
 namespace {
@@ -375,6 +378,120 @@ TEST_F(TenantEngineTest, MetricsJsonCarriesTenantAttribution) {
   Build({}, 1);
   EXPECT_EQ(MetricsSnapshotJson(*engine_).find("\"tenant\""),
             std::string::npos);
+}
+
+// --- I/O classes and tenant weights on the storage link (DESIGN.md §12.3)
+
+/// The ranks share one slow NVMe drive and every other link is unlimited.
+/// The SSD is the only durable tier, so every flush put and every direct
+/// restore crosses the drive.
+class StorageLinkTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kChunk = sim::kCopyChunk;
+
+  void Build(int ranks, std::uint64_t drive_bw, const std::string& tenants) {
+    EngineOptions opts;
+    auto specs = ParseTenantSpecs(tenants);
+    ASSERT_TRUE(specs.ok()) << specs.status();
+    opts.tenants = std::move(*specs);
+    sim::TopologyConfig topo = sim::TopologyConfig::Testing();
+    topo.gpus_per_node = std::max(topo.gpus_per_node, ranks);
+    topo.nvme_drives_per_node = 1;
+    topo.nvme_drive_bw = drive_bw;
+    cluster_ = std::make_unique<sim::Cluster>(topo);
+    engine_ = std::make_unique<Engine>(
+        *cluster_,
+        TierStack::Default(storage::MakeSsdStore(cluster_->topology(), ssd_),
+                           /*pfs=*/nullptr, 8 << 20, 8 << 20)
+            .value(),
+        opts, ranks);
+  }
+
+  void WriteCkpt(sim::Rank rank, Version v, std::uint64_t size) {
+    auto buf = cluster_->device(rank).Allocate(size);
+    ASSERT_TRUE(buf.ok());
+    FillPattern(rank, v, *buf, size);
+    ASSERT_TRUE(engine_->Checkpoint(rank, v, *buf, size).ok());
+    ASSERT_TRUE(cluster_->device(rank).Free(*buf).ok());
+  }
+
+  [[nodiscard]] util::RateLimiter& drive() const {
+    return cluster_->topology().nvme_for_rank(0);
+  }
+
+  /// Polls until the drive has admitted `bytes` in total.
+  void WaitForDriveBytes(std::uint64_t bytes) const {
+    while (drive().admitted_bytes() < bytes) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
+  std::shared_ptr<storage::MemStore> ssd_ =
+      std::make_shared<storage::MemStore>();
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::unique_ptr<Engine> engine_;  // declared last: destroyed first
+};
+
+TEST_F(StorageLinkTest, RestoreReadIsAdmittedBeforeQueuedFlushChunks) {
+  // v0 is on the SSD from an earlier run; v1..v8 queue 2 MiB of flush puts
+  // on a 4 MiB/s drive. Restore(v0) reads 1 MiB from the same drive as
+  // demand, so each of its chunks is admitted before the flush chunk queued
+  // ahead of it: the drive admits at most a few flush chunks while the
+  // restore runs (FIFO admission would alternate, about 1 MiB), and flush
+  // bytes are still queued when it returns.
+  constexpr std::uint64_t kRestore = 1 << 20;
+  constexpr std::uint64_t kFlushCkpt = 256 << 10;
+  constexpr int kFlushes = 8;
+  std::vector<std::byte> v0(kRestore);
+  FillPattern(0, 0, v0.data(), kRestore);
+  ASSERT_TRUE(ssd_->Put({0, 0}, v0.data(), kRestore).ok());
+  Build(1, 4 << 20, "");
+  for (Version v = 1; v <= kFlushes; ++v) WriteCkpt(0, v, kFlushCkpt);
+  WaitForDriveBytes(1);  // the first flush chunk is on the drive
+
+  auto buf = cluster_->device(0).Allocate(kRestore);
+  ASSERT_TRUE(buf.ok());
+  const std::uint64_t before = drive().admitted_bytes();
+  ASSERT_TRUE(engine_->Restore(0, 0, *buf, kRestore).ok());
+  const std::uint64_t after = drive().admitted_bytes();
+  EXPECT_TRUE(CheckPattern(0, 0, *buf, kRestore));
+  ASSERT_TRUE(cluster_->device(0).Free(*buf).ok());
+
+  EXPECT_LE(after - before - kRestore, 4 * kChunk)
+      << "flush bytes admitted while the restore read the drive";
+  EXPECT_LT(after - kRestore, kFlushes * kFlushCkpt)
+      << "the flush backlog drained before the restore returned";
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  EXPECT_EQ(drive().admitted_bytes(), kRestore + kFlushes * kFlushCkpt);
+}
+
+TEST_F(StorageLinkTest, TenantWeightsHoldOnTheSharedDrive) {
+  // Tenants a (weight 1) and b (weight 0.5) share one 8 MiB/s drive. a
+  // queues 4 MiB of flush puts and b 2 MiB, so at 2:1 both stay backlogged
+  // until the end. Between 1 MiB and 4.5 MiB of drive traffic, a's
+  // admitted bytes over b's read 2. Large objects keep the gaps between
+  // one put and the next, where a flow briefly has nothing queued, few.
+  Build(2, 8 << 20, "a:0;b:0:0.5");
+  constexpr std::uint64_t kSize = 1 << 20;
+  for (Version v = 0; v < 4; ++v) {
+    WriteCkpt(0, v, kSize);
+    if (v < 2) WriteCkpt(1, v, kSize);
+  }
+  WaitForDriveBytes(1 << 20);
+  const std::uint64_t a0 = drive().admitted_bytes(0);
+  const std::uint64_t b0 = drive().admitted_bytes(1);
+  WaitForDriveBytes(9 << 19);
+  const std::uint64_t a1 = drive().admitted_bytes(0);
+  const std::uint64_t b1 = drive().admitted_bytes(1);
+  ASSERT_LT(a1, 4 * kSize) << "a's backlog ran dry inside the window";
+  ASSERT_LT(b1, 2 * kSize) << "b's backlog ran dry inside the window";
+  ASSERT_GT(b1, b0);
+  EXPECT_NEAR(static_cast<double>(a1 - a0) / static_cast<double>(b1 - b0),
+              2.0, 0.3);
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  ASSERT_TRUE(engine_->WaitForFlushes(1).ok());
+  EXPECT_EQ(drive().admitted_bytes(0), 4 * kSize);
+  EXPECT_EQ(drive().admitted_bytes(1), 2 * kSize);
 }
 
 }  // namespace

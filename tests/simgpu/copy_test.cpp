@@ -138,5 +138,43 @@ TEST_F(CopyTest, ChargeHelpersConsumeBandwidth) {
   }
 }
 
+TEST_F(CopyTest, ChargesPayOnTheCallingThreadsIoTag) {
+  Topology topo(TopologyConfig::Testing());  // unlimited links still count
+  const auto src = Pattern(200 << 10, 3);
+  std::vector<std::byte> dst(src.size());
+  {
+    const util::ScopedIoTag outer({.flow = 2, .io_class = util::IoClass::kFlush});
+    ASSERT_TRUE(ThrottledMemcpy(topo, {0, 0}, dst.data(), src.data(),
+                                src.size(), MemcpyKind::kD2H)
+                    .ok());
+    {
+      const util::ScopedIoTag inner({.flow = 5});
+      ChargeNvme(topo, 0, 1 << 20);
+      EXPECT_EQ(util::CurrentIoTag().flow, 5);
+    }
+    // The inner scope restored the outer tag.
+    EXPECT_EQ(util::CurrentIoTag().flow, 2);
+    EXPECT_EQ(util::CurrentIoTag().io_class, util::IoClass::kFlush);
+    ChargePfs(topo, 1 << 10);
+  }
+  // Untagged again: flow 0, weight 1, demand.
+  EXPECT_EQ(util::CurrentIoTag().flow, 0);
+  EXPECT_EQ(util::CurrentIoTag().weight, 1.0);
+  EXPECT_EQ(util::CurrentIoTag().io_class, util::IoClass::kDemand);
+  ChargeNvme(topo, 0, 4 << 10);
+  // Another thread does not see this thread's tag.
+  const util::ScopedIoTag here({.flow = 7});
+  std::thread([&topo] { ChargePfs(topo, 2 << 10); }).join();
+
+  const auto& pcie = topo.pcie_link({0, 0}, Topology::LinkDir::kD2H);
+  EXPECT_EQ(pcie.admitted_bytes(2), src.size());
+  EXPECT_EQ(topo.host_mem({0, 0}).admitted_bytes(2), src.size());
+  EXPECT_EQ(topo.nvme_for_rank(0).admitted_bytes(5), 1u << 20);
+  EXPECT_EQ(topo.nvme_for_rank(0).admitted_bytes(0), 4u << 10);
+  EXPECT_EQ(topo.pfs().admitted_bytes(2), 1u << 10);
+  EXPECT_EQ(topo.pfs().admitted_bytes(0), 2u << 10);
+  EXPECT_EQ(topo.pfs().admitted_bytes(7), 0u);
+}
+
 }  // namespace
 }  // namespace ckpt::sim

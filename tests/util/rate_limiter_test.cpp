@@ -6,13 +6,26 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/clock.hpp"
 
 namespace ckpt::util {
 namespace {
+
+// Starts `acquire` on a new thread and returns once the limiter shows one
+// more queued request, so arrival order is the order of the calls. Needs a
+// limiter in debt: nothing may be admitted while the waiters queue.
+template <typename Fn>
+void StartQueued(const RateLimiter& rl, std::vector<std::jthread>& threads,
+                 Fn&& acquire) {
+  const auto before = rl.EstimateDelay(0);
+  threads.emplace_back(std::forward<Fn>(acquire));
+  while (rl.EstimateDelay(0) <= before) std::this_thread::yield();
+}
 
 TEST(RateLimiterTest, UnlimitedNeverBlocks) {
   RateLimiter rl(0);
@@ -39,27 +52,6 @@ TEST(RateLimiterTest, FirstAcquireAdmittedInstantly) {
   const Stopwatch sw;
   rl.Acquire(1 << 20);
   EXPECT_LT(sw.ElapsedSec(), 0.05);
-}
-
-TEST(RateLimiterTest, TryAcquireFailsWhenInsolvent) {
-  RateLimiter rl(1 << 10, /*burst=*/1 << 10);
-  EXPECT_TRUE(rl.TryAcquire(4 << 10));   // zero tokens is solvent
-  EXPECT_FALSE(rl.TryAcquire(1));        // deep debt now blocks
-  rl.set_rate(100 << 20);                // debt drains almost instantly
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(rl.TryAcquire(1));
-}
-
-TEST(RateLimiterTest, AcquireForTimesOut) {
-  RateLimiter rl(1 << 10, /*burst=*/1);
-  rl.Acquire(64 << 10);  // 64 s of debt at 1 KiB/s
-  const auto st = rl.AcquireFor(1, std::chrono::milliseconds(50));
-  EXPECT_EQ(st.code(), ErrorCode::kTimeout);
-}
-
-TEST(RateLimiterTest, AcquireForSucceedsWithinDeadline) {
-  RateLimiter rl(1 << 20, /*burst=*/1 << 20);
-  EXPECT_TRUE(rl.AcquireFor(1 << 10, std::chrono::seconds(1)).ok());
 }
 
 TEST(RateLimiterTest, SetRateTakesEffect) {
@@ -125,8 +117,8 @@ TEST(RateLimiterTest, ManyThreadsAllAdmitted) {
 
 TEST(RateLimiterTest, PerFlowAdmittedBytesAreAttributed) {
   RateLimiter rl(0);
-  rl.Acquire(1 << 10, /*flow=*/1);
-  rl.Acquire(2 << 10, /*flow=*/2, /*weight=*/0.5);
+  rl.Acquire(1 << 10, {.flow = 1});
+  rl.Acquire(2 << 10, {.flow = 2, .weight = 0.5});
   rl.Acquire(4 << 10);  // default flow 0
   EXPECT_EQ(rl.admitted_bytes(1), 1u << 10);
   EXPECT_EQ(rl.admitted_bytes(2), 2u << 10);
@@ -148,13 +140,13 @@ TEST(RateLimiterTest, WeightedFlowsShareBandwidthProportionally) {
     std::vector<std::jthread> threads;
     threads.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        rl.Acquire(64 << 10, /*flow=*/1, /*weight=*/1.0);
+        rl.Acquire(64 << 10, {.flow = 1, .weight = 1.0});
         heavy += 64 << 10;
       }
     });
     threads.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        rl.Acquire(64 << 10, /*flow=*/2, /*weight=*/0.5);
+        rl.Acquire(64 << 10, {.flow = 2, .weight = 0.5});
         light += 64 << 10;
       }
     });
@@ -171,41 +163,83 @@ TEST(RateLimiterTest, WeightedFlowsShareBandwidthProportionally) {
 }
 
 TEST(RateLimiterTest, SingleFlowKeepsFifoAdmissionOrder) {
-  // With one flow the SFQ start tags are strictly increasing in arrival
-  // order, so grants must come out exactly FIFO even under contention.
-  RateLimiter rl(50 << 20, /*burst=*/1);
-  rl.Acquire(1 << 20);  // sink the bucket into debt so everyone queues
+  // With one flow and one class the grants come out exactly in arrival
+  // order. The debt holds every waiter until set_rate; each waiter starts
+  // only once the previous one is queued; 1 MiB at 16 MiB/s spaces the
+  // grants 62 ms apart, so each thread records its turn before the next.
+  RateLimiter rl(1 << 10, /*burst=*/1);
+  rl.Acquire(64 << 10);  // 64 s of debt at 1 KiB/s
   std::mutex order_mu;
   std::vector<int> order;
-  std::vector<std::jthread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      // Stagger arrivals so ticket order matches thread index.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5 * (t + 1)));
-      rl.Acquire(256 << 10);
-      std::lock_guard<std::mutex> lk(order_mu);
-      order.push_back(t);
-    });
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < 6; ++t) {
+      StartQueued(rl, threads, [&, t] {
+        rl.Acquire(1 << 20);
+        std::lock_guard lk(order_mu);
+        order.push_back(t);
+      });
+    }
+    rl.set_rate(16 << 20);
   }
-  threads.clear();
   ASSERT_EQ(order.size(), 6u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()))
       << "admission reordered within a single flow";
 }
 
-TEST(RateLimiterTest, AcquireForTimeoutLeavesQueueConsistent) {
-  // A waiter that times out must fully abandon its slot: the next request
-  // on the same flow still gets admitted and per-flow accounting only
-  // counts admitted bytes.
-  RateLimiter rl(1 << 20, /*burst=*/1);
-  rl.Acquire(4 << 20, /*flow=*/7);  // ~4 s of debt
-  const Status st =
-      rl.AcquireFor(1 << 20, std::chrono::milliseconds(20), /*flow=*/7);
-  EXPECT_EQ(st.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(rl.admitted_bytes(7), 4u << 20);
-  rl.set_rate(0);  // unlimited: the abandoned slot must not wedge the queue
-  rl.Acquire(1 << 20, /*flow=*/7);
-  EXPECT_EQ(rl.admitted_bytes(7), 5u << 20);
+TEST(RateLimiterTest, DemandOvertakesQueuedFlushWithinAFlow) {
+  // Three flush requests queue first (the oldest already waits out the
+  // debt at the head), then two demand requests of the same flow. Both
+  // demands are admitted before every flush, and each class stays FIFO.
+  RateLimiter rl(1 << 10, /*burst=*/1);
+  rl.Acquire(64 << 10);  // 64 s of debt at 1 KiB/s
+  const IoTag flush{.flow = 3, .io_class = IoClass::kFlush};
+  const IoTag demand{.flow = 3, .io_class = IoClass::kDemand};
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  {
+    std::vector<std::jthread> threads;
+    const auto start = [&](const IoTag& tag, std::string name) {
+      StartQueued(rl, threads, [&, tag, name] {
+        rl.Acquire(1 << 20, tag);
+        std::lock_guard lk(order_mu);
+        order.push_back(name);
+      });
+    };
+    start(flush, "f0");
+    start(flush, "f1");
+    start(flush, "f2");
+    start(demand, "d0");
+    start(demand, "d1");
+    rl.set_rate(16 << 20);
+  }
+  const std::vector<std::string> expected{"d0", "d1", "f0", "f1", "f2"};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(rl.admitted_bytes(3), 5u << 20);
+}
+
+TEST(RateLimiterTest, ClassesDoNotBendWeightsAcrossFlows) {
+  // Flow 1 (weight 1) sends only demand, flow 2 (weight 0.5) only flush.
+  // Classes order requests inside a flow, never across flows, so SFQ still
+  // splits the link 2:1. Two threads per flow keep each flow backlogged.
+  RateLimiter rl(20 << 20, /*burst=*/64 << 10);
+  const IoTag heavy_tag{.flow = 1, .weight = 1.0};
+  const IoTag light_tag{.flow = 2, .weight = 0.5, .io_class = IoClass::kFlush};
+  std::atomic<bool> stop{false};
+  {
+    std::vector<std::jthread> threads;
+    for (const IoTag& tag : {heavy_tag, heavy_tag, light_tag, light_tag}) {
+      threads.emplace_back([&rl, &stop, tag] {
+        while (!stop.load(std::memory_order_relaxed)) rl.Acquire(64 << 10, tag);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    stop = true;
+  }
+  const auto heavy = static_cast<double>(rl.admitted_bytes(1));
+  const auto light = static_cast<double>(rl.admitted_bytes(2));
+  ASSERT_GT(light, 0.0);
+  EXPECT_NEAR(heavy / light, 2.0, 0.3);
 }
 
 }  // namespace
