@@ -69,7 +69,7 @@ class VelocClient {
   [[nodiscard]] core::TenantId tenant() const noexcept {
     return engine_.TenantOf(rank_);
   }
-  /// Owning tenant's name; empty in single-tenant mode.
+  /// Owning tenant's name ("default" in single-tenant mode).
   [[nodiscard]] std::string tenant_name() const {
     return engine_.TenantLabelOf(rank_);
   }

@@ -94,10 +94,8 @@ void Engine::Init(int num_ranks) {
   // Tenant table (DESIGN.md §12), built before any worker can run. Explicit
   // tenants claim contiguous rank blocks in declaration order (even split,
   // remainder to the earlier tenants); legacy callers get one implicit
-  // unlimited "default" tenant over every rank, which keeps the hot path,
-  // thread names and telemetry byte-identical to the pre-tenant engine.
+  // unlimited "default" tenant over every rank.
   tenant_registry_ = std::make_unique<TenantRegistry>(num_ranks);
-  label_tenants_ = !options_.tenants.empty();
   if (options_.tenants.empty()) {
     auto id = tenant_registry_->Open(TenantSpec{.name = "default"}, num_ranks);
     assert(id.ok());
@@ -516,16 +514,14 @@ util::Status Engine::CheckTenantOpen(sim::Rank rank) const {
 }
 
 std::string Engine::TenantLabelOf(sim::Rank rank) const {
-  if (!label_tenants_) return {};
   const TenantCtx* t = tenant_registry_->Get(tenant_registry_->tenant_of(rank));
   return t != nullptr ? t->spec.name : std::string{};
 }
 
-std::string Engine::TenantThreadPrefix(const RankCtx& ctx_) const {
-  if (!label_tenants_) return {};
-  const TenantCtx* t =
-      tenant_registry_->Get(tenant_registry_->tenant_of(ctx_.rank));
-  return t != nullptr ? t->spec.name + "/" : std::string{};
+std::string Engine::WorkerThreadName(const RankCtx& ctx_,
+                                     std::string_view role) const {
+  return TenantLabelOf(ctx_.rank) + "/r" + std::to_string(ctx_.rank) + "/" +
+         std::string(role);
 }
 
 util::IoTag Engine::IoTagOf(const RankCtx& ctx_,
@@ -583,13 +579,6 @@ std::uint64_t Engine::ShedForQuota(RankCtx& ctx_,
     NotifyReserve(ctx_, tier);
   }
   return freed;
-}
-
-util::StatusOr<TenantId> Engine::OpenTenant(const TenantSpec& spec,
-                                            int num_ranks) {
-  auto id = tenant_registry_->Open(spec, num_ranks);
-  if (id.ok()) label_tenants_ = true;
-  return id;
 }
 
 util::Status Engine::CloseTenant(TenantId id) {
@@ -1601,23 +1590,22 @@ void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
   const std::int64_t now = util::NowNs();
   const std::int64_t lag_ns = now > rec.admit_ns ? now - rec.admit_ns : 0;
   TierCells& cells = ctx_.tier_probe[idx];
-  ProbeAdd(cells.lag_buckets[util::telemetry::LagBucketOf(
+  ProbeAdd(cells.lag_buckets[util::Histogram::BucketOf(
       static_cast<double>(lag_ns) / 1e9)]);
-  ProbeAdd(cells.lag_count);
   ProbeAdd(cells.lag_sum_ns, static_cast<std::uint64_t>(lag_ns));
   QueueFlow(ctx_, trace::Kind::kFlush, flow_ack_names_[d], rec.flow_id,
             trace::FlowPhase::kStep, static_cast<int>(idx), rec.version,
             rec.size);
 }
 
-util::telemetry::LagHistogram Engine::LoadLag(const TierCells& cells) {
+util::Histogram Engine::LoadLag(const TierCells& cells) {
   constexpr auto relax = std::memory_order_relaxed;
-  util::telemetry::LagHistogram h;
-  h.buckets.reserve(cells.lag_buckets.size());
-  for (const auto& b : cells.lag_buckets) h.buckets.push_back(b.load(relax));
-  h.count = cells.lag_count.load(relax);
-  h.sum_ns = cells.lag_sum_ns.load(relax);
-  return h;
+  util::Histogram::Counts counts{};
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    counts[b] = cells.lag_buckets[b].load(relax);
+  }
+  return util::Histogram::FromCounts(
+      counts, static_cast<double>(cells.lag_sum_ns.load(relax)) / 1e9);
 }
 
 util::StatusOr<CkptState> Engine::StateOf(sim::Rank rank, Version v) const {
@@ -1704,8 +1692,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
   CacheTierRt& t = *c.tiers[static_cast<std::size_t>(tier)];
   const int ncache = stack_.num_cache_tiers();
   const std::string tier_name(stack_.name(static_cast<std::size_t>(tier)));
-  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
-                       "/flush:" + tier_name);
+  trace::SetThreadName(WorkerThreadName(c, "flush:" + tier_name));
   // Span names are interned once per worker: the Chrome `name` groups one
   // stage's copies ("flush:gpu" = everything leaving the gpu tier).
   const char* stage_span = trace::Intern("flush:" + tier_name);
@@ -1910,8 +1897,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
 }
 
 void Engine::PrefetchLoop(RankCtx& c) {
-  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
-                       "/prefetch");
+  trace::SetThreadName(WorkerThreadName(c, "prefetch"));
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(c.rank);
   const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   const int ncache = stack_.num_cache_tiers();
@@ -2150,8 +2136,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
 // T_PF's promotion of the current one. A Belady guard on the reservation
 // bounds how far ahead it reads.
 void Engine::StageInLoop(RankCtx& c) {
-  trace::SetThreadName(TenantThreadPrefix(c) + "r" + std::to_string(c.rank) +
-                       "/prefetch:stage");
+  trace::SetThreadName(WorkerThreadName(c, "prefetch:stage"));
   const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
   const int ncache = stack_.num_cache_tiers();
   const int deepest = ncache - 1;

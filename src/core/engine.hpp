@@ -127,9 +127,8 @@ struct EngineOptions {
 
   /// Tenants to open at Init, in declaration order; ranks are split into
   /// contiguous blocks (even split, remainder to earlier tenants). Empty =
-  /// legacy single-tenant mode: one implicit "default" tenant with no quota
-  /// spans every rank and the hot path is byte-identical to a pre-tenant
-  /// engine.
+  /// single-tenant mode: one implicit "default" tenant with no quota spans
+  /// every rank.
   std::vector<TenantSpec> tenants;
 
   /// Test hook: when set, a commit-ready eviction plan in round `round`
@@ -184,11 +183,6 @@ class Engine final : public Runtime {
   void Shutdown() override;
 
   // --- Multi-tenant service surface (DESIGN.md §12) ---
-  /// Opens a tenant over the next `num_ranks` unassigned ranks. Rare
-  /// control-plane call; checkpoint/restore traffic of other tenants is
-  /// unaffected. Init() already opened the configured (or default) tenants,
-  /// so this is only needed for stacks assembled incrementally in tests.
-  util::StatusOr<TenantId> OpenTenant(const TenantSpec& spec, int num_ranks);
   /// Quiesces a tenant: waits for its in-flight flushes, then rejects new
   /// checkpoint/restore/hint calls on its ranks with kFailedPrecondition.
   /// Its cached/durable data stays addressable for other introspection.
@@ -203,13 +197,13 @@ class Engine final : public Runtime {
   /// Total cache bytes (all cache tiers, all the tenant's ranks) the tenant
   /// currently holds. Lock-free, same consistency as CacheUsed.
   [[nodiscard]] std::uint64_t TenantCacheUsed(TenantId id) const;
-  /// True in explicit multi-tenant mode: tenant names appear in thread/track
-  /// names, telemetry labels, and metrics JSON. False keeps single-tenant
-  /// output byte-identical to the pre-tenant engine.
+  /// True when EngineOptions::tenants declared the tenants; false for the
+  /// one implicit "default" tenant.
   [[nodiscard]] bool multi_tenant() const noexcept override {
-    return label_tenants_;
+    return !options_.tenants.empty();
   }
-  /// Name of the tenant owning `rank` when multi_tenant(), else "".
+  /// Name of the tenant owning `rank` ("default" in single-tenant mode):
+  /// the `tenant` label of its telemetry, metrics JSON and thread names.
   [[nodiscard]] std::string TenantLabelOf(sim::Rank rank) const;
 
   [[nodiscard]] RankMetrics metrics(sim::Rank rank) const override;
@@ -362,13 +356,11 @@ class Engine final : public Runtime {
     std::atomic<std::uint64_t> flush_bytes{0};  ///< flush_bytes_to_tier
     std::atomic<std::uint64_t> restores{0};     ///< restores_from_tier
     /// Durability-lag histogram cells (DESIGN.md §14): per-bucket counts
-    /// over util::telemetry::kDurabilityLagEdgesS plus the +Inf bucket.
-    /// Bumped at each durable ack on durable-tier positions only; cache
-    /// positions stay zero.
-    std::array<std::atomic<std::uint64_t>,
-               util::telemetry::kDurabilityLagBuckets>
+    /// over util::Histogram's edges plus the +Inf bucket. Bumped at each
+    /// durable ack on durable-tier positions only; cache positions stay
+    /// zero.
+    std::array<std::atomic<std::uint64_t>, util::Histogram::kBuckets>
         lag_buckets{};
-    std::atomic<std::uint64_t> lag_count{0};
     std::atomic<std::uint64_t> lag_sum_ns{0};
   };
   struct RankCells {
@@ -649,8 +641,7 @@ class Engine final : public Runtime {
   void LineageDurableAck(RankCtx& ctx, Record& rec, std::size_t d);
   /// Plain-value copy of one tier's lag cells (relaxed loads; exact and
   /// mutually consistent under ctx.mu, which every bump holds).
-  [[nodiscard]] static util::telemetry::LagHistogram LoadLag(
-      const TierCells& cells);
+  [[nodiscard]] static util::Histogram LoadLag(const TierCells& cells);
 
   /// Drops the victims' residencies on `tier`. Requires EvictableNow.
   util::Status EvictVictims(RankCtx& ctx, TierIndex tier,
@@ -665,9 +656,9 @@ class Engine final : public Runtime {
   /// flow 0, weight 1.0, the limiters' default flow.
   [[nodiscard]] util::IoTag IoTagOf(const RankCtx& ctx,
                                     util::IoClass io_class) const noexcept;
-  /// "<tenant>/" for worker thread/track names in multi-tenant mode; empty
-  /// (single-tenant) keeps every thread name byte-identical to PR 7.
-  [[nodiscard]] std::string TenantThreadPrefix(const RankCtx& ctx) const;
+  /// "<tenant>/r<rank>/<role>": the worker thread/track name.
+  [[nodiscard]] std::string WorkerThreadName(const RankCtx& ctx,
+                                             std::string_view role) const;
   /// Quota headroom check for the rank's tenant: true when admitting `size`
   /// more cache bytes would exceed the tenant's quota. Quota 0 never blocks
   /// (and skips the cross-rank usage sum entirely).
@@ -817,10 +808,6 @@ class Engine final : public Runtime {
   bool stage_in_ = false;
   /// Tenant table + rank->tenant mapping; created before the workers spawn.
   std::unique_ptr<TenantRegistry> tenant_registry_;
-  /// True when the engine runs in explicit multi-tenant mode: tenant labels
-  /// appear in thread/track names and telemetry. Single-tenant mode keeps
-  /// every name and label byte-identical to the pre-tenant engine.
-  bool label_tenants_ = false;
   /// Estimated drain bandwidth of each cache tier toward the next tier
   /// (bytes/s), for predict_evictable ETAs (§4.2).
   std::vector<double> drain_bw_;

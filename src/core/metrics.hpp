@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "util/stats.hpp"
-#include "util/telemetry.hpp"
 
 namespace ckpt::core {
 
@@ -83,14 +82,14 @@ struct RankMetrics {
   std::uint64_t watchdog_flush_stalls = 0;    // flush queue, no byte progress
   std::uint64_t watchdog_reserve_stalls = 0;  // eviction-plan livelock
 
-  // Per-stage latency distributions (seconds), log-bucketed. The scalar
-  // accumulators above give totals; these show the shape — a bimodal flush
-  // stage (fast overlap vs. backlog stall) is invisible in a sum.
-  util::LogHistogram promotion_hist;      // prefetch promotion copy time
-  util::LogHistogram reserve_round_hist;  // one eviction plan/commit round
+  // Per-stage latency distributions (seconds). The scalar accumulators
+  // above give totals; these show the shape — a bimodal flush stage (fast
+  // overlap vs. backlog stall) is invisible in a sum.
+  util::Histogram promotion_hist;      // prefetch promotion copy time
+  util::Histogram reserve_round_hist;  // one eviction plan/commit round
   // Stage copy latency per cache tier, indexed by TierStack position
   // (sized by the engine alongside the per-tier counter vectors).
-  std::vector<util::LogHistogram> flush_stage_hist;
+  std::vector<util::Histogram> flush_stage_hist;
 
   // Lineage accounting (DESIGN.md §14): per-object terminal outcomes and
   // the put -> durable-ack window.
@@ -100,11 +99,11 @@ struct RankMetrics {
   std::uint64_t objects_lost = 0;       // entered FLUSH_FAILED with no copy
   std::uint64_t objects_erased = 0;     // record erased before any outcome
   // Durability lag (put -> per-tier durable ack), indexed by TierStack
-  // position: the engine's fixed-edge lag cells, copied by
-  // MetricsSnapshot(); cache positions stay empty. Never-durable objects
-  // (lost/erased) charge nothing — the family measures ack latency, not
-  // failure rate (those have their own counters above).
-  std::vector<util::telemetry::LagHistogram> durability_lag;
+  // position: the engine's lag cells, copied by MetricsSnapshot(); cache
+  // positions stay zero. Never-durable objects (lost/erased) charge
+  // nothing — the family measures ack latency, not failure rate (those
+  // have their own counters above).
+  std::vector<util::Histogram> durability_lag;
 
   // Engine init cost (slow pinned host-cache allocation, §5.4.2).
   double init_s = 0.0;

@@ -113,10 +113,9 @@ std::string TelemetrySampler::ScrapeOpenMetrics() {
 
 void TelemetrySampler::Tick() {
   std::lock_guard lk(tick_mu_);
-  SamplePtr s = BuildTelemetrySample(engine_, seq_++, prev_.get());
+  SamplePtr s = BuildTelemetrySample(engine_, seq_++);
   ring_.Push(s);
   if (opts_.watchdog) RunWatchdog(*s);
-  prev_ = std::move(s);
 }
 
 void TelemetrySampler::RunWatchdog(const TelemetrySample& cur) {

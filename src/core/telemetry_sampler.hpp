@@ -123,9 +123,8 @@ class TelemetrySampler {
   util::telemetry::SampleRing ring_;
 
   /// Serializes Tick() between the sampling thread and SampleNow() callers;
-  /// also guards prev_/seq_/watch_. Never held while readers scrape.
+  /// also guards seq_/watch_. Never held while readers scrape.
   std::mutex tick_mu_;
-  util::telemetry::SamplePtr prev_;
   std::uint64_t seq_ = 0;
   std::vector<RankWatch> watch_;
 

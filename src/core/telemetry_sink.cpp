@@ -4,13 +4,12 @@
 #include <cctype>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 
 #include "core/engine.hpp"
 #include "core/lifecycle.hpp"
+#include "core/render.hpp"
 #include "core/tier_stack.hpp"
 #include "util/json.hpp"
 #include "util/trace.hpp"
@@ -19,28 +18,14 @@ namespace ckpt::core {
 
 namespace {
 
+using render::AppendF;
+using render::AppendNum;
+using render::TierLabel;
 using util::telemetry::RankSample;
 using util::telemetry::RemoteTierSample;
 using util::telemetry::SamplePtr;
 using util::telemetry::TelemetrySample;
 using util::telemetry::TierSample;
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
-}
-
-void AppendNum(std::string& out, double v) { AppendF(out, "%.9g", v); }
-
-std::string TierLabel(const std::vector<std::string>& names, std::size_t i) {
-  return i < names.size() ? names[i] : "tier" + std::to_string(i);
-}
 
 /// OpenMetrics label-value escaping: backslash, double quote, newline.
 std::string EscapeLabelValue(std::string_view v) {
@@ -112,15 +97,9 @@ struct Exposer {
   }
 };
 
-// A `tenant` label is emitted only when the sample carries a tenant name, so
-// single-tenant exposition stays byte-identical to the legacy format.
 std::string RankLabel(const RankSample& rs) {
-  std::string out;
-  if (!rs.tenant.empty()) {
-    out += "tenant=\"" + EscapeLabelValue(rs.tenant) + "\",";
-  }
-  out += "rank=\"" + std::to_string(rs.rank) + "\"";
-  return out;
+  return "tenant=\"" + EscapeLabelValue(rs.tenant) + "\",rank=\"" +
+         std::to_string(rs.rank) + "\"";
 }
 std::string TierRankLabel(const std::vector<std::string>& names, std::size_t i,
                           const RankSample& rs) {
@@ -131,9 +110,7 @@ std::string TierRankLabel(const std::vector<std::string>& names, std::size_t i,
 void AppendRankSampleJson(std::string& out, const RankSample& rs,
                           const std::vector<std::string>& tier_names) {
   AppendF(out, "{\"rank\":%d", rs.rank);
-  if (!rs.tenant.empty()) {
-    out += ",\"tenant\":\"" + util::json::Escape(rs.tenant) + "\"";
-  }
+  out += ",\"tenant\":\"" + util::json::Escape(rs.tenant) + "\"";
   out += ",\"state_occupancy\":[";
   for (std::size_t i = 0; i < rs.state_occupancy.size(); ++i) {
     if (i) out += ',';
@@ -148,14 +125,13 @@ void AppendRankSampleJson(std::string& out, const RankSample& rs,
           ",\"tier_degradations\":%" PRIu64 ",\"checkpoints_lost\":%" PRIu64
           ",\"checkpoints\":%" PRIu64 ",\"restores\":%" PRIu64
           ",\"bytes_checkpointed\":%" PRIu64 ",\"bytes_restored\":%" PRIu64
-          ",\"watchdog_stalls\":%" PRIu64 ",\"restore_Bps\":",
+          ",\"watchdog_stalls\":%" PRIu64,
           rs.last_transition_ns, rs.restore_queue_depth, rs.reserve_rounds,
           rs.reserve_plans_stale, rs.reserve_snapshot_reuse,
           rs.reserve_quota_waits, rs.flush_retries, rs.fetch_retries,
           rs.tier_degradations, rs.checkpoints_lost, rs.checkpoints,
           rs.restores, rs.bytes_checkpointed, rs.bytes_restored,
           rs.watchdog_stalls);
-  AppendNum(out, rs.restore_Bps);
   AppendF(out,
           ",\"objects\":{\"admitted\":%" PRIu64 ",\"durable\":%" PRIu64
           ",\"degraded\":%" PRIu64 ",\"lost\":%" PRIu64
@@ -170,34 +146,40 @@ void AppendRankSampleJson(std::string& out, const RankSample& rs,
     AppendF(out,
             ",\"bytes_used\":%" PRIu64 ",\"bytes_capacity\":%" PRIu64
             ",\"flush_queue_depth\":%" PRIu64 ",\"flush_bytes\":%" PRIu64
-            ",\"restores\":%" PRIu64 ",\"flush_Bps\":",
+            ",\"restores\":%" PRIu64 "}",
             t.bytes_used, t.bytes_capacity, t.flush_queue_depth, t.flush_bytes,
             t.restores);
-    AppendNum(out, t.flush_Bps);
-    out += '}';
   }
   out += "]}";
 }
 
-void AppendRemoteTierJson(std::string& out, const RemoteTierSample& rt) {
-  out += "{\"name\":\"" + util::json::Escape(rt.tier_name) + "\"";
-  AppendF(out,
-          ",\"remote_puts\":%" PRIu64 ",\"remote_gets\":%" PRIu64
-          ",\"remote_parts\":%" PRIu64 ",\"remote_part_retries\":%" PRIu64
-          ",\"remote_put_bytes\":%" PRIu64 ",\"remote_get_bytes\":%" PRIu64
-          ",\"agg_member_puts\":%" PRIu64 ",\"agg_group_puts\":%" PRIu64
-          ",\"agg_group_put_failures\":%" PRIu64 ",\"agg_size_flushes\":%" PRIu64
-          ",\"agg_deadline_flushes\":%" PRIu64
-          ",\"agg_gets_from_pending\":%" PRIu64
-          ",\"agg_group_reclaims\":%" PRIu64
-          ",\"agg_pending_members\":%" PRIu64 ",\"agg_pending_bytes\":%" PRIu64
-          "}",
-          rt.remote_puts, rt.remote_gets, rt.remote_parts,
-          rt.remote_part_retries, rt.remote_put_bytes, rt.remote_get_bytes,
-          rt.agg_member_puts, rt.agg_group_puts, rt.agg_group_put_failures,
-          rt.agg_size_flushes, rt.agg_deadline_flushes,
-          rt.agg_gets_from_pending, rt.agg_group_reclaims,
-          rt.agg_pending_members, rt.agg_pending_bytes);
+/// `[...]` of every remote tier's counters; `[]` when there are none.
+void AppendRemoteTiersJson(std::string& out,
+                           const std::vector<RemoteTierSample>& tiers) {
+  out += '[';
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    const RemoteTierSample& rt = tiers[i];
+    if (i) out += ',';
+    out += "{\"name\":\"" + util::json::Escape(rt.tier_name) + "\"";
+    AppendF(out,
+            ",\"remote_puts\":%" PRIu64 ",\"remote_gets\":%" PRIu64
+            ",\"remote_parts\":%" PRIu64 ",\"remote_part_retries\":%" PRIu64
+            ",\"remote_put_bytes\":%" PRIu64 ",\"remote_get_bytes\":%" PRIu64
+            ",\"agg_member_puts\":%" PRIu64 ",\"agg_group_puts\":%" PRIu64
+            ",\"agg_group_put_failures\":%" PRIu64 ",\"agg_size_flushes\":%" PRIu64
+            ",\"agg_deadline_flushes\":%" PRIu64
+            ",\"agg_gets_from_pending\":%" PRIu64
+            ",\"agg_group_reclaims\":%" PRIu64
+            ",\"agg_pending_members\":%" PRIu64 ",\"agg_pending_bytes\":%" PRIu64
+            "}",
+            rt.remote_puts, rt.remote_gets, rt.remote_parts,
+            rt.remote_part_retries, rt.remote_put_bytes, rt.remote_get_bytes,
+            rt.agg_member_puts, rt.agg_group_puts, rt.agg_group_put_failures,
+            rt.agg_size_flushes, rt.agg_deadline_flushes,
+            rt.agg_gets_from_pending, rt.agg_group_reclaims,
+            rt.agg_pending_members, rt.agg_pending_bytes);
+  }
+  out += ']';
 }
 
 /// One rank's (or the merged) critical-path entry.
@@ -247,46 +229,20 @@ std::vector<std::string> TelemetryTierNames(const Engine& engine) {
   return names;
 }
 
-SamplePtr BuildTelemetrySample(const Engine& engine, std::uint64_t seq,
-                               const TelemetrySample* prev) {
+SamplePtr BuildTelemetrySample(const Engine& engine, std::uint64_t seq) {
   auto s = std::make_shared<TelemetrySample>();
   s->ts_ns = util::trace::Now();
   s->seq = seq;
-  double dt_s = 0.0;
-  if (prev != nullptr && s->ts_ns > prev->ts_ns) {
-    dt_s = static_cast<double>(s->ts_ns - prev->ts_ns) / 1e9;
-  }
-  const auto rate = [dt_s](std::uint64_t cur, std::uint64_t before) {
-    if (dt_s <= 0.0 || cur <= before) return 0.0;
-    return static_cast<double>(cur - before) / dt_s;
-  };
   const int nr = engine.num_ranks();
   s->ranks.reserve(static_cast<std::size_t>(nr));
-  for (int r = 0; r < nr; ++r) {
-    RankSample rs = engine.Probe(r);
-    const RankSample* prev_rank =
-        prev != nullptr && static_cast<std::size_t>(r) < prev->ranks.size()
-            ? &prev->ranks[static_cast<std::size_t>(r)]
-            : nullptr;
-    if (prev_rank != nullptr) {
-      rs.restore_Bps = rate(rs.bytes_restored, prev_rank->bytes_restored);
-      for (std::size_t i = 0;
-           i < rs.tiers.size() && i < prev_rank->tiers.size(); ++i) {
-        rs.tiers[i].flush_Bps =
-            rate(rs.tiers[i].flush_bytes, prev_rank->tiers[i].flush_bytes);
-      }
-    }
-    s->ranks.push_back(std::move(rs));
-  }
+  for (int r = 0; r < nr; ++r) s->ranks.push_back(engine.Probe(r));
   s->remote_tiers = CollectRemoteTiers(engine);
   return s;
 }
 
 std::vector<RemoteTierSample> CollectRemoteTiers(const Engine& engine) {
   // Store-level counters of remote/aggregating durable tiers. The stores are
-  // engine-wide (shared across ranks), so these ride beside the rank slices;
-  // stacks without such a tier return empty and every downstream exposition
-  // stays byte-identical to the pre-remote format.
+  // engine-wide (shared across ranks), so these ride beside the rank slices.
   std::vector<RemoteTierSample> out;
   const TierStack& stack = engine.tiers();
   for (int d = 0; d < stack.num_durable_tiers(); ++d) {
@@ -317,14 +273,8 @@ std::vector<RemoteTierSample> CollectRemoteTiers(const Engine& engine) {
 }
 
 std::string RemoteTiersJson(const Engine& engine) {
-  const std::vector<RemoteTierSample> tiers = CollectRemoteTiers(engine);
-  if (tiers.empty()) return {};
-  std::string out = "[";
-  for (std::size_t i = 0; i < tiers.size(); ++i) {
-    if (i) out += ',';
-    AppendRemoteTierJson(out, tiers[i]);
-  }
-  out += ']';
+  std::string out;
+  AppendRemoteTiersJson(out, CollectRemoteTiers(engine));
   return out;
 }
 
@@ -378,19 +328,6 @@ std::string OpenMetricsText(const TelemetrySample& s,
                       RankLabel(rs),
                   rs.state_occupancy[i]);
     }
-  }
-  x.Gauge("ckpt_tier_flush_bps",
-          "Bytes/s landed on each tier over the last sampling window.");
-  for (const RankSample& rs : s.ranks) {
-    for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
-      x.SampleF64("ckpt_tier_flush_bps", TierRankLabel(tier_names, i, rs),
-                  rs.tiers[i].flush_Bps);
-    }
-  }
-  x.Gauge("ckpt_restore_bps",
-          "Bytes/s restored over the last sampling window.");
-  for (const RankSample& rs : s.ranks) {
-    x.SampleF64("ckpt_restore_bps", RankLabel(rs), rs.restore_Bps);
   }
 
   struct CounterSpec {
@@ -449,64 +386,62 @@ std::string OpenMetricsText(const TelemetrySample& s,
                   rs.tiers[i].restores);
     }
   }
-  // Remote/aggregating tier families appear only when the stack has a store
-  // that reports them, keeping every other configuration byte-identical.
-  if (!s.remote_tiers.empty()) {
-    struct RemoteCounterSpec {
-      const char* family;
-      const char* help;
-      std::uint64_t RemoteTierSample::* field;
-    };
-    static constexpr RemoteCounterSpec kRemoteCounters[] = {
-        {"ckpt_remote_puts", "Objects landed on the remote store.",
-         &RemoteTierSample::remote_puts},
-        {"ckpt_remote_gets", "Objects fetched from the remote store.",
-         &RemoteTierSample::remote_gets},
-        {"ckpt_remote_parts", "Multipart upload parts completed.",
-         &RemoteTierSample::remote_parts},
-        {"ckpt_remote_part_retries", "Extra per-part upload attempts.",
-         &RemoteTierSample::remote_part_retries},
-        {"ckpt_remote_put_bytes", "Bytes uploaded to the remote store.",
-         &RemoteTierSample::remote_put_bytes},
-        {"ckpt_remote_get_bytes", "Bytes downloaded from the remote store.",
-         &RemoteTierSample::remote_get_bytes},
-        {"ckpt_agg_member_puts", "Member puts accepted by the aggregator.",
-         &RemoteTierSample::agg_member_puts},
-        {"ckpt_agg_group_puts", "Group objects landed by the aggregator.",
-         &RemoteTierSample::agg_group_puts},
-        {"ckpt_agg_group_put_failures", "Group uploads that failed and were requeued.",
-         &RemoteTierSample::agg_group_put_failures},
-        {"ckpt_agg_size_flushes", "Groups sealed by the member/byte threshold.",
-         &RemoteTierSample::agg_size_flushes},
-        {"ckpt_agg_deadline_flushes", "Groups sealed by deadline or explicit flush.",
-         &RemoteTierSample::agg_deadline_flushes},
-        {"ckpt_agg_gets_from_pending", "Member reads served from buffered groups.",
-         &RemoteTierSample::agg_gets_from_pending},
-        {"ckpt_agg_group_reclaims", "Group objects reclaimed after their last member was erased.",
-         &RemoteTierSample::agg_group_reclaims},
-    };
-    const auto remote_label = [&](const RemoteTierSample& rt) {
-      return "tier=\"" + EscapeLabelValue(rt.tier_name) + "\"";
-    };
-    for (const RemoteCounterSpec& c : kRemoteCounters) {
-      x.Counter(c.family, c.help);
-      const std::string sample_name = std::string(c.family) + "_total";
-      for (const RemoteTierSample& rt : s.remote_tiers) {
-        x.SampleU64(sample_name, remote_label(rt), rt.*(c.field));
-      }
-    }
-    x.Gauge("ckpt_agg_pending_members",
-            "Member puts buffered in not-yet-landed groups.");
+  // Remote/aggregating tier families: always declared, sampled for each
+  // tier whose store reports stats.
+  struct RemoteCounterSpec {
+    const char* family;
+    const char* help;
+    std::uint64_t RemoteTierSample::* field;
+  };
+  static constexpr RemoteCounterSpec kRemoteCounters[] = {
+      {"ckpt_remote_puts", "Objects landed on the remote store.",
+       &RemoteTierSample::remote_puts},
+      {"ckpt_remote_gets", "Objects fetched from the remote store.",
+       &RemoteTierSample::remote_gets},
+      {"ckpt_remote_parts", "Multipart upload parts completed.",
+       &RemoteTierSample::remote_parts},
+      {"ckpt_remote_part_retries", "Extra per-part upload attempts.",
+       &RemoteTierSample::remote_part_retries},
+      {"ckpt_remote_put_bytes", "Bytes uploaded to the remote store.",
+       &RemoteTierSample::remote_put_bytes},
+      {"ckpt_remote_get_bytes", "Bytes downloaded from the remote store.",
+       &RemoteTierSample::remote_get_bytes},
+      {"ckpt_agg_member_puts", "Member puts accepted by the aggregator.",
+       &RemoteTierSample::agg_member_puts},
+      {"ckpt_agg_group_puts", "Group objects landed by the aggregator.",
+       &RemoteTierSample::agg_group_puts},
+      {"ckpt_agg_group_put_failures", "Group uploads that failed and were requeued.",
+       &RemoteTierSample::agg_group_put_failures},
+      {"ckpt_agg_size_flushes", "Groups sealed by the member/byte threshold.",
+       &RemoteTierSample::agg_size_flushes},
+      {"ckpt_agg_deadline_flushes", "Groups sealed by deadline or explicit flush.",
+       &RemoteTierSample::agg_deadline_flushes},
+      {"ckpt_agg_gets_from_pending", "Member reads served from buffered groups.",
+       &RemoteTierSample::agg_gets_from_pending},
+      {"ckpt_agg_group_reclaims", "Group objects reclaimed after their last member was erased.",
+       &RemoteTierSample::agg_group_reclaims},
+  };
+  const auto remote_label = [&](const RemoteTierSample& rt) {
+    return "tier=\"" + EscapeLabelValue(rt.tier_name) + "\"";
+  };
+  for (const RemoteCounterSpec& c : kRemoteCounters) {
+    x.Counter(c.family, c.help);
+    const std::string sample_name = std::string(c.family) + "_total";
     for (const RemoteTierSample& rt : s.remote_tiers) {
-      x.SampleU64("ckpt_agg_pending_members", remote_label(rt),
-                  rt.agg_pending_members);
+      x.SampleU64(sample_name, remote_label(rt), rt.*(c.field));
     }
-    x.Gauge("ckpt_agg_pending_bytes",
-            "Bytes buffered in not-yet-landed groups.");
-    for (const RemoteTierSample& rt : s.remote_tiers) {
-      x.SampleU64("ckpt_agg_pending_bytes", remote_label(rt),
-                  rt.agg_pending_bytes);
-    }
+  }
+  x.Gauge("ckpt_agg_pending_members",
+          "Member puts buffered in not-yet-landed groups.");
+  for (const RemoteTierSample& rt : s.remote_tiers) {
+    x.SampleU64("ckpt_agg_pending_members", remote_label(rt),
+                rt.agg_pending_members);
+  }
+  x.Gauge("ckpt_agg_pending_bytes",
+          "Bytes buffered in not-yet-landed groups.");
+  for (const RemoteTierSample& rt : s.remote_tiers) {
+    x.SampleU64("ckpt_agg_pending_bytes", remote_label(rt),
+                rt.agg_pending_bytes);
   }
   // Lineage families (DESIGN.md §14).
   struct OutcomeSpec {
@@ -545,27 +480,23 @@ std::string OpenMetricsText(const TelemetrySample& s,
           "# TYPE ckpt_durability_lag_seconds histogram\n");
   for (const RankSample& rs : s.ranks) {
     for (std::size_t i = 0; i < rs.tiers.size(); ++i) {
-      const util::telemetry::LagHistogram& lag = rs.tiers[i].lag;
-      if (lag.buckets.empty()) continue;  // cache tier
+      if (rs.tiers[i].bytes_capacity != 0) continue;  // cache tier
+      const util::Histogram& lag = rs.tiers[i].lag;
       const std::string labels = TierRankLabel(tier_names, i, rs);
       std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < lag.buckets.size(); ++b) {
-        cum += lag.buckets[b];
+      for (std::size_t b = 0; b < util::Histogram::kBuckets; ++b) {
+        cum += lag.counts()[b];
         std::string le;
-        if (b + 1 == lag.buckets.size()) {
-          le = "+Inf";
+        if (b + 1 < util::Histogram::kBuckets) {
+          AppendNum(le, util::Histogram::kEdgesS[b]);
         } else {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.9g",
-                        util::telemetry::kDurabilityLagEdgesS[b]);
-          le = buf;
+          le = "+Inf";
         }
         x.SampleU64("ckpt_durability_lag_seconds_bucket",
                     labels + ",le=\"" + le + "\"", cum);
       }
-      x.SampleF64("ckpt_durability_lag_seconds_sum", labels,
-                  static_cast<double>(lag.sum_ns) / 1e9);
-      x.SampleU64("ckpt_durability_lag_seconds_count", labels, lag.count);
+      x.SampleF64("ckpt_durability_lag_seconds_sum", labels, lag.sum());
+      x.SampleU64("ckpt_durability_lag_seconds_count", labels, lag.total());
     }
   }
   out += "# EOF\n";
@@ -573,7 +504,7 @@ std::string OpenMetricsText(const TelemetrySample& s,
 }
 
 std::string OpenMetricsText(const Engine& engine) {
-  const SamplePtr s = BuildTelemetrySample(engine, 0, nullptr);
+  const SamplePtr s = BuildTelemetrySample(engine, 0);
   return OpenMetricsText(*s, TelemetryTierNames(engine));
 }
 
@@ -593,15 +524,8 @@ std::string TelemetryWindowJson(const util::telemetry::SampleRing& ring,
       if (r) out += ',';
       AppendRankSampleJson(out, s.ranks[r], tier_names);
     }
-    out += ']';
-    if (!s.remote_tiers.empty()) {
-      out += ",\"remote_tiers\":[";
-      for (std::size_t r = 0; r < s.remote_tiers.size(); ++r) {
-        if (r) out += ',';
-        AppendRemoteTierJson(out, s.remote_tiers[r]);
-      }
-      out += ']';
-    }
+    out += "],\"remote_tiers\":";
+    AppendRemoteTiersJson(out, s.remote_tiers);
     out += '}';
   }
   out += "]}";

@@ -9,7 +9,7 @@
 // the `_total` suffix, label values are escaped, and the payload ends with
 // `# EOF`. Example:
 //   # TYPE ckpt_tier_bytes_used gauge
-//   ckpt_tier_bytes_used{tier="gpu",rank="0"} 1048576
+//   ckpt_tier_bytes_used{tier="gpu",tenant="default",rank="0"} 1048576
 #pragma once
 
 #include <cstddef>
@@ -30,21 +30,18 @@ class Engine;
 [[nodiscard]] std::vector<std::string> TelemetryTierNames(const Engine& engine);
 
 /// Builds one immutable telemetry sample by probing every rank of `engine`
-/// (lock-free; see Engine::Probe). `prev` — the previous sample, when one
-/// exists — supplies the baseline for window throughput rates
-/// (TierSample::flush_Bps, RankSample::restore_Bps).
+/// (lock-free; see Engine::Probe).
 [[nodiscard]] util::telemetry::SamplePtr BuildTelemetrySample(
-    const Engine& engine, std::uint64_t seq,
-    const util::telemetry::TelemetrySample* prev = nullptr);
+    const Engine& engine, std::uint64_t seq);
 
 /// Store-level counters of `engine`'s remote/aggregating durable tiers
 /// (storage::ObjectStore::CollectStats). Empty when no durable store in the
-/// stack reports stats — i.e. for every pre-remote configuration.
+/// stack reports stats.
 [[nodiscard]] std::vector<util::telemetry::RemoteTierSample> CollectRemoteTiers(
     const Engine& engine);
 
-/// JSON array of the same counters ("[]"-less: empty string when no durable
-/// store reports stats), for embedding in metrics snapshots.
+/// JSON array of the same counters (`[]` when no durable store reports
+/// stats), for embedding in metrics snapshots.
 [[nodiscard]] std::string RemoteTiersJson(const Engine& engine);
 
 /// Renders `s` in OpenMetrics text format. `tier_names` labels the per-tier
@@ -53,14 +50,13 @@ class Engine;
     const util::telemetry::TelemetrySample& s,
     const std::vector<std::string>& tier_names);
 
-/// Convenience: probe `engine` now (a fresh one-off sample with no rate
-/// baseline) and render it. Used by scrape entry points when no sampler is
-/// running.
+/// Convenience: probe `engine` now (a fresh one-off sample) and render it.
+/// Used by scrape entry points when no sampler is running.
 [[nodiscard]] std::string OpenMetricsText(const Engine& engine);
 
 /// Renders the ring's current window as JSON, oldest sample first:
 /// `{"capacity":...,"total":...,"samples":[{"ts_ns":...,"seq":...,
-/// "ranks":[...]}]}`. Lock-free (SampleRing::Window).
+/// "ranks":[...],"remote_tiers":[...]}]}`. Lock-free (SampleRing::Window).
 [[nodiscard]] std::string TelemetryWindowJson(
     const util::telemetry::SampleRing& ring,
     const std::vector<std::string>& tier_names = {});
@@ -85,12 +81,6 @@ struct TelemetryCheck {
   std::map<std::string, std::string> family_type;
   /// Sample key (name + label block as emitted) -> parsed value.
   std::map<std::string, double> values;
-
-  [[nodiscard]] double value_or(const std::string& key,
-                                double fallback = 0.0) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
 };
 
 /// Parses and validates one OpenMetrics payload: metric/label name charsets,

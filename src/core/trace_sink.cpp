@@ -2,21 +2,23 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <utility>
 
 #include "core/engine.hpp"
+#include "core/render.hpp"
 #include "core/telemetry_sink.hpp"
-#include "core/tier_stack.hpp"
 #include "util/json.hpp"
 
 namespace ckpt::core {
 
 namespace {
 
+using render::AppendF;
+using render::AppendHistJson;
+using render::AppendNum;
+using render::TierLabel;
 using util::trace::Event;
 using util::trace::Kind;
 
@@ -28,20 +30,6 @@ struct TrackEvent {
 };
 
 int PidOf(const Event& e) { return e.rank < 0 ? 0 : e.rank; }
-
-void AppendF(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
-}
-
-/// Formats a double without locale surprises; trims to %.6g.
-void AppendNum(std::string& out, double v) { AppendF(out, "%.9g", v); }
 
 void AppendEventJson(std::string& out, const TrackEvent& te) {
   const Event& e = *te.ev;
@@ -104,57 +92,6 @@ void AppendSeriesJson(std::string& out, const char* key,
   out += "}";
 }
 
-/// Renders `h` as a JSON object (no key).
-void AppendHistBody(std::string& out, const util::LogHistogram& h) {
-  AppendF(out, "{\"total\":%" PRIu64 ",",
-          static_cast<std::uint64_t>(h.total()));
-  out += "\"min\":";
-  AppendNum(out, h.min());
-  out += ",\"max\":";
-  AppendNum(out, h.max());
-  out += ",\"mean\":";
-  AppendNum(out, h.mean());
-  out += ",\"p50\":";
-  AppendNum(out, h.Percentile(50));
-  out += ",\"p95\":";
-  AppendNum(out, h.Percentile(95));
-  // Sparse bucket list: [[lower_edge, count], ...], non-empty buckets only.
-  out += ",\"buckets\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-    if (h.bucket_count(i) == 0) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "[";
-    AppendNum(out, h.bucket_lo(i));
-    AppendF(out, ",%" PRIu64 "]", h.bucket_count(i));
-  }
-  out += "]}";
-}
-
-void AppendHistJson(std::string& out, const char* key,
-                    const util::LogHistogram& h) {
-  AppendF(out, "\"%s\":", key);
-  AppendHistBody(out, h);
-}
-
-/// Renders one tier's durability-lag histogram as a JSON object: sample
-/// count, mean and percentiles taken at bucket upper edges.
-void AppendLagBody(std::string& out, const util::telemetry::LagHistogram& h) {
-  AppendF(out, "{\"total\":%" PRIu64 ",\"mean\":", h.count);
-  AppendNum(out, h.mean_s());
-  out += ",\"p50\":";
-  AppendNum(out, h.Percentile(50));
-  out += ",\"p95\":";
-  AppendNum(out, h.Percentile(95));
-  out += "}";
-}
-
-std::string TierLabel(const std::vector<std::string>& tier_names,
-                      std::size_t i) {
-  return i < tier_names.size() ? tier_names[i] : "tier" + std::to_string(i);
-}
-
 void AppendTierVector(std::string& out, const char* key,
                       const std::vector<std::uint64_t>& v,
                       const std::vector<std::string>& tier_names) {
@@ -177,8 +114,9 @@ std::string ChromeTraceJson(const util::trace::TraceSnapshot& snap) {
   // Ring wrap left a thread's oldest events overwritten: synthesize one
   // "trace:wrap" instant per affected thread, stamped at its oldest
   // *surviving* event and carrying the drop count in `a`, so flow-aware
-  // consumers (ckpt_lineage) can downgrade objects whose start may have
-  // been dropped to "unauditable" instead of miscounting them as orphans.
+  // consumers (trace_check --audit) can downgrade objects whose start may
+  // have been dropped to "unauditable" instead of miscounting them as
+  // orphans.
   std::vector<Event> wrap_events;
   wrap_events.reserve(snap.threads.size());
   for (const auto& t : snap.threads) {
@@ -325,15 +263,15 @@ std::string MetricsJson(const RankMetrics& m,
           m.watchdog_reserve_stalls);
   out += ",\"init_s\":";
   AppendNum(out, m.init_s);
-  out += ",";
-  AppendHistJson(out, "promotion_hist", m.promotion_hist);
-  out += ",";
-  AppendHistJson(out, "reserve_round_hist", m.reserve_round_hist);
+  out += ",\"promotion_hist\":";
+  AppendHistJson(out, m.promotion_hist);
+  out += ",\"reserve_round_hist\":";
+  AppendHistJson(out, m.reserve_round_hist);
   out += ",\"flush_stage_hist\":{";
   for (std::size_t i = 0; i < m.flush_stage_hist.size(); ++i) {
     if (i) out += ",";
     out += "\"" + util::json::Escape(TierLabel(tier_names, i)) + "\":";
-    AppendHistBody(out, m.flush_stage_hist[i]);
+    AppendHistJson(out, m.flush_stage_hist[i]);
   }
   out += "}";
   // Lineage accounting (DESIGN.md §14).
@@ -346,11 +284,11 @@ std::string MetricsJson(const RankMetrics& m,
   out += ",\"durability_lag_s\":{";
   bool first_tier = true;
   for (std::size_t i = 0; i < m.durability_lag.size(); ++i) {
-    if (m.durability_lag[i].count == 0) continue;
+    if (m.durability_lag[i].total() == 0) continue;
     if (!first_tier) out += ",";
     first_tier = false;
     out += "\"" + util::json::Escape(TierLabel(tier_names, i)) + "\":";
-    AppendLagBody(out, m.durability_lag[i]);
+    AppendHistJson(out, m.durability_lag[i]);
   }
   out += "}";
   out += ",\"restore_series\":[";
@@ -370,13 +308,7 @@ std::string MetricsJson(const RankMetrics& m,
 }
 
 std::string MetricsSnapshotJson(const Engine& engine) {
-  const TierStack& stack = engine.tiers();
-  std::vector<std::string> tier_names;
-  tier_names.reserve(stack.size());
-  for (std::size_t i = 0; i < stack.size(); ++i) {
-    tier_names.emplace_back(stack.name(i));
-  }
-
+  const std::vector<std::string> tier_names = TelemetryTierNames(engine);
   std::string out;
   out += "{\"tiers\":[";
   for (std::size_t i = 0; i < tier_names.size(); ++i) {
@@ -388,26 +320,16 @@ std::string MetricsSnapshotJson(const Engine& engine) {
   for (int r = 0; r < engine.num_ranks(); ++r) {
     const RankMetrics m = engine.MetricsSnapshot(r);
     if (r) out += ",";
-    std::string entry = MetricsJson(m, tier_names);
-    // Multi-tenant engines attribute each rank entry to its owning tenant;
-    // single-tenant output is unchanged.
-    const std::string tenant = engine.TenantLabelOf(r);
-    if (!tenant.empty()) {
-      entry.insert(1, "\"tenant\":\"" + util::json::Escape(tenant) + "\",");
-    }
-    out += entry;
+    // Each rank entry is attributed to its owning tenant.
+    out += "{\"tenant\":\"" + util::json::Escape(engine.TenantLabelOf(r)) +
+           "\",";
+    out += MetricsJson(m, tier_names).substr(1);
     merged.Merge(m);
   }
   out += "],\"merged\":";
   out += MetricsJson(merged, tier_names);
-  // Remote/aggregating durable-tier store counters; absent (not empty) for
-  // stacks without a stats-reporting store, so legacy snapshots are
-  // byte-identical.
-  const std::string remote = RemoteTiersJson(engine);
-  if (!remote.empty()) {
-    out += ",\"remote_tiers\":";
-    out += remote;
-  }
+  out += ",\"remote_tiers\":";
+  out += RemoteTiersJson(engine);
   out += "}";
   return out;
 }
@@ -423,14 +345,19 @@ util::Status WriteMetricsSnapshot(const Engine& engine, const std::string& path)
 }
 
 TraceCheck ValidateChromeTrace(std::string_view json_text) {
-  TraceCheck check;
-  auto doc = util::json::Parse(json_text);
+  const auto doc = util::json::Parse(json_text);
   if (!doc.ok()) {
+    TraceCheck check;
     check.error = doc.status().ToString();
     return check;
   }
-  const util::json::Value* events = doc->Find("traceEvents");
-  if (events == nullptr && doc->is_array()) events = &*doc;  // bare-array form
+  return ValidateChromeTrace(*doc);
+}
+
+TraceCheck ValidateChromeTrace(const util::json::Value& doc) {
+  TraceCheck check;
+  const util::json::Value* events = doc.Find("traceEvents");
+  if (events == nullptr && doc.is_array()) events = &doc;  // bare-array form
   if (events == nullptr || !events->is_array()) {
     check.error = "missing traceEvents array";
     return check;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 #include "util/trace.hpp"
 
@@ -34,13 +35,13 @@ util::Status WriteChromeTrace(const std::string& path);
 
 /// Renders one rank's metrics as a JSON object: blocking-time series
 /// summaries, all counters, per-tier vectors keyed by `tier_names`, the
-/// per-stage latency histograms (non-empty buckets only) and the Fig. 7
-/// restore series.
+/// per-stage and durability-lag histograms and the Fig. 7 restore series.
 [[nodiscard]] std::string MetricsJson(const RankMetrics& m,
                                       const std::vector<std::string>& tier_names);
 
-/// Full engine snapshot: `{"tiers":[...],"ranks":[...],"merged":{...}}`.
-/// Uses Engine::MetricsSnapshot, so it is safe while the engine is running.
+/// Full engine snapshot: `{"tiers":[...],"ranks":[...],"merged":{...},
+/// "remote_tiers":[...]}`, each rank entry carrying its `tenant`. Uses
+/// Engine::MetricsSnapshot, so it is safe while the engine is running.
 [[nodiscard]] std::string MetricsSnapshotJson(const Engine& engine);
 util::Status WriteMetricsSnapshot(const Engine& engine, const std::string& path);
 
@@ -93,5 +94,7 @@ struct TraceCheck {
 /// trace whose per-track begin timestamps are monotonically non-decreasing
 /// and whose spans carry non-negative durations.
 [[nodiscard]] TraceCheck ValidateChromeTrace(std::string_view json_text);
+/// The same checks over an already-parsed document.
+[[nodiscard]] TraceCheck ValidateChromeTrace(const util::json::Value& doc);
 
 }  // namespace ckpt::core

@@ -16,6 +16,35 @@
 
 namespace ckpt::harness {
 
+namespace {
+
+/// Scrapes the stopped sampler's newest sample. When an output prefix is
+/// configured and the flight recorder did not already claim these names for
+/// its stall-time snapshot, also writes the scrape and the sample window
+/// there (`<prefix>.openmetrics.txt`, `<prefix>.window.json`) for
+/// telemetry_check. Returns the scrape.
+std::string EndOfRunExposition(core::TelemetrySampler& sampler,
+                               const core::Engine& engine) {
+  std::string scrape = sampler.ScrapeOpenMetrics();
+  const std::string& prefix = sampler.options().out_path;
+  if (prefix.empty() || sampler.flight_dumped()) return scrape;
+  const auto write = [](const std::string& path, const std::string& body) {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    if (f) f.write(body.data(), static_cast<std::streamsize>(body.size()));
+    if (!f) {
+      std::fprintf(stderr, "harness: failed to write telemetry to '%s'\n",
+                   path.c_str());
+    }
+  };
+  write(prefix + ".openmetrics.txt", scrape);
+  write(prefix + ".window.json",
+        core::TelemetryWindowJson(sampler.ring(),
+                                  core::TelemetryTierNames(engine)));
+  return scrape;
+}
+
+}  // namespace
+
 std::string ConfigName(Approach a, rtm::HintMode hints) {
   const char* h = "";
   switch (hints) {
@@ -121,27 +150,8 @@ util::StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& cfg) {
     result.critical_path_json = core::CriticalPathJson(*engine, shot->wall_s);
   }
   if (sampler != nullptr) {
-    result.openmetrics_text = sampler->ScrapeOpenMetrics();
+    result.openmetrics_text = EndOfRunExposition(*sampler, *engine);
     result.watchdog_stalls = sampler->stalls_detected();
-    // Healthy-run exposition: when an output prefix is configured and the
-    // flight recorder did not already claim these names for the stall-time
-    // snapshot, drop the end-of-run scrape + window there for scraping by
-    // telemetry_check.
-    const std::string& prefix = sampler->options().out_path;
-    if (!prefix.empty() && !sampler->flight_dumped()) {
-      const auto write = [](const std::string& path, const std::string& body) {
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        if (f) f.write(body.data(), static_cast<std::streamsize>(body.size()));
-        if (!f) {
-          std::fprintf(stderr, "harness: failed to write telemetry to '%s'\n",
-                       path.c_str());
-        }
-      };
-      write(prefix + ".openmetrics.txt", result.openmetrics_text);
-      write(prefix + ".window.json",
-            core::TelemetryWindowJson(sampler->ring(),
-                                      core::TelemetryTierNames(*engine)));
-    }
     if (sampler->strict_tripped()) {
       return util::IoError("telemetry watchdog detected " +
                            std::to_string(result.watchdog_stalls) +
@@ -256,23 +266,8 @@ util::StatusOr<MultiTenantResult> RunMultiTenantExperiment(
   result.wall_s = wall_s;
   if (sampler != nullptr) {
     sampler->Stop();
-    result.openmetrics_text = sampler->ScrapeOpenMetrics();
+    result.openmetrics_text = EndOfRunExposition(*sampler, *engine);
     result.watchdog_stalls = sampler->stalls_detected();
-    const std::string& prefix = sampler->options().out_path;
-    if (!prefix.empty() && !sampler->flight_dumped()) {
-      const auto write = [](const std::string& path, const std::string& body) {
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        if (f) f.write(body.data(), static_cast<std::streamsize>(body.size()));
-        if (!f) {
-          std::fprintf(stderr, "harness: failed to write telemetry to '%s'\n",
-                       path.c_str());
-        }
-      };
-      write(prefix + ".openmetrics.txt", result.openmetrics_text);
-      write(prefix + ".window.json",
-            core::TelemetryWindowJson(sampler->ring(),
-                                      core::TelemetryTierNames(*engine)));
-    }
   }
   // Per-tenant attribution while the caches are still resident.
   const core::TenantRegistry& reg = engine->tenant_registry();

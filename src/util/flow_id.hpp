@@ -1,10 +1,11 @@
 // Stable 64-bit lineage ids for checkpoint objects. A flow id names one
 // object's causal chain across threads, tiers and stores: the engine stamps
 // it on Chrome-trace flow events (ph "s"/"t"/"f") at every hop, and
-// tools/ckpt_lineage stitches the chain back together from a dump. The id
-// must therefore be derivable anywhere the object is visible — engine seams
-// know (rank, version); stores know the same pair as ObjectKey — without
-// any shared state, which is why it is a pure hash and not a counter.
+// `tools/trace_check --audit` stitches the chain back together from a dump.
+// The id must therefore be derivable anywhere the object is visible — engine
+// seams know (rank, version); stores know the same pair as ObjectKey —
+// without any shared state, which is why it is a pure hash and not a
+// counter.
 //
 // Ranks are tenant-exclusive contiguous blocks (core::TenantRegistry), so
 // (rank, version) already identifies the tenant; folding the tenant id in

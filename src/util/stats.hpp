@@ -4,9 +4,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -34,49 +35,54 @@ class SampleSeries {
   std::vector<double> samples_;
 };
 
-/// Log-bucketed histogram for latency distributions: buckets are uniform in
-/// log10(x) with `buckets_per_decade` buckets per decade over [lo, hi).
-/// Values below lo (including non-positive) land in the first bucket,
-/// values >= hi in the last. Defaults cover 100ns..1000s in seconds — wide
-/// enough for any per-stage latency the engine measures.
-class LogHistogram {
+/// Fixed-edge latency histogram in seconds, the one histogram shape of
+/// every report: the per-stage times in RankMetrics and the durability-lag
+/// family alike. Bucket i counts samples in (kEdgesS[i-1], kEdgesS[i]] (the
+/// OpenMetrics `le` convention); the last bucket is +Inf. Half-decade edges
+/// from 1 us to 100 s, so sub-100 us stage times keep their own buckets.
+class Histogram {
  public:
-  explicit LogHistogram(double lo = 1e-7, double hi = 1e3,
-                        std::size_t buckets_per_decade = 4);
+  static constexpr double kEdgesS[] = {
+      1e-6,   3.16e-6, 1e-5,  3.16e-5, 1e-4, 3.16e-4, 1e-3, 3.16e-3, 0.01,
+      0.0316, 0.1,     0.316, 1.0,     3.16, 10.0,    31.6, 100.0};
+  /// Bucket count including the trailing +Inf bucket.
+  static constexpr std::size_t kBuckets = std::size(kEdgesS) + 1;
+  using Counts = std::array<std::uint64_t, kBuckets>;
 
-  void Add(double x) noexcept;
-  /// Accumulates another histogram with the same shape; mismatched shapes
-  /// fold into min/max/total only (counts of `other` are re-added by value
-  /// bucket using each bucket's lower edge).
-  void Merge(const LogHistogram& other) noexcept;
+  /// Bucket of a `seconds` sample: the first whose upper edge covers it,
+  /// else the +Inf bucket.
+  [[nodiscard]] static std::size_t BucketOf(double seconds) noexcept {
+    return static_cast<std::size_t>(
+        std::lower_bound(std::begin(kEdgesS), std::end(kEdgesS), seconds) -
+        std::begin(kEdgesS));
+  }
+  /// A histogram over already-bucketed counts (the engine's lag cells).
+  [[nodiscard]] static Histogram FromCounts(const Counts& counts,
+                                            double sum_s) noexcept;
+
+  void Add(double seconds) noexcept {
+    ++counts_[BucketOf(seconds)];
+    ++total_;
+    sum_ += seconds;
+  }
+  void Merge(const Histogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::size_t num_buckets() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  /// Lower edge of bucket i in value units.
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double min() const noexcept { return total_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return total_ ? max_ : 0.0; }
+  /// Sum of the samples, in seconds.
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept {
     return total_ ? sum_ / static_cast<double>(total_) : 0.0;
   }
-  /// Approximate percentile (bucket lower-edge interpolation); p in [0,100].
+  [[nodiscard]] const Counts& counts() const noexcept { return counts_; }
+  /// Upper edge of the bucket holding the p-th percentile sample (nearest
+  /// rank), p in [0, 100]. A sample in the +Inf bucket reports the last
+  /// finite edge, a lower bound. 0 when empty.
   [[nodiscard]] double Percentile(double p) const noexcept;
 
-  [[nodiscard]] bool SameShape(const LogHistogram& other) const noexcept {
-    return lo_ == other.lo_ && buckets_per_decade_ == other.buckets_per_decade_ &&
-           counts_.size() == other.counts_.size();
-  }
-
  private:
-  double lo_, log_lo_;
-  std::size_t buckets_per_decade_;
-  std::vector<std::uint64_t> counts_;
+  Counts counts_{};
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Formats a byte rate as a human-readable string ("25.0 GB/s").

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <mutex>
 
@@ -105,30 +104,5 @@ Settings settings() {
 std::int64_t period_ms() { return settings().period_ms; }
 std::size_t window() { return settings().window; }
 std::string out_path() { return settings().out_path; }
-
-void LagHistogram::Merge(const LagHistogram& other) {
-  if (buckets.size() < other.buckets.size()) {
-    buckets.resize(other.buckets.size(), 0);
-  }
-  for (std::size_t b = 0; b < other.buckets.size(); ++b) {
-    buckets[b] += other.buckets[b];
-  }
-  count += other.count;
-  sum_ns += other.sum_ns;
-}
-
-double LagHistogram::Percentile(double p) const noexcept {
-  if (count == 0) return 0.0;
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(p / 100.0 * static_cast<double>(count))));
-  constexpr std::size_t kLastEdge = kDurabilityLagBuckets - 2;
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    seen += buckets[b];
-    if (seen >= target) return kDurabilityLagEdgesS[std::min(b, kLastEdge)];
-  }
-  return kDurabilityLagEdgesS[kLastEdge];
-}
 
 }  // namespace ckpt::util::telemetry

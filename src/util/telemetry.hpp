@@ -28,58 +28,15 @@
 //   CKPT_TELEMETRY_STRICT     1|on: a watchdog trip fails the run
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "util/stats.hpp"
+
 namespace ckpt::util::telemetry {
-
-/// Upper bucket edges (seconds) of the `ckpt_durability_lag_seconds`
-/// histogram family (put -> durable-ack window, DESIGN.md §14). Roughly
-/// half-decade log spacing from 100 µs to 100 s; the final +Inf bucket is
-/// implied. Shared between the engine's probe cells and the OpenMetrics
-/// renderer so `le` labels always match the counted edges.
-inline constexpr double kDurabilityLagEdgesS[] = {
-    0.0001, 0.000316, 0.001, 0.00316, 0.01, 0.0316,
-    0.1,    0.316,    1.0,   3.16,    10.0, 31.6,   100.0};
-/// Bucket count including the trailing +Inf bucket.
-inline constexpr std::size_t kDurabilityLagBuckets =
-    sizeof(kDurabilityLagEdgesS) / sizeof(double) + 1;
-
-/// Bucket of a `lag_s` sample: the first whose upper edge covers it (the
-/// `le` convention), else the trailing +Inf bucket.
-[[nodiscard]] inline std::size_t LagBucketOf(double lag_s) noexcept {
-  return static_cast<std::size_t>(
-      std::lower_bound(std::begin(kDurabilityLagEdgesS),
-                       std::end(kDurabilityLagEdgesS), lag_s) -
-      std::begin(kDurabilityLagEdgesS));
-}
-
-/// Plain-value reading of one tier's durability-lag histogram (the engine's
-/// lag cells, DESIGN.md §14): per-bucket (non-cumulative) counts over
-/// kDurabilityLagEdgesS plus the +Inf bucket, with the classic count and
-/// sum. `buckets` is empty for tiers that record no lag (cache tiers).
-struct LagHistogram {
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-
-  /// Adds `other`'s counts; an empty side takes the other's bucket shape.
-  void Merge(const LagHistogram& other);
-  /// Upper edge (seconds) of the bucket holding the p-th percentile sample,
-  /// p in [0, 100]. A sample in the +Inf bucket reports the last finite
-  /// edge, a lower bound. 0 when empty.
-  [[nodiscard]] double Percentile(double p) const noexcept;
-  [[nodiscard]] double mean_s() const noexcept {
-    return count ? static_cast<double>(sum_ns) / 1e9 /
-                       static_cast<double>(count)
-                 : 0.0;
-  }
-};
 
 /// Per-tier gauges/counters inside one rank's sample. For cache tiers all
 /// fields are live; durable tiers report only the flush byte counter.
@@ -89,17 +46,15 @@ struct TierSample {
   std::uint64_t flush_queue_depth = 0;  ///< queued + in-flight flush work
   std::uint64_t flush_bytes = 0;      ///< cumulative bytes landed (counter)
   std::uint64_t restores = 0;         ///< cumulative restores served (counter)
-  double flush_Bps = 0.0;             ///< derived from the previous sample
-  /// Durability-lag histogram of a durable tier; empty for cache tiers.
-  LagHistogram lag;
+  /// Durability-lag histogram of a durable tier; all zero for cache tiers.
+  Histogram lag;
 };
 
 /// One rank's slice of a sample. Counter fields are cumulative since engine
-/// start; the sampler derives window rates from consecutive samples.
+/// start; a scraper derives rates from consecutive samples.
 struct RankSample {
   int rank = -1;
-  /// Owning tenant's name, empty in single-tenant engines. Scrapers emit a
-  /// `tenant` label only when non-empty, so legacy exposition is unchanged.
+  /// Owning tenant's name ("default" in single-tenant engines).
   std::string tenant;
   /// FSM-state occupancy histogram, indexed by core::CkptState.
   std::vector<std::uint64_t> state_occupancy;
@@ -125,14 +80,12 @@ struct RankSample {
   std::uint64_t objects_degraded = 0;
   std::uint64_t objects_lost = 0;
   std::uint64_t objects_erased = 0;
-  double restore_Bps = 0.0;  ///< derived from the previous sample
   std::vector<TierSample> tiers;  ///< one entry per stack tier
 };
 
 /// One remote/aggregating durable tier's store-level counters (see
 /// storage::StoreStats). Present only for durable tiers whose store chain
-/// reports stats — stacks without a remote tier leave `remote_tiers` empty
-/// and their exposition byte-identical to before remote backends existed.
+/// reports stats; stacks without a remote tier leave `remote_tiers` empty.
 struct RemoteTierSample {
   int tier = -1;             ///< stack index of the durable tier
   std::string tier_name;     ///< stack name ("remote", ...)

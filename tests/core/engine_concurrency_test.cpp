@@ -253,12 +253,13 @@ TEST(EngineConcurrencyTest, MultiRankStormConservesBytesAndResidency) {
   ASSERT_TRUE(scrape.ok) << scrape.error;
   for (int r = 0; r < kRanks; ++r) {
     const RankMetrics m = engine.MetricsSnapshot(r);
-    const std::string rank = "rank=\"" + std::to_string(r) + "\"";
+    const std::string rank =
+        "tenant=\"default\",rank=\"" + std::to_string(r) + "\"";
     const auto scraped = [&](const std::string& family,
                              const std::string& labels = "") {
       const std::string key = family + "{" + labels + rank + "}";
       EXPECT_TRUE(scrape.values.count(key)) << key;
-      return static_cast<std::uint64_t>(scrape.value_or(key, -1.0));
+      return static_cast<std::uint64_t>(scrape.values.at(key));
     };
     const std::pair<const char*, std::uint64_t> counters[] = {
         {"ckpt_checkpoints_total", m.ckpt_block_s.size()},

@@ -87,7 +87,7 @@ class LineageTest : public ::testing::Test {
 
   static std::uint64_t LagTotal(const RankMetrics& m) {
     std::uint64_t n = 0;
-    for (const auto& h : m.durability_lag) n += h.count;
+    for (const auto& h : m.durability_lag) n += h.total();
     return n;
   }
 
@@ -395,8 +395,8 @@ TEST_F(LineageTest, MetricsJsonLagTotalsMatchScrapeCounts) {
       double scrape_count = 0;
       for (sim::Rank rank = 0; rank < kRanks; ++rank) {
         const std::string key = "ckpt_durability_lag_seconds_count{tier=\"" +
-                                tier + "\",rank=\"" + std::to_string(rank) +
-                                "\"}";
+                                tier + "\",tenant=\"default\",rank=\"" +
+                                std::to_string(rank) + "\"}";
         ASSERT_TRUE(scrape.values.count(key)) << key;
         scrape_count += scrape.values.at(key);
       }
@@ -420,7 +420,7 @@ TEST(OpenMetricsHistogramTest, SuffixedSamplesResolveToTheFamily) {
       "# EOF\n");
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.family_type.at("my_lag"), "histogram");
-  EXPECT_EQ(check.value_or("my_lag_count"), 2.0);
+  EXPECT_EQ(check.values.at("my_lag_count"), 2.0);
 }
 
 TEST(OpenMetricsHistogramTest, BareSampleOfHistogramFamilyIsAnError) {

@@ -126,23 +126,26 @@ TEST(RankMetricsTest, MergeReconcilesMismatchedTierVectorLengths) {
 TEST(RankMetricsTest, MergeAccumulatesLatencyHistograms) {
   RankMetrics a;
   a.reserve_round_hist.Add(1e-4);
-  a.durability_lag.resize(2);  // position 0 is a cache tier: no buckets
-  a.durability_lag[1] = {{1, 0, 2}, 3, 30};
+  a.durability_lag.resize(2);  // position 0 is a cache tier: no samples
+  a.durability_lag[1].Add(0.002);
+  a.durability_lag[1].Add(0.5);
   RankMetrics b;
   b.promotion_hist.Add(5e-3);
   b.reserve_round_hist.Add(2e-4);
   b.durability_lag.resize(3);
-  b.durability_lag[1] = {{0, 4, 0}, 4, 40};
+  b.durability_lag[1].Add(0.002);
   a.Merge(b);
   EXPECT_EQ(a.promotion_hist.total(), 1u);
   EXPECT_EQ(a.reserve_round_hist.total(), 2u);
   EXPECT_DOUBLE_EQ(a.reserve_round_hist.sum(), 1e-4 + 2e-4);
   ASSERT_EQ(a.durability_lag.size(), 3u);
-  EXPECT_TRUE(a.durability_lag[0].buckets.empty());
-  EXPECT_EQ(a.durability_lag[1].buckets,
-            (std::vector<std::uint64_t>{1, 4, 2}));
-  EXPECT_EQ(a.durability_lag[1].count, 7u);
-  EXPECT_EQ(a.durability_lag[1].sum_ns, 70u);
+  EXPECT_EQ(a.durability_lag[0].total(), 0u);
+  const util::Histogram& lag = a.durability_lag[1];
+  EXPECT_EQ(lag.counts()[util::Histogram::BucketOf(0.002)], 2u);
+  EXPECT_EQ(lag.counts()[util::Histogram::BucketOf(0.5)], 1u);
+  EXPECT_EQ(lag.total(), 3u);
+  EXPECT_DOUBLE_EQ(lag.sum(), 0.002 + 0.5 + 0.002);
+  EXPECT_EQ(a.durability_lag[2].total(), 0u);
 }
 
 TEST(RankMetricsTest, MergeWithEmpty) {

@@ -98,19 +98,6 @@ TEST_F(TelemetryTest, BuildTelemetrySampleReflectsEngineActivity) {
   ASSERT_EQ(r1.tiers.size(), 4u);
 }
 
-TEST_F(TelemetryTest, RatesDeriveFromThePreviousSample) {
-  Build(/*ranks=*/1);
-  const SamplePtr before = BuildTelemetrySample(*engine_, 0);
-  for (Version v = 0; v < 2; ++v) WriteCkpt(0, v);
-  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  const SamplePtr after = BuildTelemetrySample(*engine_, 1, before.get());
-  ASSERT_EQ(after->ranks.size(), 1u);
-  // Bytes landed between the samples: a positive window flush rate.
-  EXPECT_GT(after->ranks[0].tiers[2].flush_Bps, 0.0);
-  // No baseline sample -> no rate.
-  EXPECT_EQ(before->ranks[0].tiers[2].flush_Bps, 0.0);
-}
-
 // --- OpenMetrics exposition ----------------------------------------------
 
 TEST_F(TelemetryTest, OpenMetricsScrapeValidatesAndCarriesCounters) {
@@ -126,11 +113,18 @@ TEST_F(TelemetryTest, OpenMetricsScrapeValidatesAndCarriesCounters) {
   EXPECT_GT(check.samples, 20u);
   EXPECT_EQ(check.family_type.at("ckpt_checkpoints"), "counter");
   EXPECT_EQ(check.family_type.at("ckpt_tier_bytes_used"), "gauge");
-  EXPECT_EQ(check.value_or("ckpt_checkpoints_total{rank=\"0\"}", -1), 3.0);
-  EXPECT_EQ(check.value_or("ckpt_checkpoints_total{rank=\"1\"}", -1), 0.0);
-  EXPECT_EQ(check.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", -1), 0.0);
+  // Every rank sample carries its tenant: "default" in a single-tenant
+  // engine.
+  EXPECT_EQ(check.values.at("ckpt_checkpoints_total{tenant=\"default\",rank=\"0\"}"),
+            3.0);
+  EXPECT_EQ(check.values.at("ckpt_checkpoints_total{tenant=\"default\",rank=\"1\"}"),
+            0.0);
+  EXPECT_EQ(
+      check.values.at("ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
+      0.0);
   // Tier families are labeled with the stack's tier names.
-  EXPECT_GT(check.value_or("ckpt_tier_flush_bytes_total{tier=\"ssd\",rank=\"0\"}", -1),
+  EXPECT_GT(check.values.at("ckpt_tier_flush_bytes_total{tier=\"ssd\","
+                            "tenant=\"default\",rank=\"0\"}"),
             0.0);
 }
 
@@ -229,7 +223,11 @@ TEST_F(TelemetryTest, WindowJsonParsesWithAscendingSeq) {
     prev_seq = seq;
     const auto& ranks = s.as_object().at("ranks").as_array();
     ASSERT_EQ(ranks.size(), 1u);
+    EXPECT_EQ(ranks[0].as_object().at("tenant").as_string(), "default");
     EXPECT_EQ(ranks[0].as_object().at("tiers").as_array().size(), 4u);
+    // No remote tier on this stack: present, and empty.
+    EXPECT_TRUE(s.as_object().at("remote_tiers").is_array());
+    EXPECT_TRUE(s.as_object().at("remote_tiers").as_array().empty());
   }
 }
 
@@ -294,7 +292,9 @@ TEST_F(TelemetryTest, HealthyRunTripsNoStalls) {
 
   const TelemetryCheck check = ValidateOpenMetrics(sampler.ScrapeOpenMetrics());
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", -1), 0.0);
+  EXPECT_EQ(
+      check.values.at("ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
+      0.0);
 }
 
 TEST_F(TelemetryTest, BackgroundSamplerPublishesPeriodically) {

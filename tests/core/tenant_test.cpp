@@ -21,6 +21,7 @@
 #include "simgpu/copy.hpp"
 #include "storage/mem_store.hpp"
 #include "storage/throttled_store.hpp"
+#include "util/json.hpp"
 
 namespace ckpt::core {
 namespace {
@@ -148,10 +149,22 @@ TEST_F(TenantEngineTest, LegacyModeOpensOneDefaultTenantOverAllRanks) {
   EXPECT_EQ(reg.count(), 1);
   EXPECT_EQ(engine_->TenantOf(0), kDefaultTenant);
   EXPECT_EQ(engine_->TenantOf(1), kDefaultTenant);
-  // No tenant labels anywhere in single-tenant mode.
-  EXPECT_EQ(engine_->TenantLabelOf(0), "");
-  const std::string text = OpenMetricsText(*engine_);
-  EXPECT_EQ(text.find("tenant="), std::string::npos);
+  // The implicit tenant is labeled like any other: every rank sample of the
+  // scrape carries tenant="default".
+  EXPECT_EQ(engine_->TenantLabelOf(0), "default");
+  EXPECT_EQ(engine_->TenantLabelOf(1), "default");
+  const TelemetryCheck check = ValidateOpenMetrics(OpenMetricsText(*engine_));
+  ASSERT_TRUE(check.ok) << check.error;
+  std::size_t rank_samples = 0;
+  for (const auto& [key, value] : check.values) {
+    if (key.find("rank=\"") == std::string::npos) continue;
+    ++rank_samples;
+    EXPECT_NE(key.find("tenant=\"default\",rank=\""), std::string::npos)
+        << key;
+  }
+  EXPECT_GT(rank_samples, 0u);
+  EXPECT_EQ(check.values.at("ckpt_checkpoints_total{tenant=\"default\",rank=\"1\"}"),
+            0.0);
 }
 
 TEST_F(TenantEngineTest, TenantsSplitRanksIntoContiguousBlocks) {
@@ -284,11 +297,6 @@ TEST_F(TenantEngineTest, QuotaIsRecheckedWhenAnotherReservationCommitsFirst) {
   ASSERT_TRUE(cluster_->device(0).Free(*buf).ok());
 }
 
-TEST_F(TenantEngineTest, OpenTenantAfterInitFailsWhenRanksExhausted) {
-  Build({}, 2, "a:0;b:0");
-  EXPECT_FALSE(engine_->OpenTenant(TenantSpec{.name = "c"}, 1).ok());
-}
-
 // --- Satellite: fragment snapshot reuse across stale replans ------------
 
 TEST_F(TenantEngineTest, StaleReplanRoundsReuseTheFragmentSnapshot) {
@@ -374,10 +382,17 @@ TEST_F(TenantEngineTest, MetricsJsonCarriesTenantAttribution) {
   EXPECT_NE(json.find("\"tenant\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"reserve_snapshot_reuse\""), std::string::npos);
   EXPECT_NE(json.find("\"reserve_quota_waits\""), std::string::npos);
-  // Single-tenant JSON stays tenant-free.
-  Build({}, 1);
-  EXPECT_EQ(MetricsSnapshotJson(*engine_).find("\"tenant\""),
-            std::string::npos);
+  // A single-tenant engine attributes every rank entry to "default".
+  Build({}, 2);
+  const auto doc = util::json::Parse(MetricsSnapshotJson(*engine_));
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const util::json::Value* ranks = doc->Find("ranks");
+  ASSERT_NE(ranks, nullptr);
+  ASSERT_EQ(ranks->as_array().size(), 2u);
+  for (const auto& rank : ranks->as_array()) {
+    ASSERT_NE(rank.Find("tenant"), nullptr);
+    EXPECT_EQ(rank.Find("tenant")->as_string(), "default");
+  }
 }
 
 // --- I/O classes and tenant weights on the storage link (DESIGN.md §12.3)

@@ -185,9 +185,9 @@ std::string ScrapeStack(sim::Cluster& cluster, const std::string& spec,
 }
 
 TEST(RemoteIntegration, OpenMetricsGatingKeepsNonRemoteExpositionIdentical) {
-  // A remote-tier engine must expose the ckpt_remote_*/ckpt_agg_* families
-  // and still validate as OpenMetrics; a mem-only stack must not mention
-  // them at all (the gating contract behind "byte-identical").
+  // Every scrape declares the ckpt_remote_*/ckpt_agg_* families; a
+  // remote-tier engine samples them per remote tier, a mem-only stack
+  // declares them with no samples, and both validate as OpenMetrics.
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   const std::string with_remote = ScrapeStack(
       cluster,
@@ -210,8 +210,17 @@ TEST(RemoteIntegration, OpenMetricsGatingKeepsNonRemoteExpositionIdentical) {
   ASSERT_FALSE(without_remote.empty());
   const auto mem_ck = core::ValidateOpenMetrics(without_remote);
   ASSERT_TRUE(mem_ck.ok) << mem_ck.error;
-  EXPECT_EQ(without_remote.find("ckpt_remote"), std::string::npos);
-  EXPECT_EQ(without_remote.find("ckpt_agg"), std::string::npos);
+  for (const char* family :
+       {"ckpt_remote_puts", "ckpt_remote_parts", "ckpt_agg_member_puts",
+        "ckpt_agg_group_puts", "ckpt_agg_pending_members",
+        "ckpt_agg_pending_bytes"}) {
+    EXPECT_EQ(ck.family_type.count(family), 1u) << family;
+    EXPECT_EQ(mem_ck.family_type.count(family), 1u) << family;
+  }
+  for (const auto& [key, value] : mem_ck.values) {
+    EXPECT_NE(key.rfind("ckpt_remote_", 0), 0u) << key;
+    EXPECT_NE(key.rfind("ckpt_agg_", 0), 0u) << key;
+  }
 }
 
 }  // namespace

@@ -174,9 +174,13 @@ TEST_F(TelemetryIntegrationTest, ConcurrentScrapesStayValidAndMonotonic) {
   const core::TelemetryCheck last =
       core::ValidateOpenMetrics(sampler.ScrapeOpenMetrics());
   ASSERT_TRUE(last.ok) << last.error;
-  EXPECT_EQ(last.value_or("ckpt_checkpoints_total{rank=\"0\"}", -1), 16.0);
-  EXPECT_EQ(last.value_or("ckpt_checkpoints_total{rank=\"1\"}", -1), 16.0);
-  EXPECT_EQ(last.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", -1), 0.0);
+  EXPECT_EQ(last.values.at("ckpt_checkpoints_total{tenant=\"default\",rank=\"0\"}"),
+            16.0);
+  EXPECT_EQ(last.values.at("ckpt_checkpoints_total{tenant=\"default\",rank=\"1\"}"),
+            16.0);
+  EXPECT_EQ(
+      last.values.at("ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
+      0.0);
   engine.Shutdown();
 }
 
@@ -247,7 +251,8 @@ TEST_F(TelemetryIntegrationTest, ForcedStallTripsWatchdogAndDumpsFlightRecorder)
   const core::TelemetryCheck final_scrape =
       core::ValidateOpenMetrics(result->openmetrics_text);
   ASSERT_TRUE(final_scrape.ok) << final_scrape.error;
-  EXPECT_GE(final_scrape.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", 0),
+  EXPECT_GE(final_scrape.values.at(
+                "ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
             1.0);
 
   // Flight-recorder artifacts: all four land under the configured prefix.
@@ -274,7 +279,8 @@ TEST_F(TelemetryIntegrationTest, ForcedStallTripsWatchdogAndDumpsFlightRecorder)
   const core::TelemetryCheck dump_scrape =
       core::ValidateOpenMetrics(openmetrics);
   ASSERT_TRUE(dump_scrape.ok) << dump_scrape.error;
-  EXPECT_GE(dump_scrape.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", 0),
+  EXPECT_GE(dump_scrape.values.at(
+                "ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
             1.0);
 
   // The metrics snapshot parses and carries the per-reason stall counters.
@@ -314,7 +320,9 @@ TEST_F(TelemetryIntegrationTest, HealthyHarnessRunWritesEndOfRunExposition) {
   const core::TelemetryCheck check =
       core::ValidateOpenMetrics(result->openmetrics_text);
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.value_or("ckpt_watchdog_stalls_total{rank=\"0\"}", -1), 0.0);
+  EXPECT_EQ(
+      check.values.at("ckpt_watchdog_stalls_total{tenant=\"default\",rank=\"0\"}"),
+      0.0);
 
   // Critical-path attribution rides along in the result.
   auto critical = util::json::Parse(result->critical_path_json);

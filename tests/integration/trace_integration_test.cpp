@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
@@ -159,8 +160,43 @@ TEST_F(TraceIntegrationTest, HarnessEmbedsParseableMetricsSnapshot) {
   EXPECT_NE(point.Find("blocking_s"), nullptr);
   // Per-stage latency histograms keyed by tier name, and the checkpoint
   // blocking series.
-  EXPECT_NE(merged->Find("flush_stage_hist"), nullptr);
+  ASSERT_NE(merged->Find("flush_stage_hist"), nullptr);
   EXPECT_NE(merged->Find("ckpt_block_s"), nullptr);
+  // Every histogram — per-stage and durability lag — has one JSON shape:
+  // seconds throughout, buckets as [upper edge, count] pairs.
+  ASSERT_NE(merged->Find("durability_lag_s"), nullptr);
+  std::vector<const util::json::Value*> hists = {
+      merged->Find("promotion_hist"), merged->Find("reserve_round_hist")};
+  for (const auto& [tier, h] : merged->Find("flush_stage_hist")->as_object()) {
+    hists.push_back(&h);
+  }
+  for (const auto& [tier, h] : merged->Find("durability_lag_s")->as_object()) {
+    hists.push_back(&h);
+  }
+  ASSERT_GT(hists.size(), 3u);
+  std::size_t sampled = 0;
+  for (const util::json::Value* h : hists) {
+    ASSERT_NE(h, nullptr);
+    for (const char* key : {"total", "sum", "mean", "p50", "p95"}) {
+      ASSERT_NE(h->Find(key), nullptr) << key;
+      EXPECT_TRUE(h->Find(key)->is_number()) << key;
+    }
+    ASSERT_NE(h->Find("buckets"), nullptr);
+    double count = 0;
+    for (const auto& bucket : h->Find("buckets")->as_array()) {
+      ASSERT_EQ(bucket.as_array().size(), 2u);
+      const util::json::Value& le = bucket.as_array()[0];
+      EXPECT_TRUE(le.is_number() || le.as_string() == "+Inf");
+      count += bucket.as_array()[1].as_number();
+    }
+    EXPECT_EQ(count, h->Find("total")->as_number());
+    if (count > 0) ++sampled;
+  }
+  EXPECT_GT(sampled, 0u);
+  // The default stack has no remote tier: the list is present and empty.
+  ASSERT_NE(parsed->Find("remote_tiers"), nullptr);
+  EXPECT_TRUE(parsed->Find("remote_tiers")->is_array());
+  EXPECT_TRUE(parsed->Find("remote_tiers")->as_array().empty());
 }
 
 TEST_F(TraceIntegrationTest, ValidatorRejectsMalformedTraces) {

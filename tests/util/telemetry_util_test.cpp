@@ -137,29 +137,6 @@ TEST(SampleRingTest, ConcurrentReadersSeeConsistentWindows) {
   EXPECT_FALSE(failed.load());
 }
 
-TEST(LagHistogramTest, SamplesBucketByUpperEdgeAndPercentilesReportIt) {
-  EXPECT_EQ(LagBucketOf(0.0), 0u);
-  EXPECT_EQ(LagBucketOf(kDurabilityLagEdgesS[0]), 0u);  // `le` is inclusive
-  EXPECT_EQ(LagBucketOf(0.002), 3u);                    // (0.001, 0.00316]
-  EXPECT_EQ(LagBucketOf(1e6), kDurabilityLagBuckets - 1);  // +Inf
-
-  LagHistogram h;
-  EXPECT_EQ(h.Percentile(50), 0.0);
-  h.buckets.assign(kDurabilityLagBuckets, 0);
-  for (double s : {0.002, 0.002, 0.002, 0.5}) {
-    ++h.buckets[LagBucketOf(s)];
-    ++h.count;
-    h.sum_ns += static_cast<std::uint64_t>(s * 1e9);
-  }
-  EXPECT_DOUBLE_EQ(h.Percentile(50), 0.00316);
-  EXPECT_DOUBLE_EQ(h.Percentile(95), 1.0);
-  EXPECT_NEAR(h.mean_s(), 0.5060 / 4, 1e-9);
-  // A sample past the last edge reports that edge, a lower bound.
-  ++h.buckets[LagBucketOf(500.0)];
-  ++h.count;
-  EXPECT_DOUBLE_EQ(h.Percentile(100), 100.0);
-}
-
 TEST_F(TelemetrySettingsTest, DefaultsMatchHeaderDocumentation) {
   const Settings s = settings();
   EXPECT_EQ(s.period_ms, 100);
