@@ -1,10 +1,10 @@
 #include "bench_common.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "core/trace_sink.hpp"
 #include "util/config.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 #include "util/trace.hpp"
 
@@ -14,7 +14,7 @@ namespace {
 
 /// Writes the machine-readable run report: title, scale knobs, one entry
 /// per row (with the cell's engine metrics snapshot embedded verbatim).
-bool WriteRunReport(const std::string& path, const std::string& title) {
+util::Status WriteRunReport(const std::string& path, const std::string& title) {
   std::string out;
   out += "{\"title\":\"" + util::json::Escape(title) + "\",";
   const harness::BenchScale scale = harness::LoadBenchScale();
@@ -46,10 +46,7 @@ bool WriteRunReport(const std::string& path, const std::string& title) {
     out += "}";
   }
   out += "]}\n";
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << out;
-  return static_cast<bool>(f.flush());
+  return util::WriteFile(path, out);
 }
 
 }  // namespace
@@ -125,13 +122,12 @@ int BenchMain(int argc, char** argv, const std::string& title) {
 
   const std::string report = util::EnvString("CKPT_BENCH_REPORT", "");
   if (!report.empty()) {
-    if (WriteRunReport(report, title)) {
-      std::printf("run report: %s\n", report.c_str());
-    } else {
-      std::fprintf(stderr, "!! failed to write run report %s\n",
-                   report.c_str());
+    const util::Status st = WriteRunReport(report, title);
+    if (!st.ok()) {
+      std::fprintf(stderr, "!! run report: %s\n", st.ToString().c_str());
       return 1;
     }
+    std::printf("run report: %s\n", report.c_str());
   }
   if (util::trace::enabled() && !util::trace::out_path().empty()) {
     const util::Status st =

@@ -56,13 +56,15 @@ void RunFig7(benchmark::State& state, rtm::HintMode hints) {
     std::vector<SeriesPoint> buckets(kBuckets);
     const int per_rank_iters = cfg.shot.num_ckpts;
     for (const auto& m : result->shot.per_rank) {
-      for (const auto& pt : m.restore_series) {
+      const std::vector<double>& blocking_s = m.restore_block_s.samples();
+      for (std::size_t i = 0; i < m.restore_series.size(); ++i) {
+        const core::RestorePoint& pt = m.restore_series[i];
         const int b = static_cast<int>(pt.iteration) * kBuckets / per_rank_iters;
         auto& bucket = buckets[static_cast<std::size_t>(
             std::min(b, kBuckets - 1))];
-        if (pt.blocking_s > 0) {
+        if (i < blocking_s.size() && blocking_s[i] > 0) {
           bucket.restore_MBps +=
-              static_cast<double>(pt.bytes) / pt.blocking_s / 1e6;
+              static_cast<double>(pt.bytes) / blocking_s[i] / 1e6;
         }
         bucket.distance += static_cast<double>(pt.prefetch_distance);
         ++bucket.count;

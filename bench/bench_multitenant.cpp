@@ -21,12 +21,12 @@
 // tenant=<name> validation (the CI multitenant job does exactly that).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "core/trace_sink.hpp"
 #include "harness/experiment.hpp"
 #include "util/config.hpp"
+#include "util/file_io.hpp"
 #include "util/trace.hpp"
 
 int main() {
@@ -95,14 +95,9 @@ int main() {
 
   const std::string report = util::EnvString("CKPT_BENCH_REPORT", "");
   if (!report.empty()) {
-    std::ofstream f(report, std::ios::binary | std::ios::trunc);
-    if (f) {
-      f.write(result->metrics_json.data(),
-              static_cast<std::streamsize>(result->metrics_json.size()));
-    }
-    if (!f) {
-      std::fprintf(stderr, "FAIL: cannot write report to '%s'\n",
-                   report.c_str());
+    const util::Status st = util::WriteFile(report, result->metrics_json);
+    if (!st.ok()) {
+      std::fprintf(stderr, "FAIL: report: %s\n", st.ToString().c_str());
       ++failures;
     }
   }

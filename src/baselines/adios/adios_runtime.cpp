@@ -221,8 +221,8 @@ util::Status AdiosRuntime::Restore(sim::Rank rank, core::Version v,
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{
-      static_cast<std::uint64_t>(c.metrics.restore_series.size()), v,
-      sw.ElapsedSec(), size, 0});
+      static_cast<std::uint64_t>(c.metrics.restore_series.size()), v, size,
+      0});
   return util::OkStatus();
 }
 

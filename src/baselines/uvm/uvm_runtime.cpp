@@ -196,8 +196,8 @@ util::Status UvmRuntime::Restore(sim::Rank rank, core::Version v,
   c.metrics.restore_block_s.Add(sw.ElapsedSec());
   c.metrics.bytes_restored += size;
   c.metrics.restore_series.push_back(core::RestorePoint{
-      static_cast<std::uint64_t>(c.metrics.restore_series.size()), v,
-      sw.ElapsedSec(), size, pdist});
+      static_cast<std::uint64_t>(c.metrics.restore_series.size()), v, size,
+      pdist});
   const RegionId consumed_region = rec.region;
   const bool discard = options_.discard_after_restore && rec.on_store;
   lock.unlock();

@@ -148,101 +148,57 @@ void Engine::Init(int num_ranks) {
     c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
     c->tier_probe = std::make_unique<TierCells[]>(stack_.size());
 
+    // Allocate every cache tier once, here, before any worker starts
+    // (§4.1.4): the device tier out of the rank's HBM, the others as pinned
+    // host memory (slow: ~4 GB/s registration). Split mode carves the top
+    // half of each tier off as its prefetch partition.
+    const int node = cluster_.topology().node_of_rank(r);
     c->tiers.resize(static_cast<std::size_t>(ncache));
     for (int i = 0; i < ncache; ++i) {
       auto t = std::make_unique<CacheTierRt>();
-      // Pinned-host tier share: equal by default, or demand-weighted
-      // (future-work extension: load-balance variable-sized checkpoints).
-      std::uint64_t cap = stack_[static_cast<std::size_t>(i)].capacity_bytes;
-      if (!stack_.is_device(i) && !options_.host_cache_weights.empty()) {
-        double total_w = 0;
-        for (double w : options_.host_cache_weights) total_w += w;
-        const double w =
-            r < static_cast<int>(options_.host_cache_weights.size()) &&
-                    total_w > 0
-                ? options_.host_cache_weights[static_cast<std::size_t>(r)] /
-                      total_w
-                : 0.0;
-        cap = static_cast<std::uint64_t>(static_cast<double>(cap) *
-                                         static_cast<double>(num_ranks) * w);
-        cap = std::max<std::uint64_t>(cap, 64 << 10);
+      t->capacity = stack_[static_cast<std::size_t>(i)].capacity_bytes;
+      sim::BytePtr base = nullptr;
+      if (stack_.is_device(i)) {
+        auto gpu_mem = cluster_.device(r).Allocate(t->capacity);
+        if (!gpu_mem.ok()) {
+          CKPT_LOG(kError, "engine")
+              << "rank " << r
+              << ": GPU cache allocation failed: " << gpu_mem.status();
+          std::abort();
+        }
+        t->gpu_base = base = *gpu_mem;
+      } else {
+        t->arena = std::make_unique<sim::PinnedArena>(cluster_.topology(),
+                                                      node, t->capacity);
+        base = t->arena->data();
       }
-      t->capacity = cap;
-      c->tiers[static_cast<std::size_t>(i)] = std::move(t);
-    }
-
-    // Builds the tier's CacheBuffer(s) over `base` (split mode carves the
-    // top half off as the prefetch partition).
-    const auto build_bufs = [this, r](CacheTierRt& t, int i,
-                                      sim::BytePtr base) {
       const std::string nm(stack_.name(static_cast<std::size_t>(i)));
       // Each tier drives its buffers with its *own* resolved policy — the
       // whole point of per-tier policies is GPU=score over FIFO deep tiers.
       const EvictionKind kind = stack_.policy(i);
       if (options_.split_flush_prefetch) {
-        const std::uint64_t pf = t.capacity / 2;
-        t.write_buf = std::make_unique<CacheBuffer>(
-            nm + "-w/" + std::to_string(r), base, t.capacity - pf,
+        const std::uint64_t pf = t->capacity / 2;
+        t->write_buf = std::make_unique<CacheBuffer>(
+            nm + "-w/" + std::to_string(r), base, t->capacity - pf,
             MakePolicy(kind));
-        t.prefetch_buf = std::make_unique<CacheBuffer>(
-            nm + "-p/" + std::to_string(r), base + (t.capacity - pf), pf,
+        t->prefetch_buf = std::make_unique<CacheBuffer>(
+            nm + "-p/" + std::to_string(r), base + (t->capacity - pf), pf,
             MakePolicy(kind));
       } else {
-        t.write_buf = std::make_unique<CacheBuffer>(
-            nm + "/" + std::to_string(r), base, t.capacity,
-            MakePolicy(kind));
+        t->write_buf = std::make_unique<CacheBuffer>(
+            nm + "/" + std::to_string(r), base, t->capacity, MakePolicy(kind));
       }
-    };
-
-    // Pre-allocate the device cache out of the rank's HBM (§4.1.4). Paying
-    // the allocation cost here, once, is a core design principle.
-    if (ncache > 0 && stack_.is_device(0)) {
-      CacheTierRt& t = *c->tiers[0];
-      auto gpu_mem = cluster_.device(r).Allocate(t.capacity);
-      if (!gpu_mem.ok()) {
-        CKPT_LOG(kError, "engine")
-            << "rank " << r
-            << ": GPU cache allocation failed: " << gpu_mem.status();
-        std::abort();
-      }
-      t.gpu_base = *gpu_mem;
-      build_bufs(t, 0, t.gpu_base);
-      t.ready.store(true, std::memory_order_release);
-    }
-
-    // Pre-allocate and pin the host-side caches (slow: ~4 GB/s
-    // registration) — inline by default, or on a background thread with
-    // async_pin_init ([Maurya et al., HiPC'22]): the application starts
-    // checkpointing into the device cache immediately while the pinned
-    // tiers register.
-    const int node = cluster_.topology().node_of_rank(r);
-    RankCtx* cp = c.get();
-    auto build_pinned = [this, cp, node, ncache, build_bufs] {
-      for (int i = 0; i < ncache; ++i) {
-        if (stack_.is_device(i)) continue;
-        CacheTierRt& t = *cp->tiers[static_cast<std::size_t>(i)];
-        auto arena = std::make_unique<sim::PinnedArena>(cluster_.topology(),
-                                                        node, t.capacity);
-        sim::BytePtr base = arena->data();
-        std::lock_guard lock(cp->mu);
-        t.arena = std::move(arena);
-        build_bufs(t, i, base);
-        t.ready.store(true, std::memory_order_release);
-        // Only reservations can be parked on an unready tier.
-        t.cv_reserve.notify_all();
-      }
-    };
-    if (options_.async_pin_init) {
-      c->t_pin = std::jthread(build_pinned);
-    } else {
-      build_pinned();
+      c->tiers[static_cast<std::size_t>(i)] = std::move(t);
     }
 
     c->metrics.init_s = init_sw.ElapsedSec();
+    ranks_.push_back(std::move(c));
+  }
 
-    // Dedicated background threads (§4.3.1): one flush stage per cache
-    // tier plus the prefetcher, whose store reads get their own worker on
-    // a multi-level stack.
+  // Dedicated background threads (§4.3.1), started once every rank's caches
+  // exist: one flush stage per cache tier plus the prefetcher, whose store
+  // reads get their own worker on a multi-level stack.
+  for (auto& c : ranks_) {
     RankCtx* ctx_ptr = c.get();
     for (int i = 0; i < ncache; ++i) {
       c->tiers[static_cast<std::size_t>(i)]->worker =
@@ -252,8 +208,6 @@ void Engine::Init(int num_ranks) {
     if (stage_in_) {
       c->t_stage = std::jthread([this, ctx_ptr] { StageInLoop(*ctx_ptr); });
     }
-
-    ranks_.push_back(std::move(c));
   }
 }
 
@@ -275,7 +229,6 @@ void Engine::Shutdown() {
     for (auto& t : c->tiers) t->flush_q.Close();
   }
   for (auto& c : ranks_) {
-    if (c->t_pin.joinable()) c->t_pin.join();
     for (auto& t : c->tiers) {
       if (t->worker.joinable()) t->worker.join();
     }
@@ -371,17 +324,20 @@ bool Engine::SafeBelow(const Record& rec, TierIndex tier) const {
   return rec.AnyDurable();
 }
 
-bool Engine::ExcludedOn(const Record& rec, TierIndex tier) const {
+bool Engine::ExcludedUntilSettled(const Record& rec, TierIndex tier) const {
   const Residency& res = rec.res[static_cast<std::size_t>(tier)];
   if (res.busy()) return true;
   // A Restore() is about to read this version. Between a stage-in landing
   // and the woken Restore re-taking the lock, the fresh copy would be the
   // cheapest victim of any reservation, and its loss costs a second read.
-  if (rec.restore_waiting) return true;
+  return rec.restore_waiting;
+}
+
+bool Engine::ExcludedOn(const Record& rec, TierIndex tier) const {
+  if (ExcludedUntilSettled(rec, tier)) return true;
   // Condition (4): a prefetched checkpoint is pinned on the fast tier until
   // consumed.
-  if (tier == 0 && StatePinsFastTier(rec.state)) return true;
-  return false;
+  return tier == 0 && StatePinsFastTier(rec.state);
 }
 
 bool Engine::EvictableNow(const Record& rec, TierIndex tier) const {
@@ -614,13 +570,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     const std::function<bool()>& abort, bool belady_guard) {
   CKPT_ASSERT_HELD(ctx_.mu);
   CacheTierRt& t = *ctx_.tiers[static_cast<std::size_t>(tier)];
-  if (!t.ready.load(std::memory_order_acquire)) {
-    // async_pin_init: this pinned tier may still be registering.
-    t.cv_reserve.wait(lock, [&] {
-      return t.ready.load(std::memory_order_acquire) || ctx_.shutdown;
-    });
-    if (ctx_.shutdown) return util::ShutdownError("engine stopping");
-  }
   CacheBuffer& buf = BufferFor(ctx_, tier, purpose);
   // The guard distance is `v`'s own, refreshed every round: T_PF pops and
   // Restore drops hints while this call waits.
@@ -681,6 +630,9 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         continue;
       }
     }
+    // Hints still in the lock-free inbox count: the plan must not evict a
+    // copy the application has already asked for.
+    DrainHints(ctx_);
     // Annotate the tier geometry with life-cycle metadata under the rank
     // lock, then run the O(N) policy scan with the rank lock DROPPED: the
     // scan is the expensive part of a reservation round, and holding ctx.mu
@@ -712,8 +664,24 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         charge_wait();
         return plan.status();  // caller falls back to a lower tier
       }
-      // kUnavailable: everything is pinned right now; wait for a transition
-      // on THIS tier's channel.
+      // kUnavailable: every window crosses an excluded copy. When no copy
+      // is excluded until settled, the exclusions are prefetch pins that
+      // only restores release. A single-threaded rank's writer would wait
+      // forever on its own restores, so every write falls back to a lower
+      // tier instead, also on ranks whose other threads restore. Otherwise
+      // wait for a transition on THIS tier's channel.
+      if (purpose == ReservePurpose::kWrite &&
+          buf.table_version() == snap.version &&
+          std::none_of(snap.frags.begin(), snap.frags.end(),
+                       [&](const Fragment& f) {
+                         if (f.is_gap()) return false;
+                         const auto it = ctx_.records.find(f.id);
+                         return it == ctx_.records.end() ||
+                                ExcludedUntilSettled(it->second, tier);
+                       })) {
+        charge_wait();
+        return util::CapacityExceeded("every window crosses a prefetch pin");
+      }
       QueueInstant(ctx_, trace::Kind::kEviction, "evict:blocked", tier, v,
                    size);
       t.cv_reserve.wait_for(lock, kReplanMax);
@@ -839,10 +807,29 @@ void Engine::HandOffFlush(RankCtx& ctx_,
 Engine::TerminalPutResult Engine::PutTerminal(RankCtx& ctx_, Version v,
                                               sim::ConstBytePtr src,
                                               std::uint64_t size,
+                                              bool on_device,
                                               std::mt19937_64& rng) {
   TerminalPutResult r;
   r.ok.assign(static_cast<std::size_t>(stack_.num_durable_tiers()), 0);
   const storage::ObjectKey key = KeyOf(ctx_.rank, v);
+  const sim::Topology& topo = cluster_.topology();
+  const sim::GpuId gpu = topo.gpu_of_rank(ctx_.rank);
+  // A device-memory source crosses PCIe: under GPUDirect as DMA straight to
+  // the drive, otherwise through a transient pinned buffer (the drive cannot
+  // read device memory) that pays its registration and host DDR.
+  std::optional<sim::PinnedArena> staging;
+  if (on_device && options_.gpudirect) {
+    sim::ChargePcieLinkOnly(topo, gpu, size, sim::Topology::LinkDir::kD2H);
+  } else if (on_device) {
+    staging.emplace(topo, gpu.node, size);
+    r.staging = sim::ThrottledMemcpy(topo, gpu, staging->data(), src, size,
+                                     sim::MemcpyKind::kD2H);
+    if (!r.staging.ok()) {
+      CKPT_LOG(kError, "flush") << "staging copy failed: " << r.staging;
+      return r;
+    }
+    src = staging->data();
+  }
   // Every durable stage up to the terminal tier is attempted, even when a
   // shallower one failed: a surviving deeper copy still makes the
   // checkpoint durable.
@@ -981,9 +968,18 @@ void Engine::MarkFlushFailed(RankCtx& ctx_, Record& rec) {
 
 Engine::FetchResult Engine::GetDurable(
     RankCtx& ctx_, Version v, sim::BytePtr dst, std::uint64_t size,
-    const std::vector<unsigned char>& durable, std::mt19937_64& rng,
-    const std::function<bool()>& abort) {
+    bool on_device, const std::vector<unsigned char>& durable,
+    std::mt19937_64& rng, const std::function<bool()>& abort) {
   const storage::ObjectKey key = KeyOf(ctx_.rank, v);
+  const sim::Topology& topo = cluster_.topology();
+  const sim::GpuId gpu = topo.gpu_of_rank(ctx_.rank);
+  // A device-memory destination crosses PCIe: under GPUDirect as DMA
+  // straight from the drive, otherwise through a transient pinned buffer
+  // (the drive cannot write device memory) that pays its registration and
+  // host DDR.
+  std::optional<sim::PinnedArena> staging;
+  if (on_device && !options_.gpudirect) staging.emplace(topo, gpu.node, size);
+  const sim::BytePtr into = staging ? staging->data() : dst;
   FetchResult r;
   r.status =
       util::NotFound("checkpoint " + key.ToString() + " has no durable copy");
@@ -995,20 +991,27 @@ Engine::FetchResult Engine::GetDurable(
     if (shallowest < 0) shallowest = d;
     storage::ObjectStore& store = *stack_.durable_store(d);
     const util::RetryOutcome out = util::RetryWithBackoff(
-        options_.fetch_retry, rng, [&] { return store.Get(key, dst, size); },
+        options_.fetch_retry, rng, [&] { return store.Get(key, into, size); },
         abort);
     r.retries += out.retries();
     r.status = out.status;
     if (out.ok()) {
       r.served = stack_.durable_index(d);
       r.fell_back = d != shallowest;
-      return r;
+      break;
     }
     CKPT_LOG(kWarn, "fetch")
         << "rank " << ctx_.rank << " ckpt " << v << ": "
         << stack_.name(static_cast<std::size_t>(stack_.durable_index(d)))
         << " read failed after " << out.attempts
         << " attempt(s): " << out.status.ToString();
+  }
+  if (!r.status.ok() || !on_device) return r;
+  if (staging) {
+    r.status = sim::ThrottledMemcpy(topo, gpu, dst, staging->data(), size,
+                                    sim::MemcpyKind::kH2D);
+  } else {
+    sim::ChargePcieLinkOnly(topo, gpu, size, sim::Topology::LinkDir::kH2D);
   }
   return r;
 }
@@ -1173,21 +1176,14 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
     NotifyPrefetch(c);
     HandOffFlush(c, lock, rec, placed);
   } else {
-    // Oversize for every cache tier: synchronous write-through to the
-    // durable store(s) from a transient pinned staging buffer.
+    // Oversize for every cache tier: synchronous write-through from the
+    // application's device buffer to the durable store(s).
     lock.unlock();
-    sim::PinnedArena staging(cluster_.topology(),
-                             cluster_.topology().node_of_rank(rank), size);
-    const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
-                                                 staging.data(), src, size,
-                                                 sim::MemcpyKind::kD2H);
-    if (!st.ok()) {
-      lock.lock();
-      return cleanup_failure(st);
-    }
     std::mt19937_64 rng = RngFor(c, static_cast<std::uint64_t>(ncache) + 1, v);
-    const TerminalPutResult r = PutTerminal(c, v, staging.data(), size, rng);
+    const TerminalPutResult r =
+        PutTerminal(c, v, src, size, /*on_device=*/true, rng);
     lock.lock();
+    if (!r.staging.ok()) return cleanup_failure(r.staging);
     if (std::find(r.ok.begin(), r.ok.end(), 1) == r.ok.end()) {
       // Nothing durable and nothing cached. The caller still owns the
       // source buffer, so surface the failure instead of losing data.
@@ -1306,30 +1302,14 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   } else if (rec.AnyDurable()) {
     const std::vector<unsigned char> durable = rec.durable;
     const std::uint64_t size = rec.size;
-    FetchResult r;
     std::mt19937_64 rng = RngFor(
         c, static_cast<std::uint64_t>(stack_.num_cache_tiers()) + 1, v);
+    // Direct read into the application's device buffer. Without GPUDirect
+    // its unplanned pinned staging is a genuine penalty of deviating from
+    // the hints / running without foreknowledge.
     lock.unlock();
-    if (options_.gpudirect) {
-      // GPUDirect read: store -> application device buffer over PCIe DMA.
-      r = GetDurable(c, v, dst, size, durable, rng, /*abort=*/{});
-      if (r.status.ok()) {
-        sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                                sim::Topology::LinkDir::kH2D);
-      }
-    } else {
-      // Direct read path: stream store -> transient pinned staging ->
-      // device. The unplanned pinned allocation is a genuine penalty of
-      // deviating from the hints / running without foreknowledge.
-      sim::PinnedArena staging(cluster_.topology(),
-                               cluster_.topology().node_of_rank(rank), size);
-      r = GetDurable(c, v, staging.data(), size, durable, rng, /*abort=*/{});
-      if (r.status.ok()) {
-        r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, dst,
-                                        staging.data(), size,
-                                        sim::MemcpyKind::kH2D);
-      }
-    }
+    const FetchResult r = GetDurable(c, v, dst, size, /*on_device=*/true,
+                                     durable, rng, /*abort=*/{});
     lock.lock();
     ApplyFetchResult(c, v, size, r);
     st = r.status;
@@ -1361,12 +1341,11 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   ++c.restore_counter;
   app_span.SetBytes(rec.size);
   app_span.SetTier(src_tier);
-  const double block_s = sw.ElapsedSec();
-  c.metrics.restore_block_s.Add(block_s);
+  c.metrics.restore_block_s.Add(sw.ElapsedSec());
   ProbeAdd(c.probe.restores);
   ProbeAdd(c.probe.bytes_restored, rec.size);
   c.metrics.restore_series.push_back(
-      RestorePoint{c.restore_counter - 1, v, block_s, rec.size, pdist});
+      RestorePoint{c.restore_counter - 1, v, rec.size, pdist});
   // Advance and ReleasePin above already woke the state/reserve channels.
   stop_waiting();
   NoteStageable(c, rec);  // a later re-read hint of a direct-served copy
@@ -1659,13 +1638,11 @@ bool Engine::ResidentOnIndex(sim::Rank rank, Version v, TierIndex tier) const {
 
 std::uint64_t Engine::CacheUsed(sim::Rank rank, TierIndex tier) const {
   // Deliberately does NOT take the rank lock: capacity probes must not
-  // contend with the hot path. `ready` is an acquire-load paired with the
-  // release-store after the buffers are built, and used_bytes() takes the
-  // buffer's own leaf lock.
+  // contend with the hot path. The buffers are built before the constructor
+  // returns, and used_bytes() takes the buffer's own leaf lock.
   const RankCtx& c = ctx(rank);
   if (tier < 0 || !stack_.is_cache(tier)) return 0;
   const CacheTierRt& t = *c.tiers[static_cast<std::size_t>(tier)];
-  if (!t.ready.load(std::memory_order_acquire)) return 0;
   std::uint64_t used = t.write_buf->used_bytes();
   if (t.prefetch_buf) used += t.prefetch_buf->used_bytes();
   return used;
@@ -1700,30 +1677,8 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
 
   // GPUDirect Storage: the device tier's stage DMAs straight to the drive,
   // bypassing the deeper caches, the pinned tiers and DDR entirely.
-  const bool gpudirect = options_.gpudirect && stack_.is_device(tier);
-
-  // Writes (rank, v) to the durable stores directly from this tier's copy.
-  // Without GPUDirect the drive cannot read device memory, so device-tier
-  // sources stage through a transient pinned buffer first. Returns the
-  // result to apply under the lock.
-  const auto put_from_tier = [&](Version v, sim::ConstBytePtr src,
-                                 std::uint64_t size) -> TerminalPutResult {
-    if (!stack_.is_device(tier)) return PutTerminal(c, v, src, size, rng);
-    if (gpudirect) {
-      sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                              sim::Topology::LinkDir::kD2H);
-      return PutTerminal(c, v, src, size, rng);
-    }
-    sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
-    const util::Status st = sim::ThrottledMemcpy(cluster_.topology(), gpu,
-                                                 staging.data(), src, size,
-                                                 sim::MemcpyKind::kD2H);
-    if (!st.ok()) {
-      CKPT_LOG(kError, "flush") << "direct store flush failed: " << st.ToString();
-      return TerminalPutResult{};
-    }
-    return PutTerminal(c, v, staging.data(), size, rng);
-  };
+  const bool on_device = stack_.is_device(tier);
+  const bool gpudirect = options_.gpudirect && on_device;
 
   // Balances the producer-side flush_queue_depth bump: the gauge counts
   // queued + in-flight work, so the decrement happens when an iteration's
@@ -1831,7 +1786,7 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       const std::uint64_t size = rec.size;
       lock.unlock();
       const std::int64_t t0 = util::NowNs();
-      const TerminalPutResult r = put_from_tier(v, src, size);
+      const TerminalPutResult r = PutTerminal(c, v, src, size, on_device, rng);
       lock.lock();
       --mine.read_refs;
       NotifyReserve(c, tier);  // our source copy may now be evictable
@@ -2076,33 +2031,13 @@ void Engine::PrefetchLoop(RankCtx& c) {
       // No stage-in worker (GPUDirect, or a single cache tier): read the
       // stores straight into the reserved slot.
       const std::vector<unsigned char> durable = rec.durable;
-      const bool device0 = stack_.is_device(0);
       const auto abandon = [&c, &rec] {
         std::lock_guard l(c.mu);
         return c.shutdown || rec.restore_waiting;
       };
-      FetchResult r;
       lock.unlock();
-      if (device0 && options_.gpudirect) {
-        // GPUDirect: DMA from the store into device memory over PCIe.
-        r = GetDurable(c, v, slot, size, durable, rng, abandon);
-        if (r.status.ok()) {
-          sim::ChargePcieLinkOnly(cluster_.topology(), gpu, size,
-                                  sim::Topology::LinkDir::kH2D);
-        }
-      } else if (device0) {
-        // The drive cannot write device memory: stage through transient
-        // pinned memory.
-        sim::PinnedArena staging(cluster_.topology(), gpu.node, size);
-        r = GetDurable(c, v, staging.data(), size, durable, rng, abandon);
-        if (r.status.ok()) {
-          r.status = sim::ThrottledMemcpy(cluster_.topology(), gpu, slot,
-                                          staging.data(), size,
-                                          sim::MemcpyKind::kH2D);
-        }
-      } else {
-        r = GetDurable(c, v, slot, size, durable, rng, abandon);
-      }
+      const FetchResult r = GetDurable(c, v, slot, size, stack_.is_device(0),
+                                       durable, rng, abandon);
       lock.lock();
       ApplyFetchResult(c, v, size, r);
       st = r.status;
@@ -2197,7 +2132,8 @@ void Engine::StageInLoop(RankCtx& c) {
     const std::uint64_t size = rec.size;
     const std::int64_t begin = util::NowNs();
     lock.unlock();
-    const FetchResult r = GetDurable(c, v, dst, size, durable, rng, abandon);
+    const FetchResult r = GetDurable(c, v, dst, size, stack_.is_device(deepest),
+                                     durable, rng, abandon);
     lock.lock();
     ApplyFetchResult(c, v, size, r);
     const util::Status& st = r.status;

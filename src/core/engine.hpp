@@ -77,28 +77,12 @@ struct EngineOptions {
   /// progress (deadlock freedom, DESIGN.md §5).
   double prefetch_pin_fraction = 0.75;
 
-  /// EXTENSION (paper §6 future work, "load balance variable-sized
-  /// checkpoints"): per-rank weights for dividing the node's total
-  /// pinned-host cache. Empty = equal shares. With weights, rank r receives
-  /// capacity * weights[r] / sum(weights) on every pinned-host cache tier —
-  /// e.g. proportional to each rank's expected trace volume, so heavy shots
-  /// stop thrashing while light shots hold idle capacity.
-  std::vector<double> host_cache_weights;
-
-  /// EXTENSION ([Maurya et al., HiPC'22], cited as complementary in
-  /// §4.1.4): hide the slow pinned host-cache registration by performing it
-  /// on a background thread at init. Checkpoint() returns immediately from
-  /// engine construction; the first flush into a pinned tier waits until
-  /// that tier is registered. Restores and device-cache writes are
-  /// unaffected.
-  bool async_pin_init = false;
-
-  /// EXTENSION (paper §6 future work): GPUDirect Storage. Flushes move
-  /// device cache -> durable store and promotions move store -> device
-  /// cache directly over PCIe DMA, bypassing the pinned host tiers and
-  /// their DDR bandwidth. The host tiers still serve data that happens to
-  /// be there, but the flush/prefetch pipelines no longer stage through
-  /// them. Only meaningful when the stack has a device tier.
+  /// EXTENSION (paper §6 future work): GPUDirect Storage. Every durable
+  /// store read or write whose other end is device memory moves directly
+  /// over PCIe DMA, bypassing pinned host memory and its DDR bandwidth:
+  /// device-tier flushes, oversize write-throughs, promotions and direct
+  /// restores. The host tiers still serve data that happens to be there,
+  /// but the flush/prefetch pipelines no longer stage through them.
   bool gpudirect = false;
 
   // --- Failure model (DESIGN.md §8) ---
@@ -228,7 +212,7 @@ class Engine final : public Runtime {
   /// kIoError once the checkpoint entered FLUSH_FAILED.
   [[nodiscard]] util::StatusOr<TierIndex> DurableTierIndexOf(sim::Rank rank,
                                                              Version v) const;
-  /// Used bytes of cache tier `tier` (0 while a pinned tier registers).
+  /// Used bytes of cache tier `tier`.
   [[nodiscard]] std::uint64_t CacheUsed(sim::Rank rank, TierIndex tier) const;
   /// Consecutive hinted successors already promoted to the fastest cache
   /// tier (the Fig. 7 prefetch-distance metric).
@@ -325,10 +309,6 @@ class Engine final : public Runtime {
   /// Per-rank runtime state of one cache tier.
   struct CacheTierRt {
     std::uint64_t capacity = 0;  ///< this rank's share of the tier
-    /// Backing memory allocated/registered. Atomic so lock-free probes
-    /// (CacheUsed) can check readiness without the rank lock; writers flip
-    /// it under ctx.mu with release ordering.
-    std::atomic<bool> ready{false};
     sim::BytePtr gpu_base = nullptr;            ///< device tiers (owned by
                                                 ///< the rank's Device)
     std::unique_ptr<sim::PinnedArena> arena;    ///< pinned-host tiers
@@ -339,8 +319,8 @@ class Engine final : public Runtime {
     std::uint64_t backlog_bytes = 0;
     /// Wakeup channel for reservations blocked on THIS tier (DESIGN.md
     /// §10): signalled when space on this tier may have opened up (a
-    /// residency cleared, read_refs dropped, a pin released, the tier
-    /// became ready). Paired with ctx.mu.
+    /// residency cleared, read_refs dropped, a pin released). Paired with
+    /// ctx.mu.
     std::condition_variable_any cv_reserve;
     std::jthread worker;  ///< FlushStageLoop for this tier
   };
@@ -348,8 +328,7 @@ class Engine final : public Runtime {
   /// Counter cells (DESIGN.md §11): relaxed atomics, the single count of
   /// every event they record. Writers bump them through the Probe*()
   /// helpers below; MetricsSnapshot() reads them under ctx.mu and the
-  /// sampler's Probe() without any lock, mirroring the CacheTierRt::ready
-  /// pattern. Every bump of a counter RankMetrics also reports runs under
+  /// sampler's Probe() without any lock. Every bump of a counter RankMetrics also reports runs under
   /// ctx.mu, so a snapshot's counters are mutually consistent.
   struct TierCells {
     std::atomic<std::uint64_t> flush_queue_depth{0};  ///< queued + in-flight
@@ -463,7 +442,6 @@ class Engine final : public Runtime {
     bool shutdown = false;
 
     std::vector<std::unique_ptr<CacheTierRt>> tiers;  ///< cache tiers only
-    std::jthread t_pin;  ///< async_pin_init worker
 
     std::uint64_t inflight_flushes = 0;       ///< records not yet flush_done
     std::uint64_t prefetched_pinned_bytes = 0;
@@ -519,6 +497,11 @@ class Engine final : public Runtime {
   [[nodiscard]] bool SafeBelow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool EvictableNow(const Record& rec, TierIndex tier) const;
   [[nodiscard]] bool ExcludedOn(const Record& rec, TierIndex tier) const;
+  /// The exclusions of ExcludedOn that lift without a restore: a transfer
+  /// in flight on the copy, or a Restore() about to read it. The rest is
+  /// condition (4)'s fast-tier pin.
+  [[nodiscard]] bool ExcludedUntilSettled(const Record& rec,
+                                          TierIndex tier) const;
   [[nodiscard]] double EtaSeconds(const RankCtx& ctx, const Record& rec,
                                   TierIndex tier) const;
   /// Refreshes `rec`'s LRU recency. Every read access must call this —
@@ -685,7 +668,7 @@ class Engine final : public Runtime {
 
   // --- Per-role wakeup helpers (DESIGN.md §10) ---
   /// A transition that may unblock reservations on cache tier `tier`
-  /// (residency cleared, read_refs dropped, pin released, tier ready).
+  /// (residency cleared, read_refs dropped, pin released).
   static void NotifyReserve(RankCtx& ctx, TierIndex tier) {
     ctx.tiers[tier]->cv_reserve.notify_all();
   }
@@ -735,14 +718,18 @@ class Engine final : public Runtime {
     std::vector<unsigned char> ok;
     std::uint64_t retries = 0;    ///< extra attempts across all tiers
     std::uint64_t failures = 0;   ///< tiers that permanently failed
+    /// The device-to-host staging copy; when it failed, no tier was tried.
+    util::Status staging;
   };
   /// Writes (rank, v) to every durable tier up to and including the
   /// terminal one, retrying transient errors per flush_retry. Deeper
   /// stages are attempted even when a shallower one failed: a surviving
-  /// deeper copy still makes the checkpoint durable. Called WITHOUT ctx.mu
-  /// held.
+  /// deeper copy still makes the checkpoint durable. A device-memory `src`
+  /// (`on_device`) is DMA'd under GPUDirect, otherwise staged through a
+  /// transient pinned buffer first. Called WITHOUT ctx.mu held.
   TerminalPutResult PutTerminal(RankCtx& ctx, Version v, sim::ConstBytePtr src,
-                                std::uint64_t size, std::mt19937_64& rng);
+                                std::uint64_t size, bool on_device,
+                                std::mt19937_64& rng);
   /// Applies a TerminalPutResult to the record (ctx.mu held): marks durable
   /// tiers and finishes the flush; on a permanent terminal-tier failure
   /// either degrades durability to the deepest surviving copy or — in
@@ -759,10 +746,12 @@ class Engine final : public Runtime {
     TierIndex served = -1;      ///< stack index that satisfied the read
   };
   /// Reads (rank, v) from the durable tiers flagged in `durable`, walking
-  /// shallowest-first with bounded retries per tier. Called WITHOUT ctx.mu
-  /// held; the caller applies the result under the lock (ApplyFetchResult).
+  /// shallowest-first with bounded retries per tier. A device-memory `dst`
+  /// (`on_device`) is DMA'd under GPUDirect, otherwise staged through a
+  /// transient pinned buffer. Called WITHOUT ctx.mu held; the caller
+  /// applies the result under the lock (ApplyFetchResult).
   FetchResult GetDurable(RankCtx& ctx, Version v, sim::BytePtr dst,
-                         std::uint64_t size,
+                         std::uint64_t size, bool on_device,
                          const std::vector<unsigned char>& durable,
                          std::mt19937_64& rng,
                          const std::function<bool()>& abort);

@@ -12,11 +12,12 @@
 
 namespace ckpt::core {
 
-/// One restore operation's data point for the Fig. 7 series.
+/// One restore operation's data point for the Fig. 7 series. Its blocking
+/// time is the same-index sample of RankMetrics::restore_block_s: every
+/// runtime appends to both on each successful restore.
 struct RestorePoint {
   std::uint64_t iteration = 0;       ///< restore index within the shot
   std::uint64_t version = 0;
-  double blocking_s = 0.0;           ///< app-observed blocking time
   std::uint64_t bytes = 0;
   std::uint64_t prefetch_distance = 0;  ///< successor ckpts already on GPU
 };

@@ -3,11 +3,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "core/telemetry_sink.hpp"
 #include "core/trace_sink.hpp"
+#include "util/file_io.hpp"
 #include "util/trace.hpp"
 
 namespace ckpt::core {
@@ -36,16 +36,9 @@ using util::telemetry::TelemetrySample;
   return n;
 }
 
-void WriteFileOrWarn(const std::string& path, const std::string& body,
-                     const char* what) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (f) {
-    f.write(body.data(), static_cast<std::streamsize>(body.size()));
-    f.flush();
-  }
-  if (!f) {
-    std::fprintf(stderr, "telemetry: failed to write %s dump to '%s'\n", what,
-                 path.c_str());
+void WarnIfFailed(const util::Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "telemetry: flight dump: %s\n", st.ToString().c_str());
   }
 }
 
@@ -215,21 +208,14 @@ void TelemetrySampler::FlightDump() {
   // Lock-free artifacts first: if the engine is wedged badly enough that
   // even its rank locks are stuck, the trace + window still land on disk
   // before the metrics snapshot (which takes each rank lock) can block.
-  const util::Status trace_st = WriteChromeTrace(p + ".trace.json");
-  if (!trace_st.ok()) {
-    std::fprintf(stderr, "telemetry: %s\n", trace_st.ToString().c_str());
-  }
-  WriteFileOrWarn(p + ".window.json", TelemetryWindowJson(ring_, tier_names_),
-                  "telemetry window");
+  WarnIfFailed(WriteChromeTrace(p + ".trace.json"));
+  WarnIfFailed(util::WriteFile(p + ".window.json",
+                               TelemetryWindowJson(ring_, tier_names_)));
   // Probe a fresh scrape (not ring_.Latest()): the ring's newest sample
   // predates the trip, so it would miss the stall counter the trip just
   // charged via NoteStall.
-  WriteFileOrWarn(p + ".openmetrics.txt", OpenMetricsText(engine_),
-                  "openmetrics");
-  const util::Status metrics_st = WriteMetricsSnapshot(engine_, p + ".metrics.json");
-  if (!metrics_st.ok()) {
-    std::fprintf(stderr, "telemetry: %s\n", metrics_st.ToString().c_str());
-  }
+  WarnIfFailed(util::WriteFile(p + ".openmetrics.txt", OpenMetricsText(engine_)));
+  WarnIfFailed(WriteMetricsSnapshot(engine_, p + ".metrics.json"));
 }
 
 }  // namespace ckpt::core

@@ -158,9 +158,9 @@ void AppendRemoteTiersJson(std::string& out,
                            const std::vector<RemoteTierSample>& tiers) {
   out += '[';
   for (std::size_t i = 0; i < tiers.size(); ++i) {
-    const RemoteTierSample& rt = tiers[i];
+    const util::StoreStats& st = tiers[i].stats;
     if (i) out += ',';
-    out += "{\"name\":\"" + util::json::Escape(rt.tier_name) + "\"";
+    out += "{\"name\":\"" + util::json::Escape(tiers[i].tier_name) + "\"";
     AppendF(out,
             ",\"remote_puts\":%" PRIu64 ",\"remote_gets\":%" PRIu64
             ",\"remote_parts\":%" PRIu64 ",\"remote_part_retries\":%" PRIu64
@@ -172,12 +172,12 @@ void AppendRemoteTiersJson(std::string& out,
             ",\"agg_group_reclaims\":%" PRIu64
             ",\"agg_pending_members\":%" PRIu64 ",\"agg_pending_bytes\":%" PRIu64
             "}",
-            rt.remote_puts, rt.remote_gets, rt.remote_parts,
-            rt.remote_part_retries, rt.remote_put_bytes, rt.remote_get_bytes,
-            rt.agg_member_puts, rt.agg_group_puts, rt.agg_group_put_failures,
-            rt.agg_size_flushes, rt.agg_deadline_flushes,
-            rt.agg_gets_from_pending, rt.agg_group_reclaims,
-            rt.agg_pending_members, rt.agg_pending_bytes);
+            st.remote_puts, st.remote_gets, st.remote_parts,
+            st.remote_part_retries, st.remote_put_bytes, st.remote_get_bytes,
+            st.agg_member_puts, st.agg_group_puts, st.agg_group_put_failures,
+            st.agg_size_flushes, st.agg_deadline_flushes,
+            st.agg_gets_from_pending, st.agg_group_reclaims,
+            st.agg_pending_members, st.agg_pending_bytes);
   }
   out += ']';
 }
@@ -246,27 +246,11 @@ std::vector<RemoteTierSample> CollectRemoteTiers(const Engine& engine) {
   std::vector<RemoteTierSample> out;
   const TierStack& stack = engine.tiers();
   for (int d = 0; d < stack.num_durable_tiers(); ++d) {
-    storage::StoreStats st;
-    const storage::ObjectStore* store = stack.durable_store(d);
-    if (store == nullptr || !store->CollectStats(st)) continue;
     RemoteTierSample rt;
+    const storage::ObjectStore* store = stack.durable_store(d);
+    if (store == nullptr || !store->CollectStats(rt.stats)) continue;
     rt.tier = stack.durable_index(d);
     rt.tier_name = std::string(stack.name(static_cast<std::size_t>(rt.tier)));
-    rt.remote_puts = st.remote_puts;
-    rt.remote_gets = st.remote_gets;
-    rt.remote_parts = st.remote_parts;
-    rt.remote_part_retries = st.remote_part_retries;
-    rt.remote_put_bytes = st.remote_put_bytes;
-    rt.remote_get_bytes = st.remote_get_bytes;
-    rt.agg_member_puts = st.agg_member_puts;
-    rt.agg_group_puts = st.agg_group_puts;
-    rt.agg_group_put_failures = st.agg_group_put_failures;
-    rt.agg_size_flushes = st.agg_size_flushes;
-    rt.agg_deadline_flushes = st.agg_deadline_flushes;
-    rt.agg_gets_from_pending = st.agg_gets_from_pending;
-    rt.agg_group_reclaims = st.agg_group_reclaims;
-    rt.agg_pending_members = st.agg_pending_members;
-    rt.agg_pending_bytes = st.agg_pending_bytes;
     out.push_back(std::move(rt));
   }
   return out;
@@ -391,35 +375,35 @@ std::string OpenMetricsText(const TelemetrySample& s,
   struct RemoteCounterSpec {
     const char* family;
     const char* help;
-    std::uint64_t RemoteTierSample::* field;
+    std::uint64_t util::StoreStats::* field;
   };
   static constexpr RemoteCounterSpec kRemoteCounters[] = {
       {"ckpt_remote_puts", "Objects landed on the remote store.",
-       &RemoteTierSample::remote_puts},
+       &util::StoreStats::remote_puts},
       {"ckpt_remote_gets", "Objects fetched from the remote store.",
-       &RemoteTierSample::remote_gets},
+       &util::StoreStats::remote_gets},
       {"ckpt_remote_parts", "Multipart upload parts completed.",
-       &RemoteTierSample::remote_parts},
+       &util::StoreStats::remote_parts},
       {"ckpt_remote_part_retries", "Extra per-part upload attempts.",
-       &RemoteTierSample::remote_part_retries},
+       &util::StoreStats::remote_part_retries},
       {"ckpt_remote_put_bytes", "Bytes uploaded to the remote store.",
-       &RemoteTierSample::remote_put_bytes},
+       &util::StoreStats::remote_put_bytes},
       {"ckpt_remote_get_bytes", "Bytes downloaded from the remote store.",
-       &RemoteTierSample::remote_get_bytes},
+       &util::StoreStats::remote_get_bytes},
       {"ckpt_agg_member_puts", "Member puts accepted by the aggregator.",
-       &RemoteTierSample::agg_member_puts},
+       &util::StoreStats::agg_member_puts},
       {"ckpt_agg_group_puts", "Group objects landed by the aggregator.",
-       &RemoteTierSample::agg_group_puts},
+       &util::StoreStats::agg_group_puts},
       {"ckpt_agg_group_put_failures", "Group uploads that failed and were requeued.",
-       &RemoteTierSample::agg_group_put_failures},
+       &util::StoreStats::agg_group_put_failures},
       {"ckpt_agg_size_flushes", "Groups sealed by the member/byte threshold.",
-       &RemoteTierSample::agg_size_flushes},
+       &util::StoreStats::agg_size_flushes},
       {"ckpt_agg_deadline_flushes", "Groups sealed by deadline or explicit flush.",
-       &RemoteTierSample::agg_deadline_flushes},
+       &util::StoreStats::agg_deadline_flushes},
       {"ckpt_agg_gets_from_pending", "Member reads served from buffered groups.",
-       &RemoteTierSample::agg_gets_from_pending},
+       &util::StoreStats::agg_gets_from_pending},
       {"ckpt_agg_group_reclaims", "Group objects reclaimed after their last member was erased.",
-       &RemoteTierSample::agg_group_reclaims},
+       &util::StoreStats::agg_group_reclaims},
   };
   const auto remote_label = [&](const RemoteTierSample& rt) {
     return "tier=\"" + EscapeLabelValue(rt.tier_name) + "\"";
@@ -428,20 +412,20 @@ std::string OpenMetricsText(const TelemetrySample& s,
     x.Counter(c.family, c.help);
     const std::string sample_name = std::string(c.family) + "_total";
     for (const RemoteTierSample& rt : s.remote_tiers) {
-      x.SampleU64(sample_name, remote_label(rt), rt.*(c.field));
+      x.SampleU64(sample_name, remote_label(rt), rt.stats.*(c.field));
     }
   }
   x.Gauge("ckpt_agg_pending_members",
           "Member puts buffered in not-yet-landed groups.");
   for (const RemoteTierSample& rt : s.remote_tiers) {
     x.SampleU64("ckpt_agg_pending_members", remote_label(rt),
-                rt.agg_pending_members);
+                rt.stats.agg_pending_members);
   }
   x.Gauge("ckpt_agg_pending_bytes",
           "Bytes buffered in not-yet-landed groups.");
   for (const RemoteTierSample& rt : s.remote_tiers) {
     x.SampleU64("ckpt_agg_pending_bytes", remote_label(rt),
-                rt.agg_pending_bytes);
+                rt.stats.agg_pending_bytes);
   }
   // Lineage families (DESIGN.md §14).
   struct OutcomeSpec {

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <fstream>
+#include <cmath>
 #include <set>
 #include <utility>
 
 #include "core/engine.hpp"
 #include "core/render.hpp"
 #include "core/telemetry_sink.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 
 namespace ckpt::core {
@@ -90,6 +91,40 @@ void AppendSeriesJson(std::string& out, const char* key,
   out += ",\"max\":";
   AppendNum(out, s.Max());
   out += "}";
+}
+
+/// An integer field of a trace event and the half-open range [lo, end)
+/// its cast to the C++ type it names must stay in.
+struct IntField {
+  const char* key;
+  double lo;
+  double end;
+};
+constexpr double kIntEnd = 2147483648.0;            // INT_MAX + 1
+constexpr double kU64End = 18446744073709551616.0;  // 2^64
+/// Track coordinates: pid is a rank (int), tid a ring-buffer id.
+constexpr IntField kTrackFields[] = {{"pid", 0, kIntEnd}, {"tid", 0, kU64End}};
+/// Flow-event args the lineage stitcher reads; -1 marks "no tier" and the
+/// rank-less group flows.
+constexpr IntField kFlowArgs[] = {{"tier", -1, kIntEnd},
+                                  {"rank", -1, kIntEnd},
+                                  {"version", 0, kU64End},
+                                  {"bytes", 0, kU64End}};
+
+/// The first of `fields` present in `obj` that is not an integral number
+/// inside its range, or nullptr when every present one is.
+template <std::size_t N>
+const char* FirstBadField(const util::json::Value& obj,
+                          const IntField (&fields)[N]) {
+  for (const IntField& f : fields) {
+    const util::json::Value* v = obj.Find(f.key);
+    if (v == nullptr) continue;
+    const double x = v->as_number();
+    if (!v->is_number() || x != std::floor(x) || x < f.lo || x >= f.end) {
+      return f.key;
+    }
+  }
+  return nullptr;
 }
 
 void AppendTierVector(std::string& out, const char* key,
@@ -196,13 +231,7 @@ std::string ChromeTraceJson(const util::trace::TraceSnapshot& snap) {
 std::string ChromeTraceJson() { return ChromeTraceJson(util::trace::Collect()); }
 
 util::Status WriteChromeTrace(const std::string& path) {
-  const std::string body = ChromeTraceJson();
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return util::IoError("trace: cannot open '" + path + "' for writing");
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  f.flush();
-  if (!f) return util::IoError("trace: short write to '" + path + "'");
-  return util::OkStatus();
+  return util::WriteFile(path, ChromeTraceJson());
 }
 
 std::string MetricsJson(const RankMetrics& m,
@@ -292,6 +321,7 @@ std::string MetricsJson(const RankMetrics& m,
   }
   out += "}";
   out += ",\"restore_series\":[";
+  const std::vector<double>& blocking_s = m.restore_block_s.samples();
   for (std::size_t i = 0; i < m.restore_series.size(); ++i) {
     const RestorePoint& p = m.restore_series[i];
     if (i) out += ",";
@@ -300,7 +330,7 @@ std::string MetricsJson(const RankMetrics& m,
             ",\"bytes\":%" PRIu64 ",\"prefetch_distance\":%" PRIu64
             ",\"blocking_s\":",
             p.iteration, p.version, p.bytes, p.prefetch_distance);
-    AppendNum(out, p.blocking_s);
+    AppendNum(out, i < blocking_s.size() ? blocking_s[i] : 0.0);
     out += "}";
   }
   out += "]}";
@@ -335,13 +365,7 @@ std::string MetricsSnapshotJson(const Engine& engine) {
 }
 
 util::Status WriteMetricsSnapshot(const Engine& engine, const std::string& path) {
-  const std::string body = MetricsSnapshotJson(engine);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return util::IoError("metrics: cannot open '" + path + "' for writing");
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  f.flush();
-  if (!f) return util::IoError("metrics: short write to '" + path + "'");
-  return util::OkStatus();
+  return util::WriteFile(path, MetricsSnapshotJson(engine));
 }
 
 TraceCheck ValidateChromeTrace(std::string_view json_text) {
@@ -389,6 +413,11 @@ TraceCheck ValidateChromeTrace(const util::json::Value& doc) {
     if (ph == nullptr || !ph->is_string() || name == nullptr ||
         !name->is_string()) {
       check.error = "event missing ph/name";
+      return check;
+    }
+    if (const char* bad = FirstBadField(ev, kTrackFields)) {
+      check.error = "event '" + name->as_string() + "' has an invalid " + bad +
+                    " (not an integer in range)";
       return check;
     }
     const int pid = static_cast<int>(
@@ -451,6 +480,14 @@ TraceCheck ValidateChromeTrace(const util::json::Value& doc) {
       if (id == nullptr || !id->is_string() || id->as_string().empty()) {
         check.error =
             "flow event '" + name->as_string() + "' missing string id";
+        return check;
+      }
+      const util::json::Value* args = ev.Find("args");
+      if (const char* bad =
+              args != nullptr ? FirstBadField(*args, kFlowArgs) : nullptr) {
+        check.error = "flow event '" + name->as_string() +
+                      "' has an invalid args." + bad +
+                      " (not an integer in range)";
         return check;
       }
       FlowStats& fs = flows[id->as_string()];

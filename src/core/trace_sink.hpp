@@ -91,8 +91,9 @@ struct TraceCheck {
 };
 
 /// Parses `json_text` and checks it is a well-formed, non-empty Chrome
-/// trace whose per-track begin timestamps are monotonically non-decreasing
-/// and whose spans carry non-negative durations.
+/// trace whose per-track begin timestamps are monotonically non-decreasing,
+/// whose spans carry non-negative durations, and whose pid/tid and flow
+/// args (tier, rank, version, bytes) are integers in their types' ranges.
 [[nodiscard]] TraceCheck ValidateChromeTrace(std::string_view json_text);
 /// The same checks over an already-parsed document.
 [[nodiscard]] TraceCheck ValidateChromeTrace(const util::json::Value& doc);

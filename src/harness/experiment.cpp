@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -12,6 +11,7 @@
 #include "core/trace_sink.hpp"
 #include "util/clock.hpp"
 #include "util/config.hpp"
+#include "util/file_io.hpp"
 #include "util/telemetry.hpp"
 
 namespace ckpt::harness {
@@ -29,11 +29,9 @@ std::string EndOfRunExposition(core::TelemetrySampler& sampler,
   const std::string& prefix = sampler.options().out_path;
   if (prefix.empty() || sampler.flight_dumped()) return scrape;
   const auto write = [](const std::string& path, const std::string& body) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    if (f) f.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!f) {
-      std::fprintf(stderr, "harness: failed to write telemetry to '%s'\n",
-                   path.c_str());
+    const util::Status st = util::WriteFile(path, body);
+    if (!st.ok()) {
+      std::fprintf(stderr, "harness: telemetry: %s\n", st.ToString().c_str());
     }
   };
   write(prefix + ".openmetrics.txt", scrape);

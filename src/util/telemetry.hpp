@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "util/stats.hpp"
+#include "util/store_stats.hpp"
 
 namespace ckpt::util::telemetry {
 
@@ -83,27 +84,13 @@ struct RankSample {
   std::vector<TierSample> tiers;  ///< one entry per stack tier
 };
 
-/// One remote/aggregating durable tier's store-level counters (see
-/// storage::StoreStats). Present only for durable tiers whose store chain
-/// reports stats; stacks without a remote tier leave `remote_tiers` empty.
+/// One remote/aggregating durable tier's store-level counters. Present only
+/// for durable tiers whose store chain reports stats; stacks without a
+/// remote tier leave `remote_tiers` empty.
 struct RemoteTierSample {
-  int tier = -1;             ///< stack index of the durable tier
-  std::string tier_name;     ///< stack name ("remote", ...)
-  std::uint64_t remote_puts = 0;
-  std::uint64_t remote_gets = 0;
-  std::uint64_t remote_parts = 0;
-  std::uint64_t remote_part_retries = 0;
-  std::uint64_t remote_put_bytes = 0;
-  std::uint64_t remote_get_bytes = 0;
-  std::uint64_t agg_member_puts = 0;
-  std::uint64_t agg_group_puts = 0;
-  std::uint64_t agg_group_put_failures = 0;
-  std::uint64_t agg_size_flushes = 0;
-  std::uint64_t agg_deadline_flushes = 0;
-  std::uint64_t agg_gets_from_pending = 0;
-  std::uint64_t agg_group_reclaims = 0;
-  std::uint64_t agg_pending_members = 0;  ///< gauge
-  std::uint64_t agg_pending_bytes = 0;    ///< gauge
+  int tier = -1;          ///< stack index of the durable tier
+  std::string tier_name;  ///< stack name ("remote", ...)
+  StoreStats stats;
 };
 
 /// One timestamped engine snapshot. Immutable once published to the ring.

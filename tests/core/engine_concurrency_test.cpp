@@ -103,55 +103,72 @@ TEST(EngineConcurrencyTest, TouchIsLockDisciplinedUnderRestorePromotionRace) {
 
 // Regression for the reserve-channel wakeup contract: a reservation blocked
 // behind a pinned prefetched checkpoint (planner returns kUnavailable) must
-// be woken by the pin-releasing transition (Restore -> CONSUMED), not left
-// to sleep out the full 20 ms re-plan backoff. The loop forces the race
-// kIters times; with prompt wakeups the accumulated reserve_wait stays far
-// below kIters * 20 ms, which is what the un-notified path would pay.
+// be woken by the Restore() that releases the pin, not left to sleep out
+// the full 20 ms re-plan backoff. Each iteration T_PF promotes
+// v+1 from the host tier into the only GPU slot, which v holds pinned, while
+// the application restores v after a 2 ms delay. With prompt wakeups the
+// accumulated reserve_wait stays far below kIters * 20 ms, which is what the
+// un-notified path would pay.
 TEST(EngineConcurrencyTest, PinReleaseWakesBlockedReservationPromptly) {
   constexpr int kIters = 20;
   constexpr std::uint64_t kSize = 32 << 10;
   EngineOptions opts;
-  opts.prefetch_pin_fraction = 1.0;  // allow the single slot to be pinned
+  // A pin cap above the GPU tier's capacity: T_PF never parks on the cap,
+  // so the promotion of v+1 reaches the reservation and blocks there on v.
+  opts.prefetch_pin_fraction = 2.0;
   // Exactly one GPU slot: a pinned entry blocks it.
   Stack s = Build(kSize, 16 * kSize, opts);
   auto& engine = *s.engine;
   auto& dev = s.cluster->device(0);
   auto wbuf = *dev.Allocate(kSize);
   auto rbuf = *dev.Allocate(kSize);
+  const auto in_state = [&](Version v, CkptState want) {
+    const auto st = engine.StateOf(0, v);
+    return st.ok() && *st == want;
+  };
+  const auto wait_for_state = [&](Version v, CkptState want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!in_state(v, want) && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return in_state(v, want);
+  };
 
   FillPattern(0, 0, wbuf, kSize);
   ASSERT_TRUE(engine.Checkpoint(0, 0, wbuf, kSize).ok());
+  ASSERT_TRUE(engine.WaitForFlushes(0).ok());
   ASSERT_TRUE(engine.PrefetchStart(0).ok());
+  ASSERT_TRUE(engine.PrefetchEnqueue(0, 0).ok());
+  ASSERT_TRUE(wait_for_state(0, CkptState::kReadComplete));  // v0 pinned
 
   for (Version v = 0; v < kIters; ++v) {
-    ASSERT_TRUE(engine.WaitForFlushes(0).ok());  // v durable -> evictable
-    ASSERT_TRUE(engine.PrefetchEnqueue(0, v).ok());
-    // Wait until the prefetcher pinned v on the (full) fast tier.
-    while (engine.PrefetchDistance(0) != 1) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    // The writer blocks: the only fast-tier slot is pinned by v.
-    std::thread writer([&] {
-      FillPattern(0, v + 1, wbuf, kSize);
-      ASSERT_TRUE(engine.Checkpoint(0, v + 1, wbuf, kSize).ok());
-    });
+    // The GPU slot is pinned by v, so v+1 lands on the host tier.
+    FillPattern(0, v + 1, wbuf, kSize);
+    ASSERT_TRUE(engine.Checkpoint(0, v + 1, wbuf, kSize).ok());
+    ASSERT_FALSE(engine.ResidentOnIndex(0, v + 1, Tier::kGpu));
+    ASSERT_TRUE(engine.WaitForFlushes(0).ok());
+    ASSERT_TRUE(engine.PrefetchEnqueue(0, v + 1).ok());
+    // T_PF claimed the promotion; its reservation blocks on v's pin.
+    ASSERT_TRUE(wait_for_state(v + 1, CkptState::kReadInProgress));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    // Consuming v releases the pin; this transition must wake the writer's
+    // Consuming v releases the pin; this transition must wake T_PF's
     // reservation through the fast tier's reserve channel.
     ASSERT_TRUE(engine.Restore(0, v, rbuf, kSize).ok());
     EXPECT_TRUE(CheckPattern(0, v, rbuf, kSize));
-    writer.join();
+    // The promotion can only have landed in the slot v held.
+    ASSERT_TRUE(wait_for_state(v + 1, CkptState::kReadComplete));
+    EXPECT_TRUE(engine.ResidentOnIndex(0, v + 1, Tier::kGpu));
   }
 
   const RankMetrics m = engine.MetricsSnapshot(0);
-  // The race must actually have been forced: every iteration the writer's
-  // reservation found the slot pinned and had to wait.
-  EXPECT_GT(m.reserve_wait_write_s, 0.0);
+  EXPECT_EQ(m.prefetch_promotions, static_cast<std::uint64_t>(kIters));
+  EXPECT_GT(m.reserve_wait_prefetch_s, 0.0);
   // Un-notified backoff would sleep ~20 ms per iteration on top of the 2 ms
   // the pin is actually held: >= kIters * 20 ms = 400 ms in total. Prompt
   // wakeups pay roughly the 2 ms hold (plus scheduling noise); half the
   // un-notified floor is a generous, machine-tolerant discriminator.
-  EXPECT_LT(m.reserve_wait_write_s, 0.5 * kIters * 0.020)
+  EXPECT_LT(m.reserve_wait_prefetch_s, 0.5 * kIters * 0.020)
       << "blocked reservations are sleeping out the re-plan backoff instead "
          "of being woken by the pin release";
   (void)dev.Free(wbuf);

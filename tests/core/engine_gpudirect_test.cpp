@@ -1,6 +1,6 @@
-// Tests of the GPUDirect Storage extension (paper §6 future work): flushes
-// and promotions move directly between the GPU cache and the SSD store,
-// never staging through the pinned host cache.
+// Tests of the GPUDirect Storage extension (paper §6 future work): flushes,
+// write-throughs, promotions and direct restores move directly between
+// device memory and the SSD store, never staging through pinned host memory.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -128,6 +128,34 @@ TEST_F(GpuDirectTest, DirectRestoreSkipsPinnedStaging) {
   RestoreAndVerify(0);  // evicted from GPU cache; store-only
   EXPECT_LT(sw.ElapsedSec(), 0.02);  // no 31 ms pinning penalty
   EXPECT_EQ(engine_->metrics(0).restores_from_tier.at(Tier::kSsd), 1u);
+}
+
+TEST_F(GpuDirectTest, OversizeWriteThroughSkipsHostStaging) {
+  // Larger than the GPU (4 x kSize) and host (8 x kSize) caches, so the
+  // checkpoint writes through to the store from the application buffer.
+  constexpr std::uint64_t kBig = 16 * kSize;
+  Build(Direct());
+  const sim::Topology& topo = cluster_->topology();
+  const sim::GpuId gpu = topo.gpu_of_rank(0);
+  const util::RateLimiter& ddr = topo.host_mem(gpu);
+  const util::RateLimiter& d2h =
+      topo.pcie_link(gpu, sim::Topology::LinkDir::kD2H);
+  auto src = *cluster_->device(0).Allocate(kBig);
+  FillPattern(0, 0, src, kBig);
+  const std::uint64_t ddr_before = ddr.admitted_bytes();
+  const std::uint64_t d2h_before = d2h.admitted_bytes();
+  ASSERT_TRUE(engine_->Checkpoint(0, 0, src, kBig).ok());
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  // DMA straight from device memory: PCIe carries it, host DDR does not.
+  EXPECT_EQ(ddr.admitted_bytes(), ddr_before);
+  EXPECT_EQ(d2h.admitted_bytes() - d2h_before, kBig);
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 0, Tier::kSsd));
+
+  auto dst = *cluster_->device(0).Allocate(kBig);
+  ASSERT_TRUE(engine_->Restore(0, 0, dst, kBig).ok());
+  EXPECT_TRUE(CheckPattern(0, 0, dst, kBig));
+  ASSERT_TRUE(cluster_->device(0).Free(dst).ok());
+  ASSERT_TRUE(cluster_->device(0).Free(src).ok());
 }
 
 TEST_F(GpuDirectTest, DiscardAfterRestoreStillCancelsFlushes) {

@@ -1,5 +1,6 @@
 // Fig. 7 observability: every Restore appends a RestorePoint carrying the
-// prefetch distance seen at restore entry and the blocking time. These tests
+// prefetch distance seen at restore entry, and its blocking time to
+// restore_block_s at the same index. These tests
 // pin down the two interesting paths — a restore served straight from
 // prefetched-and-pinned GPU copies, and a restore that arrives while the
 // prefetcher's promotion of the same version is still in flight.
@@ -100,12 +101,12 @@ TEST_F(RestoreSeriesTest, GpuHitRestoresRecordPrefetchDistance) {
   EXPECT_EQ(m.restore_series[0].version, 0u);
   EXPECT_EQ(m.restore_series[0].bytes, kCkptSize);
   EXPECT_EQ(m.restore_series[0].prefetch_distance, 2u);
-  EXPECT_GT(m.restore_series[0].blocking_s, 0.0);
   EXPECT_EQ(m.restore_series[1].version, 1u);
   EXPECT_EQ(m.restore_series[1].prefetch_distance, 1u);
-  EXPECT_GT(m.restore_series[1].blocking_s, 0.0);
-  // The blocking time also lands in the restore blocking series.
-  EXPECT_EQ(m.restore_block_s.size(), 2u);
+  // Each point's blocking time is the same-index restore_block_s sample.
+  ASSERT_EQ(m.restore_block_s.size(), 2u);
+  EXPECT_GT(m.restore_block_s.samples()[0], 0.0);
+  EXPECT_GT(m.restore_block_s.samples()[1], 0.0);
 }
 
 TEST_F(RestoreSeriesTest, WaitedPromotionRestoreIsRecorded) {
@@ -155,7 +156,8 @@ TEST_F(RestoreSeriesTest, WaitedPromotionRestoreIsRecorded) {
     // The hit on base+5 was processed before the claim on base, so the
     // waited restore entered with at least one pinned successor.
     EXPECT_GE(p.prefetch_distance, 1u);
-    EXPECT_GT(p.blocking_s, 0.0);
+    ASSERT_EQ(m.restore_block_s.size(), m.restore_series.size());
+    EXPECT_GT(m.restore_block_s.samples().back(), 0.0);
   }
   EXPECT_TRUE(waited)
       << "never caught a restore inside the promotion window in 8 rounds";
@@ -171,7 +173,8 @@ TEST_F(RestoreSeriesTest, ColdRestoreRecordsZeroDistance) {
   const RankMetrics m = engine_->MetricsSnapshot(0);
   ASSERT_EQ(m.restore_series.size(), 1u);
   EXPECT_EQ(m.restore_series[0].prefetch_distance, 0u);
-  EXPECT_GT(m.restore_series[0].blocking_s, 0.0);
+  ASSERT_EQ(m.restore_block_s.size(), 1u);
+  EXPECT_GT(m.restore_block_s.samples()[0], 0.0);
 }
 
 }  // namespace

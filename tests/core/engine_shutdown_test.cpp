@@ -114,12 +114,11 @@ TEST(EngineShutdownTest, RepeatedStartStopWithAsyncPinInit) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   auto ssd = std::make_shared<storage::MemStore>();
   auto pfs = std::make_shared<storage::MemStore>();
-  EngineOptions opts;
-  opts.async_pin_init = true;
   for (int i = 0; i < 20; ++i) {
-    Engine engine(cluster, SmallStack(ssd, pfs), opts, 2);
+    Engine engine(cluster, SmallStack(ssd, pfs), {}, 2);
     if (i % 2 == 0) {
-      // Race shutdown against the still-registering host cache.
+      // Stop right after the first write, and on alternate rounds right
+      // after construction, with nothing queued.
       WriteOne(cluster, engine, 0, static_cast<Version>(i));
     }
     engine.Shutdown();

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -404,6 +405,57 @@ TEST_F(EngineTest, ShutdownIsIdempotentAndStopsWork) {
   EXPECT_EQ(engine_->Checkpoint(0, 1, buf, kCkptSize).code(),
             util::ErrorCode::kShutdown);
   ASSERT_TRUE(cluster_->device(0).Free(buf).ok());
+}
+
+TEST_F(EngineTest, WriteFallsThroughWhenPrefetchPinsSplitTheFastTier) {
+  // Pins on v0 and v2 leave half the GPU cache free, but in two one-slot
+  // holes: no two-slot window avoids a pin, and only restoring v0 or v2
+  // would release one. The write must go to the host tier, not wait.
+  Build();
+  for (Version v = 0; v < 4; ++v) WriteCkpt(0, v);
+  ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
+  ASSERT_TRUE(engine_->PrefetchEnqueue(0, 0).ok());
+  ASSERT_TRUE(engine_->PrefetchEnqueue(0, 2).ok());
+  ASSERT_TRUE(engine_->PrefetchStart(0).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine_->PrefetchDistance(0) < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(engine_->PrefetchDistance(0), 2u);
+
+  constexpr std::uint64_t kWide = 2 * kCkptSize;
+  sim::BytePtr buf = DevAlloc(0, kWide);
+  FillPattern(0, 4, buf, kWide);
+  auto write = std::async(std::launch::async,
+                          [&] { return engine_->Checkpoint(0, 4, buf, kWide); });
+  if (write.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "Checkpoint waited on pins only restores can release";
+    engine_->Shutdown();  // unblocks the reservation
+  }
+  ASSERT_TRUE(write.get().ok());
+  ASSERT_TRUE(cluster_->device(0).Free(buf).ok());
+  EXPECT_FALSE(engine_->ResidentOnIndex(0, 4, Tier::kGpu));
+  EXPECT_TRUE(engine_->ResidentOnIndex(0, 4, Tier::kHost));
+  RestoreAndVerify(0, 0);
+  RestoreAndVerify(0, 2);
+  RestoreAndVerify(0, 4, kWide);
+}
+
+// §5.4.2: the constructor allocates and pins every cache tier before it
+// starts any worker, so a slow pinned-memory registration is paid up front,
+// as construction time and init_s.
+TEST(AsyncPinInitTest, SynchronousInitPaysUpfront) {
+  sim::TopologyConfig topo = sim::TopologyConfig::Testing();
+  topo.pinned_alloc_bw = 8 << 20;  // 4 MiB host cache -> ~500 ms to pin
+  sim::Cluster cluster(topo);
+  TierStack stack = TierStack::Default(std::make_shared<storage::MemStore>(),
+                                       nullptr, 256 << 10, 4 << 20)
+                        .value();
+  const util::Stopwatch sw;
+  Engine engine(cluster, std::move(stack), {}, 1);
+  EXPECT_GT(sw.ElapsedSec(), 0.3);  // the §5.4.2 slow-init effect
+  EXPECT_GT(engine.metrics(0).init_s, 0.3);
 }
 
 }  // namespace

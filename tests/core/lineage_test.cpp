@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/telemetry_sink.hpp"
@@ -273,6 +274,33 @@ TEST(FlowValidationTest, WrapMarkerDowngradesUnboundFinishes) {
   EXPECT_EQ(check.wraps, 1u);
   EXPECT_EQ(check.flows_unbound, 1u);
   EXPECT_EQ(check.flows_dangling, 0u);
+}
+
+TEST(FlowValidationTest, OutOfRangeIntegersAreAnError) {
+  // Each field the validator or the lineage stitcher casts to an integer
+  // type: a negative, fractional or huge value is rejected by name.
+  const std::pair<std::string, std::string> cases[] = {
+      {R"("pid":-1,"tid":1)", "pid"},
+      {R"("pid":0.5,"tid":1)", "pid"},
+      {R"("pid":0,"tid":1e30)", "tid"},
+      {R"("pid":0,"tid":1,"args":{"version":1e30})", "args.version"},
+      {R"("pid":0,"tid":1,"args":{"bytes":-8})", "args.bytes"},
+      {R"("pid":0,"tid":1,"args":{"tier":2.5})", "args.tier"},
+      {R"("pid":0,"tid":1,"args":{"rank":3e9})", "args.rank"},
+  };
+  for (const auto& [fields, name] : cases) {
+    const TraceCheck check = ValidateChromeTrace(WrapTrace(
+        R"({"name":"ckpt:admit","cat":"lifecycle","ph":"s","id":"0x1",)" +
+        fields + R"(,"ts":1})"));
+    EXPECT_FALSE(check.ok) << fields;
+    EXPECT_NE(check.error.find("invalid " + name), std::string::npos)
+        << fields << ": " << check.error;
+  }
+  // The engine's own sentinels stay valid: no tier, and rank-less groups.
+  const TraceCheck check = ValidateChromeTrace(WrapTrace(
+      R"({"name":"agg:open","cat":"flush","ph":"s","id":"0x1","pid":0,)"
+      R"("tid":1,"ts":1,"args":{"tier":-1,"rank":-1,"version":0,"bytes":0}})"));
+  EXPECT_TRUE(check.ok) << check.error;
 }
 
 TEST(FlowValidationTest, DanglingFlowsAreCountedNotFatal) {

@@ -32,7 +32,8 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   a.fetch_retries = 4;
   a.fetch_fallbacks = 5;
   a.checkpoints_lost = 6;
-  a.restore_series.push_back({0, 7, 0.1, 64, 2});
+  a.restore_series.push_back({0, 7, 64, 2});
+  a.restore_block_s.Add(0.1);
 
   RankMetrics b;
   b.ckpt_block_s.Add(2.0);
@@ -47,7 +48,8 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   b.fetch_retries = 40;
   b.fetch_fallbacks = 50;
   b.checkpoints_lost = 60;
-  b.restore_series.push_back({1, 8, 0.2, 128, 3});
+  b.restore_series.push_back({1, 8, 128, 3});
+  b.restore_block_s.Add(0.2);
 
   a.Merge(b);
   EXPECT_EQ(a.ckpt_block_s.size(), 2u);
@@ -66,6 +68,9 @@ TEST(RankMetricsTest, MergeAccumulatesEverything) {
   ASSERT_EQ(a.restore_series.size(), 2u);
   EXPECT_EQ(a.restore_series[1].version, 8u);
   EXPECT_EQ(a.restore_series[1].prefetch_distance, 3u);
+  // Each point's blocking time stays at the same index of restore_block_s.
+  ASSERT_EQ(a.restore_block_s.size(), 2u);
+  EXPECT_DOUBLE_EQ(a.restore_block_s.samples()[1], 0.2);
 }
 
 TEST(RankMetricsTest, MergeReconcilesMismatchedTierVectorLengths) {
@@ -159,10 +164,9 @@ TEST(RankMetricsTest, MergeWithEmpty) {
 }
 
 TEST(RestorePointTest, FieldsRoundTrip) {
-  RestorePoint p{3, 42, 0.125, 1024, 7};
+  RestorePoint p{3, 42, 1024, 7};
   EXPECT_EQ(p.iteration, 3u);
   EXPECT_EQ(p.version, 42u);
-  EXPECT_DOUBLE_EQ(p.blocking_s, 0.125);
   EXPECT_EQ(p.bytes, 1024u);
   EXPECT_EQ(p.prefetch_distance, 7u);
 }

@@ -18,13 +18,12 @@
 // label pair (multi-tenant CI scrapes require tenant=<name> per tenant).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <utility>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/telemetry_sink.hpp"
+#include "util/file_io.hpp"
 
 namespace {
 
@@ -35,15 +34,6 @@ int Usage(const char* argv0) {
                "          [--require-label KEY=VALUE ...]\n",
                argv0);
   return 2;
-}
-
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  out = buf.str();
-  return true;
 }
 
 /// Resolves a selector the way a human writes it: a counter family name
@@ -140,13 +130,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string text;
-  if (!ReadFile(path, text)) {
-    std::fprintf(stderr, "telemetry_check: cannot open %s\n", path.c_str());
+  const auto text = ckpt::util::ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "telemetry_check: %s\n",
+                 text.status().ToString().c_str());
     return 2;
   }
   const ckpt::core::TelemetryCheck check =
-      ckpt::core::ValidateOpenMetrics(text);
+      ckpt::core::ValidateOpenMetrics(*text);
   std::printf("%s: %zu families, %zu samples\n", path.c_str(), check.families,
               check.samples);
   if (!check.ok) {
@@ -210,14 +201,14 @@ int main(int argc, char** argv) {
     }
   }
   if (!prev_path.empty()) {
-    std::string prev_text;
-    if (!ReadFile(prev_path, prev_text)) {
-      std::fprintf(stderr, "telemetry_check: cannot open %s\n",
-                   prev_path.c_str());
+    const auto prev_text = ckpt::util::ReadFile(prev_path);
+    if (!prev_text.ok()) {
+      std::fprintf(stderr, "telemetry_check: %s\n",
+                   prev_text.status().ToString().c_str());
       return 2;
     }
     const ckpt::core::TelemetryCheck prev =
-        ckpt::core::ValidateOpenMetrics(prev_text);
+        ckpt::core::ValidateOpenMetrics(*prev_text);
     if (!prev.ok) {
       std::fprintf(stderr, "telemetry_check: --prev INVALID: %s\n",
                    prev.error.c_str());

@@ -37,13 +37,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/trace_sink.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -157,7 +156,8 @@ void PrintTimeline(const Flow& f) {
 
 /// Stitches every flow event of a trace into per-id flows. The trace must
 /// have passed ValidateChromeTrace, which proves every field read here
-/// present (ph, name, ts, and a string id on flow events).
+/// present (ph, name, ts, and a string id on flow events) and every integer
+/// arg cast here (tier, rank, version, bytes) in its type's range.
 std::map<std::uint64_t, Flow> StitchFlows(const ckpt::util::json::Value& doc) {
   const ckpt::util::json::Value* events = doc.Find("traceEvents");
   if (events == nullptr) events = &doc;  // bare-array form
@@ -367,16 +367,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    std::fprintf(stderr, "trace_check: cannot open %s\n", path.c_str());
+  const auto text = ckpt::util::ReadFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "trace_check: %s\n", text.status().ToString().c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << f.rdbuf();
 
   // One parse serves the structural checks and the lineage stitching.
-  const auto doc = ckpt::util::json::Parse(buf.str());
+  const auto doc = ckpt::util::json::Parse(*text);
   if (!doc.ok()) {
     std::fprintf(stderr, "trace_check: INVALID: %s\n",
                  doc.status().ToString().c_str());
