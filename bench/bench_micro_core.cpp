@@ -193,9 +193,10 @@ void BM_MultiTenantReserve(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiTenantReserve)->UseRealTime();
 
-/// The lock-free hint path: PrefetchEnqueue must never take the rank mutex,
-/// so its latency should be queue-push + notify, independent of engine
-/// state. Fixed iteration count keeps the (append-only) hint queue bounded.
+/// The hint path: PrefetchEnqueue appends to the rank's restore-order queue
+/// under the rank lock and notifies the prefetcher, so its latency is one
+/// lock hold plus an O(log n) append. Fixed iteration count keeps the
+/// (append-only) hint queue bounded.
 void BM_PrefetchEnqueue(benchmark::State& state) {
   sim::Cluster cluster(sim::TopologyConfig::Testing());
   core::Engine engine(

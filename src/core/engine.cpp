@@ -293,11 +293,10 @@ void Engine::Advance(RankCtx& ctx_, Record& rec, CkptState to) {
   if (trace::enabled()) {
     // Dwell span of the outgoing state. Records created with tracing off
     // have no baseline timestamp; they start contributing from here on.
-    // Queued, not emitted: the trace-buffer mutex stays off the rank-lock
-    // critical section.
     if (rec.state_since_ns > 0) {
-      QueueSpanSince(ctx_, trace::Kind::kLifecycle, StateSpanName(from),
-                     rec.state_since_ns, /*tier=*/-1, rec.version, rec.size);
+      trace::SpanSince(trace::Kind::kLifecycle, StateSpanName(from),
+                       rec.state_since_ns, ctx_.rank, /*tier=*/-1, rec.version,
+                       rec.size);
     }
     rec.state_since_ns = trace::Now();
   }
@@ -419,9 +418,9 @@ util::Status Engine::EvictVictims(RankCtx& ctx_, TierIndex tier,
     ctx_.metrics.evicted_bytes_from_tier[static_cast<std::size_t>(tier)] +=
         rec.size;
     rec.res[static_cast<std::size_t>(tier)].Clear();
-    QueueFlow(ctx_, trace::Kind::kEviction, "evict:drop", rec.flow_id,
-              trace::FlowPhase::kStep, static_cast<int>(tier), rec.version,
-              rec.size);
+    trace::Flow(trace::Kind::kEviction, "evict:drop", rec.flow_id,
+                trace::FlowPhase::kStep, ctx_.rank, static_cast<int>(tier),
+                rec.version, rec.size);
     NoteStageable(ctx_, rec);
   }
   return util::OkStatus();
@@ -530,8 +529,8 @@ std::uint64_t Engine::ShedForQuota(RankCtx& ctx_,
     if (buf.Release(frag.id).ok()) freed += frag.size;
   }
   if (freed > 0) {
-    QueueInstant(ctx_, trace::Kind::kEviction, "evict:quota-shed", tier,
-                 /*v=*/0, freed);
+    trace::Instant(trace::Kind::kEviction, "evict:quota-shed", ctx_.rank, tier,
+                   /*v=*/0, freed);
     NotifyReserve(ctx_, tier);
   }
   return freed;
@@ -549,19 +548,6 @@ util::Status Engine::CloseTenant(TenantId id) {
     CKPT_RETURN_IF_ERROR(WaitForFlushes(r));
   }
   return tenant_registry_->Close(id);
-}
-
-bool Engine::DrainHints(RankCtx& ctx_) {
-  CKPT_ASSERT_HELD(ctx_.mu);
-  bool any = false;
-  while (auto v = ctx_.hint_inbox.TryPop()) {
-    ctx_.hints.Enqueue(*v);
-    any = true;
-  }
-  // Appended hints are never sooner than a target already picked: only an
-  // idle stage-in worker needs waking.
-  if (any && ctx_.prefetch_started) NotifyStage(ctx_);
-  return any;
 }
 
 util::StatusOr<std::uint64_t> Engine::ReserveOn(
@@ -618,8 +604,8 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       if (!belady_guard) ShedForQuota(ctx_, lock, tier, purpose, size);
       if (OverTenantQuota(ctx_, size)) {
         ProbeAdd(ctx_.probe.reserve_quota_waits);
-        QueueInstant(ctx_, trace::Kind::kEviction, "evict:quota", tier, v,
-                     size);
+        trace::Instant(trace::Kind::kEviction, "evict:quota", ctx_.rank, tier,
+                       v, size);
         if (++quota_rounds >= kQuotaRoundsMax) {
           charge_wait();
           return util::CapacityExceeded("tenant cache quota exceeded");
@@ -630,9 +616,6 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         continue;
       }
     }
-    // Hints still in the lock-free inbox count: the plan must not evict a
-    // copy the application has already asked for.
-    DrainHints(ctx_);
     // Annotate the tier geometry with life-cycle metadata under the rank
     // lock, then run the O(N) policy scan with the rank lock DROPPED: the
     // scan is the expensive part of a reservation round, and holding ctx.mu
@@ -682,8 +665,8 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         charge_wait();
         return util::CapacityExceeded("every window crosses a prefetch pin");
       }
-      QueueInstant(ctx_, trace::Kind::kEviction, "evict:blocked", tier, v,
-                   size);
+      trace::Instant(trace::Kind::kEviction, "evict:blocked", ctx_.rank, tier,
+                     v, size);
       t.cv_reserve.wait_for(lock, kReplanMax);
       continue;
     }
@@ -712,8 +695,8 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       }
       if (stale) {
         ProbeAdd(ctx_.probe.reserve_plans_stale);
-        QueueInstant(ctx_, trace::Kind::kEviction, "evict:stale", tier, v,
-                     size);
+        trace::Instant(trace::Kind::kEviction, "evict:stale", ctx_.rank, tier,
+                       v, size);
         continue;
       }
       CKPT_RETURN_IF_ERROR(EvictVictims(ctx_, tier, plan->victims));
@@ -722,8 +705,8 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       if (!offset.ok()) return offset.status();
       ctx_.metrics.reserve_round_hist.Add(
           static_cast<double>(util::NowNs() - round_begin) / 1e9);
-      QueueSpanSince(ctx_, trace::Kind::kEviction, "evict:round", round_begin,
-                     tier, v, size, plan->p_score, plan->s_score);
+      trace::SpanSince(trace::Kind::kEviction, "evict:round", round_begin,
+                       ctx_.rank, tier, v, size, plan->p_score, plan->s_score);
       return *offset;
     }
     // Best window still needs time; sleep roughly that long, then re-plan
@@ -732,10 +715,10 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     // window's scores; the instant marks the ETA it chose to wait out.
     ctx_.metrics.reserve_round_hist.Add(
         static_cast<double>(util::NowNs() - round_begin) / 1e9);
-    QueueSpanSince(ctx_, trace::Kind::kEviction, "evict:round", round_begin,
-                   tier, v, size, plan->p_score, plan->s_score);
-    QueueInstant(ctx_, trace::Kind::kEviction, "evict:wait", tier, v, size,
-                 plan->wait_eta, plan->s_score);
+    trace::SpanSince(trace::Kind::kEviction, "evict:round", round_begin,
+                     ctx_.rank, tier, v, size, plan->p_score, plan->s_score);
+    trace::Instant(trace::Kind::kEviction, "evict:wait", ctx_.rank, tier, v,
+                   size, plan->wait_eta, plan->s_score);
     auto wait = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
         std::chrono::duration<double>(plan->wait_eta));
     wait = std::clamp<std::chrono::steady_clock::duration>(wait, kReplanMin,
@@ -864,8 +847,9 @@ void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
   ctx_.metrics.flush_failures += r.failures;
   if (r.retries > 0) {
     ProbeAdd(ctx_.probe.flush_retries, r.retries);
-    QueueInstant(ctx_, trace::Kind::kRetry, "flush:retries", stack_.terminal(),
-                 rec.version, rec.size, static_cast<double>(r.retries));
+    trace::Instant(trace::Kind::kRetry, "flush:retries", ctx_.rank,
+                   stack_.terminal(), rec.version, rec.size,
+                   static_cast<double>(r.retries));
   }
   const std::size_t n = std::min(r.ok.size(), rec.durable.size());
   bool newly_durable = false;
@@ -923,8 +907,8 @@ void Engine::ApplyFlushResult(RankCtx& ctx_, Record& rec,
         << "rank " << ctx_.rank << " ckpt " << rec.version
         << ": terminal tier unreachable; degraded durability at tier "
         << stack_.name(static_cast<std::size_t>(deepest));
-    QueueInstant(ctx_, trace::Kind::kRetry, "tier:degraded", deepest,
-                 rec.version, rec.size);
+    trace::Instant(trace::Kind::kRetry, "tier:degraded", ctx_.rank, deepest,
+                   rec.version, rec.size);
     FinishFlush(ctx_, rec);
     return;
   }
@@ -954,8 +938,8 @@ void Engine::MarkFlushFailed(RankCtx& ctx_, Record& rec) {
     CKPT_LOG(kError, "flush")
         << "rank " << ctx_.rank << " ckpt " << rec.version
         << ": flush permanently failed; checkpoint lost";
-    QueueInstant(ctx_, trace::Kind::kRetry, "ckpt:lost", /*tier=*/-1,
-                 rec.version, rec.size);
+    trace::Instant(trace::Kind::kRetry, "ckpt:lost", ctx_.rank, /*tier=*/-1,
+                   rec.version, rec.size);
     LineageTerminal(ctx_, rec, LineageOutcome::kLost, "flow:lost");
     Advance(ctx_, rec, CkptState::kFlushFailed);  // notifies waiters
   } else {
@@ -1021,8 +1005,8 @@ void Engine::ApplyFetchResult(RankCtx& ctx_, Version v, std::uint64_t size,
   CKPT_ASSERT_HELD(ctx_.mu);
   if (r.retries > 0) {
     ProbeAdd(ctx_.probe.fetch_retries, r.retries);
-    QueueInstant(ctx_, trace::Kind::kRetry, "fetch:retries", r.served, v, size,
-                 static_cast<double>(r.retries));
+    trace::Instant(trace::Kind::kRetry, "fetch:retries", ctx_.rank, r.served, v,
+                   size, static_cast<double>(r.retries));
   }
   if (r.fell_back && r.status.ok()) ++ctx_.metrics.fetch_fallbacks;
 }
@@ -1098,9 +1082,6 @@ util::Status Engine::Checkpoint(sim::Rank rank, Version v, sim::ConstBytePtr src
   const Stopwatch sw;
   RankCtx& c = ctx(rank);
   const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
-  // Declared before the lock: flushes the trace events this call queues
-  // under c.mu right after the lock is released, on every return path.
-  ScopedTracePublisher trace_pub(c);
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(rank);
   const int ncache = stack_.num_cache_tiers();
   std::unique_lock lock(c.mu);
@@ -1212,7 +1193,6 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   const Stopwatch sw;
   RankCtx& c = ctx(rank);
   const util::ScopedIoTag io_tag(IoTagOf(c, util::IoClass::kDemand));
-  ScopedTracePublisher trace_pub(c);  // flushes queued events after unlock
   const sim::GpuId gpu = cluster_.topology().gpu_of_rank(rank);
   std::unique_lock lock(c.mu);
   if (c.shutdown) return util::ShutdownError("engine stopping");
@@ -1235,7 +1215,6 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   const std::uint64_t pdist = ComputePrefetchDistance(c);
   rec.restore_waiting = true;
   Touch(c, rec);
-  DrainHints(c);  // fold parked hints in before dropping ours
   // Every T_PF wait on cv_prefetch concerns its head version, so only a
   // restore of that version can unblock it: wake it for no other.
   const auto wake_prefetcher_if_head = [&c, v] {
@@ -1243,7 +1222,7 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
   };
   wake_prefetcher_if_head();
   // Deviation-proofing: this read satisfies its pending hint, if any.
-  if (c.hints.Drop(v)) ProbeAdd(c.probe.hints_retired);
+  if (c.hints.Drop(v)) ProbeSub(c.probe.restore_queue_depth);
   // restore_waiting aborts T_PF's stuck promotions and blocked
   // reservations; wake the reservations so the abort is prompt.
   NotifyReserveAll(c);
@@ -1296,8 +1275,8 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
     NotifyReserve(c, src_tier);  // the copy may have become evictable
     if (st.ok()) {
       ProbeAdd(c.tier_probe[static_cast<std::size_t>(src_tier)].restores);
-      QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
-                trace::FlowPhase::kStep, src_tier, v, rec.size);
+      trace::Flow(trace::Kind::kApp, "restore:serve", rec.flow_id,
+                  trace::FlowPhase::kStep, c.rank, src_tier, v, rec.size);
     }
   } else if (rec.AnyDurable()) {
     const std::vector<unsigned char> durable = rec.durable;
@@ -1315,8 +1294,8 @@ util::Status Engine::Restore(sim::Rank rank, Version v, sim::BytePtr dst,
     st = r.status;
     if (st.ok() && r.served >= 0) {
       ProbeAdd(c.tier_probe[static_cast<std::size_t>(r.served)].restores);
-      QueueFlow(c, trace::Kind::kApp, "restore:serve", rec.flow_id,
-                trace::FlowPhase::kStep, r.served, v, size);
+      trace::Flow(trace::Kind::kApp, "restore:serve", rec.flow_id,
+                  trace::FlowPhase::kStep, c.rank, r.served, v, size);
     }
   } else {
     stop_waiting();
@@ -1363,19 +1342,14 @@ util::StatusOr<std::uint64_t> Engine::RecoverSize(sim::Rank rank, Version v) {
 util::Status Engine::PrefetchEnqueue(sim::Rank rank, Version v) {
   CKPT_RETURN_IF_ERROR(CheckTenantOpen(rank));
   RankCtx& c = ctx(rank);
-  // Lock-free hot path (VELOC_Prefetch_enqueue): the hint lands in the
-  // rank's mailbox without touching ctx.mu; T_PF folds the mailbox into the
-  // ordered hint queue under the lock (DrainHints). The notify below is
-  // issued without the mutex, so a waiter between its predicate check and
-  // its block can miss it — T_PF's main wait is therefore bounded (it
-  // re-drains at least every 10 ms), turning the race into bounded latency
-  // instead of a lost wakeup.
-  if (shutdown_.load(std::memory_order_acquire)) {
-    return util::ShutdownError("engine stopping");
-  }
-  c.hint_inbox.Push(v);
-  ProbeAdd(c.probe.hints_enqueued);
+  std::lock_guard lock(c.mu);
+  if (c.shutdown) return util::ShutdownError("engine stopping");
+  c.hints.Enqueue(v);
+  ProbeAdd(c.probe.restore_queue_depth);
   NotifyPrefetch(c);
+  // An appended hint is never sooner than a target already picked: only an
+  // idle stage-in worker needs waking.
+  if (c.prefetch_started) NotifyStage(c);
   return util::OkStatus();
 }
 
@@ -1446,10 +1420,7 @@ util::telemetry::RankSample Engine::Probe(sim::Rank rank) const {
     p.state_occupancy[s] = c.probe.state_occupancy[s].load(relax);
   }
   p.last_transition_ns = c.probe.last_transition_ns.load(relax);
-  // Enqueue and retire sides race; clamp so the gauge never wraps.
-  const std::uint64_t enq = c.probe.hints_enqueued.load(relax);
-  const std::uint64_t ret = c.probe.hints_retired.load(relax);
-  p.restore_queue_depth = enq >= ret ? enq - ret : 0;
+  p.restore_queue_depth = c.probe.restore_queue_depth.load(relax);
   for (const SharedCounter& sc : kSharedCounters) {
     p.*sc.sample = (c.probe.*sc.cell).load(relax);
   }
@@ -1493,33 +1464,6 @@ void Engine::NoteStall(sim::Rank rank, StallKind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred trace emission (S1: trace bookkeeping off the rank lock)
-// ---------------------------------------------------------------------------
-
-void Engine::PublishQueuedTrace(RankCtx& ctx_) {
-  std::vector<trace::Event> batch;
-  {
-    std::lock_guard lock(ctx_.mu);
-    if (ctx_.pending_trace.empty()) return;
-    batch.swap(ctx_.pending_trace);
-  }
-  // Emission happens outside the rank lock: EmitEvent only touches the
-  // calling thread's trace buffer (one leaf mutex).
-  for (const trace::Event& e : batch) trace::detail::EmitEvent(e);
-}
-
-void Engine::PublishQueuedTraceLocked(
-    RankCtx& ctx_, std::unique_lock<util::CheckedMutex>& lock) {
-  CKPT_ASSERT_HELD(ctx_.mu);
-  if (ctx_.pending_trace.empty()) return;
-  std::vector<trace::Event> batch;
-  batch.swap(ctx_.pending_trace);
-  lock.unlock();
-  for (const trace::Event& e : batch) trace::detail::EmitEvent(e);
-  lock.lock();
-}
-
-// ---------------------------------------------------------------------------
 // Per-checkpoint lineage (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
@@ -1528,8 +1472,9 @@ void Engine::LineageAdmit(RankCtx& ctx_, Record& rec) {
   rec.admit_ns = util::NowNs();
   rec.flow_id = trace::FlowIdOf(ctx_.rank, rec.version);
   ProbeAdd(ctx_.probe.objects_admitted);
-  QueueFlow(ctx_, trace::Kind::kLifecycle, "ckpt:admit", rec.flow_id,
-            trace::FlowPhase::kStart, /*tier=*/-1, rec.version, rec.size);
+  trace::Flow(trace::Kind::kLifecycle, "ckpt:admit", rec.flow_id,
+              trace::FlowPhase::kStart, ctx_.rank, /*tier=*/-1, rec.version,
+              rec.size);
 }
 
 void Engine::LineageTerminal(RankCtx& ctx_, Record& rec, LineageOutcome outcome,
@@ -1554,8 +1499,8 @@ void Engine::LineageTerminal(RankCtx& ctx_, Record& rec, LineageOutcome outcome,
       ProbeAdd(ctx_.probe.objects_erased);
       break;
   }
-  QueueFlow(ctx_, trace::Kind::kLifecycle, flow_name, rec.flow_id,
-            trace::FlowPhase::kEnd, tier, rec.version, rec.size);
+  trace::Flow(trace::Kind::kLifecycle, flow_name, rec.flow_id,
+              trace::FlowPhase::kEnd, ctx_.rank, tier, rec.version, rec.size);
 }
 
 void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
@@ -1572,9 +1517,9 @@ void Engine::LineageDurableAck(RankCtx& ctx_, Record& rec, std::size_t d) {
   ProbeAdd(cells.lag_buckets[util::Histogram::BucketOf(
       static_cast<double>(lag_ns) / 1e9)]);
   ProbeAdd(cells.lag_sum_ns, static_cast<std::uint64_t>(lag_ns));
-  QueueFlow(ctx_, trace::Kind::kFlush, flow_ack_names_[d], rec.flow_id,
-            trace::FlowPhase::kStep, static_cast<int>(idx), rec.version,
-            rec.size);
+  trace::Flow(trace::Kind::kFlush, flow_ack_names_[d], rec.flow_id,
+              trace::FlowPhase::kStep, ctx_.rank, static_cast<int>(idx),
+              rec.version, rec.size);
 }
 
 util::Histogram Engine::LoadLag(const TierCells& cells) {
@@ -1696,7 +1641,6 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
   while (auto vo = t.flush_q.Pop()) {
     const Version v = *vo;
     QueueDepthGuard depth_guard{c, tier};
-    ScopedTracePublisher trace_pub(c);  // queued events flush per iteration
     std::unique_lock lock(c.mu);
     auto it = c.records.find(v);
     if (it == c.records.end()) continue;  // defensive
@@ -1791,8 +1735,8 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
       --mine.read_refs;
       NotifyReserve(c, tier);  // our source copy may now be evictable
       t.backlog_bytes -= size;
-      QueueSpanSince(c, trace::Kind::kFlush, terminal_span, t0,
-                     stack_.terminal(), v, size);
+      trace::SpanSince(trace::Kind::kFlush, terminal_span, t0, c.rank,
+                       stack_.terminal(), v, size);
       c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
           static_cast<double>(util::NowNs() - t0) / 1e9);
       ApplyFlushResult(c, rec, r);
@@ -1832,10 +1776,10 @@ void Engine::FlushStageLoop(RankCtx& c, TierIndex tier) {
                   "flow:degraded:flush-cancelled");
       continue;
     }
-    QueueSpanSince(c, trace::Kind::kFlush, stage_span, t0, target, v,
-                   rec.size);
-    QueueFlow(c, trace::Kind::kFlush, flow_hop_names_[target], rec.flow_id,
-              trace::FlowPhase::kStep, target, v, rec.size);
+    trace::SpanSince(trace::Kind::kFlush, stage_span, t0, c.rank, target, v,
+                     rec.size);
+    trace::Flow(trace::Kind::kFlush, flow_hop_names_[target], rec.flow_id,
+                trace::FlowPhase::kStep, c.rank, target, v, rec.size);
     c.metrics.flush_stage_hist[static_cast<std::size_t>(tier)].Add(
         static_cast<double>(util::NowNs() - t0) / 1e9);
     next.valid = true;
@@ -1860,24 +1804,15 @@ void Engine::PrefetchLoop(RankCtx& c) {
   const std::uint64_t pin_cap = static_cast<std::uint64_t>(
       static_cast<double>(c.tiers[0]->capacity) *
       options_.prefetch_pin_fraction);
-  // Declared before the lock: flushes whatever is still queued when the
-  // worker exits (the in-loop publish below handles steady state).
-  ScopedTracePublisher trace_pub(c);
   std::unique_lock lock(c.mu);
   for (;;) {
-    // Emit the previous iteration's queued trace events while nothing else
-    // is held up (briefly drops the lock; no-op when the queue is empty).
-    PublishQueuedTraceLocked(c, lock);
-    // Bounded wait: PrefetchEnqueue notifies cv_prefetch without holding
-    // ctx.mu (lock-free hint path), so a notify can land between the
-    // predicate check and the block. The 10 ms re-drain bounds that race.
-    c.cv_prefetch.wait_for(lock, std::chrono::milliseconds(10), [&] {
-      DrainHints(c);
+    // Unbounded: shutdown, PrefetchStart and PrefetchEnqueue all change the
+    // predicate under ctx.mu and notify cv_prefetch.
+    c.cv_prefetch.wait(lock, [&] {
       return c.shutdown ||
              (c.prefetch_started && c.hints.Head().has_value());
     });
     if (c.shutdown) return;
-    if (!c.prefetch_started || !c.hints.Head().has_value()) continue;
     const Version v = *c.hints.Head();
 
     auto rec_or = FindOrImport(c, v);
@@ -1901,9 +1836,10 @@ void Engine::PrefetchLoop(RankCtx& c) {
     if (already_pinned) {
       Touch(c, rec);
       c.hints.PopHead();
-      ProbeAdd(c.probe.hints_retired);
+      ProbeSub(c.probe.restore_queue_depth);
       ++c.metrics.prefetch_gpu_hits;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
+      trace::Instant(trace::Kind::kPrefetch, "prefetch:hit", c.rank, 0, v,
+                     rec.size);
       continue;
     }
 
@@ -1911,7 +1847,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
       if (rec.state == CkptState::kConsumed ||
           rec.state == CkptState::kFlushFailed) {
         c.hints.PopHead();  // discarded (condition (5)) or lost: no fetch
-        ProbeAdd(c.probe.hints_retired);
+        ProbeSub(c.probe.restore_queue_depth);
       } else {
         // The write that produces this version is still copying into the
         // fast cache; no residency is valid yet. Wait for it to land.
@@ -1947,9 +1883,10 @@ void Engine::PrefetchLoop(RankCtx& c) {
       Advance(c, rec, CkptState::kReadComplete);
       AddPin(c, rec);
       c.hints.PopHead();
-      ProbeAdd(c.probe.hints_retired);
+      ProbeSub(c.probe.restore_queue_depth);
       ++c.metrics.prefetch_gpu_hits;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:hit", 0, v, rec.size);
+      trace::Instant(trace::Kind::kPrefetch, "prefetch:hit", c.rank, 0, v,
+                     rec.size);
       continue;
     }
 
@@ -1976,7 +1913,7 @@ void Engine::PrefetchLoop(RankCtx& c) {
 
     // Claim the promotion.
     c.hints.PopHead();
-    ProbeAdd(c.probe.hints_retired);
+    ProbeSub(c.probe.restore_queue_depth);
     rec.prefetch_claimed = true;
     Advance(c, rec, CkptState::kReadInProgress);
     const std::int64_t promo_begin = util::NowNs();
@@ -1988,8 +1925,8 @@ void Engine::PrefetchLoop(RankCtx& c) {
       Advance(c, rec,
               rec.flush_done ? CkptState::kFlushed : CkptState::kWriteInProgress);
       ++c.metrics.prefetch_aborts;
-      QueueInstant(c, trace::Kind::kPrefetch, "prefetch:abort", 0, v,
-                   rec.size);
+      trace::Instant(trace::Kind::kPrefetch, "prefetch:abort", c.rank, 0, v,
+                     rec.size);
     };
 
     if (src_tier > 0) {
@@ -2056,10 +1993,10 @@ void Engine::PrefetchLoop(RankCtx& c) {
     Advance(c, rec, CkptState::kReadComplete);  // wakes Restore's wait
     AddPin(c, rec);
     ++c.metrics.prefetch_promotions;
-    QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
-                   0, v, rec.size);
-    QueueFlow(c, trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
-              trace::FlowPhase::kStep, 0, v, rec.size);
+    trace::SpanSince(trace::Kind::kPrefetch, "prefetch:promote", promo_begin,
+                     c.rank, 0, v, rec.size);
+    trace::Flow(trace::Kind::kPrefetch, "prefetch:promote", rec.flow_id,
+                trace::FlowPhase::kStep, c.rank, 0, v, rec.size);
     c.metrics.promotion_hist.Add(
         static_cast<double>(util::NowNs() - promo_begin) / 1e9);
   }
@@ -2084,16 +2021,14 @@ void Engine::StageInLoop(RankCtx& c) {
   };
   // Gives up prefetching `rec`: the hint goes, Restore() reads it directly.
   const auto give_up = [&](Record& rec) {
-    if (c.hints.Drop(rec.version)) ProbeAdd(c.probe.hints_retired);
+    if (c.hints.Drop(rec.version)) ProbeSub(c.probe.restore_queue_depth);
     ++c.metrics.prefetch_aborts;
-    QueueInstant(c, trace::Kind::kPrefetch, "prefetch:abort", deepest,
-                 rec.version, rec.size);
+    trace::Instant(trace::Kind::kPrefetch, "prefetch:abort", c.rank, deepest,
+                   rec.version, rec.size);
     NotifyPrefetch(c);  // T_PF may be waiting for this stage-in
   };
-  ScopedTracePublisher trace_pub(c);
   std::unique_lock lock(c.mu);
   for (;;) {
-    PublishQueuedTraceLocked(c, lock);
     Record* target = nullptr;
     // Unbounded: every notifier of cv_stage holds ctx.mu.
     c.cv_stage.wait(lock, [&] {
@@ -2150,10 +2085,10 @@ void Engine::StageInLoop(RankCtx& c) {
     }
     res.valid = true;
     if (c.hints.Head() == std::optional<Version>(v)) NotifyPrefetch(c);
-    QueueSpanSince(c, trace::Kind::kPrefetch, "prefetch:stage", begin, deepest,
-                   v, size);
-    QueueFlow(c, trace::Kind::kPrefetch, "prefetch:stage", rec.flow_id,
-              trace::FlowPhase::kStep, deepest, v, size);
+    trace::SpanSince(trace::Kind::kPrefetch, "prefetch:stage", begin, c.rank,
+                     deepest, v, size);
+    trace::Flow(trace::Kind::kPrefetch, "prefetch:stage", rec.flow_id,
+                trace::FlowPhase::kStep, c.rank, deepest, v, size);
   }
 }
 

@@ -54,7 +54,6 @@
 #include "util/rate_limiter.hpp"
 #include "util/retry.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace.hpp"
 
 namespace ckpt::core {
 
@@ -345,12 +344,8 @@ class Engine final : public Runtime {
   struct RankCells {
     std::array<std::atomic<std::uint64_t>, kCkptStateCount> state_occupancy{};
     std::atomic<std::int64_t> last_transition_ns{0};
-    /// restore_queue_depth = hints_enqueued - hints_retired. Split into two
-    /// monotone counters because the enqueue side (PrefetchEnqueue's
-    /// lock-free inbox) and the retire side (T_PF / Restore under ctx.mu)
-    /// run on different threads.
-    std::atomic<std::uint64_t> hints_enqueued{0};
-    std::atomic<std::uint64_t> hints_retired{0};
+    /// Pending restore-order hints: moved with ctx.hints, under ctx.mu.
+    std::atomic<std::uint64_t> restore_queue_depth{0};
     std::atomic<std::uint64_t> reserve_rounds{0};
     std::atomic<std::uint64_t> reserve_plans_stale{0};
     std::atomic<std::uint64_t> reserve_snapshot_reuse{0};
@@ -435,9 +430,6 @@ class Engine final : public Runtime {
 
     std::unordered_map<Version, Record> records;
     RestoreQueue hints;
-    /// Lock-free mailbox for PrefetchEnqueue: hints land here without the
-    /// rank lock and are folded into `hints` (under mu) by DrainHints.
-    util::MpmcQueue<Version> hint_inbox;
     bool prefetch_started = false;
     bool shutdown = false;
 
@@ -457,12 +449,6 @@ class Engine final : public Runtime {
     RankCells probe;
     /// One cell block per stack tier (cache AND durable), sized at Init.
     std::unique_ptr<TierCells[]> tier_probe;
-
-    /// Trace events recorded inside the rank-lock critical section, queued
-    /// for emission after the lock is released (the per-thread trace buffer
-    /// mutex must stay out of rank-lock hold time). Guarded by mu; flushed
-    /// by PublishQueuedTrace / ScopedTracePublisher.
-    std::vector<util::trace::Event> pending_trace;
 
     std::jthread t_pf;
     std::jthread t_stage;  ///< StageInLoop; only when stage_in_
@@ -540,63 +526,6 @@ class Engine final : public Runtime {
                                        std::memory_order_relaxed);
   }
 
-  // --- Deferred trace emission (keep trace-buffer locking off the
-  // rank-lock critical section) ---
-  /// Queues `e` under ctx.mu; emitted by PublishQueuedTrace.
-  static void QueueEvent(RankCtx& ctx, const util::trace::Event& e) {
-    CKPT_ASSERT_HELD(ctx.mu);
-    ctx.pending_trace.push_back(e);
-  }
-  /// Queues an instant event (util::trace::MakeInstant).
-  static void QueueInstant(RankCtx& ctx, util::trace::Kind kind,
-                           const char* name, int tier = -1, Version v = 0,
-                           std::uint64_t bytes = 0, double a = 0.0,
-                           double b = 0.0) {
-    if (!util::trace::enabled()) return;
-    QueueEvent(ctx, util::trace::MakeInstant(kind, name, ctx.rank, tier, v,
-                                             bytes, a, b));
-  }
-  /// Queues a span that began at `begin_ns` and ends now.
-  static void QueueSpanSince(RankCtx& ctx, util::trace::Kind kind,
-                             const char* name, std::int64_t begin_ns,
-                             int tier = -1, Version v = 0,
-                             std::uint64_t bytes = 0, double a = 0.0,
-                             double b = 0.0) {
-    if (!util::trace::enabled()) return;
-    QueueEvent(ctx, util::trace::MakeSpanSince(kind, name, begin_ns, ctx.rank,
-                                               tier, v, bytes, a, b));
-  }
-  /// Queues a flow event (ph "s"/"t"/"f" keyed by `flow_id`) on the
-  /// object's causal chain. No-op unless tracing is on and `flow_id` is
-  /// nonzero (imported records carry none).
-  static void QueueFlow(RankCtx& ctx, util::trace::Kind kind,
-                        const char* name, std::uint64_t flow_id,
-                        util::trace::FlowPhase phase, int tier = -1,
-                        Version v = 0, std::uint64_t bytes = 0) {
-    if (!util::trace::enabled() || flow_id == 0) return;
-    QueueEvent(ctx, util::trace::MakeFlow(kind, name, flow_id, phase, ctx.rank,
-                                          tier, v, bytes));
-  }
-  /// Emits and clears ctx.pending_trace. Call WITHOUT ctx.mu held (briefly
-  /// re-acquires it to swap the queue out). Events land on the calling
-  /// thread's track; the sink orders tracks by timestamp, so a worker
-  /// publishing spans another thread queued stays a valid trace.
-  static void PublishQueuedTrace(RankCtx& ctx);
-  /// Same, for callers that still hold the lock: unlocks, emits, relocks.
-  static void PublishQueuedTraceLocked(
-      RankCtx& ctx, std::unique_lock<util::CheckedMutex>& lock);
-  /// RAII publisher: declare BEFORE taking ctx.mu so queued events flush
-  /// right after the lock is released on every exit path.
-  class ScopedTracePublisher {
-   public:
-    explicit ScopedTracePublisher(RankCtx& c) noexcept : ctx_(c) {}
-    ~ScopedTracePublisher() { PublishQueuedTrace(ctx_); }
-    ScopedTracePublisher(const ScopedTracePublisher&) = delete;
-    ScopedTracePublisher& operator=(const ScopedTracePublisher&) = delete;
-
-   private:
-    RankCtx& ctx_;
-  };
   // --- Lineage helpers (DESIGN.md §14); all require ctx.mu held ---
   /// Terminal disposition of one admitted checkpoint object. Every object
   /// admitted by Checkpoint() ends in exactly one of these (the
@@ -692,10 +621,6 @@ class Engine final : public Runtime {
     NotifyStage(ctx);
     NotifyReserveAll(ctx);
   }
-  /// Folds hint_inbox into ctx.hints (requires ctx.mu). Returns true if any
-  /// hint was appended; once prefetching started, new hints also wake the
-  /// stage-in worker.
-  static bool DrainHints(RankCtx& ctx);
   /// Marks a flush stage reaching the terminal tier; advances the FSM.
   void FinishFlush(RankCtx& ctx, Record& rec);
   /// Drops `rec`'s pending flush queued on cache tier `tier` (ctx.mu

@@ -4,7 +4,7 @@
 // are *shared* resources; a tenant is the unit of isolation layered on top:
 // a contiguous block of ranks with its own identity, cache-byte quota, and
 // fair-share weight. Because every RankCtx (records, FSM lifecycles, restore
-// queue, hint inbox) already belongs to exactly one rank, assigning ranks to
+// queue) already belongs to exactly one rank, assigning ranks to
 // tenants partitions all per-job state without moving any of it — the
 // registry only has to answer "which tenant does rank r serve?" on hot paths,
 // which it does lock-free.
@@ -53,7 +53,7 @@ util::StatusOr<std::vector<TenantSpec>> ParseTenantSpecs(std::string_view text);
 
 /// Per-tenant bookkeeping owned by the registry. The rank interval
 /// [first_rank, first_rank + num_ranks) is this tenant's; all per-rank engine
-/// state (records, lifecycles, restore queues, hint inboxes) inside it is
+/// state (records, lifecycles, restore queues) inside it is
 /// thereby per-tenant.
 struct TenantCtx {
   TenantId id = kNoTenant;

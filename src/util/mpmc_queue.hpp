@@ -1,11 +1,11 @@
 // Blocking multi-producer/multi-consumer queue with close semantics, used for
-// the engine's flush and prefetch work queues (T_D2H, T_H2F, T_PF). The
-// queues are low-rate control channels (one item per checkpoint), so a
-// mutex-based design is the right trade-off over lock-free complexity.
+// the flush work queues (the engine's per-cache-tier flush stages, the UVM
+// and ADIOS baselines' drain workers). The queues are low-rate control
+// channels (one item per checkpoint), so a mutex-based design is the right
+// trade-off over lock-free complexity.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -16,39 +16,16 @@ namespace ckpt::util {
 template <typename T>
 class MpmcQueue {
  public:
-  /// `capacity == 0` means unbounded.
-  explicit MpmcQueue(std::size_t capacity = 0) : capacity_(capacity) {}
+  MpmcQueue() = default;
 
   MpmcQueue(const MpmcQueue&) = delete;
   MpmcQueue& operator=(const MpmcQueue&) = delete;
 
-  /// Blocks while the queue is full. Returns false if the queue was closed.
+  /// Appends `item`. Returns false if the queue was closed.
   bool Push(T item) {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock, [&] {
-      return closed_ || capacity_ == 0 || items_.size() < capacity_;
-    });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full or closed.
-  bool TryPush(T item) {
-    std::lock_guard lock(mu_);
-    if (closed_ || (capacity_ != 0 && items_.size() >= capacity_)) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Push to the front (used to re-queue a popped item that must retain
-  /// priority, e.g. a prefetch that could not reserve cache space yet).
-  bool PushFront(T item) {
     std::lock_guard lock(mu_);
     if (closed_) return false;
-    items_.push_front(std::move(item));
+    items_.push_back(std::move(item));
     not_empty_.notify_one();
     return true;
   }
@@ -60,17 +37,6 @@ class MpmcQueue {
     if (items_.empty()) return std::nullopt;  // closed and drained
     T item = std::move(items_.front());
     items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
     return item;
   }
 
@@ -80,27 +46,12 @@ class MpmcQueue {
     std::lock_guard lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mu_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
-
-  [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
-  std::size_t capacity_;
   bool closed_ = false;
 };
 

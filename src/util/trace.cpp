@@ -68,7 +68,7 @@ struct TraceBuffer {
   }
 
   const std::uint64_t id;
-  std::mutex mu;  // leaf lock: never acquired while holding another lock here
+  std::mutex mu;  // leaf lock: nothing is acquired while it is held
   std::string thread_name;        // guarded by mu
   std::vector<Event> ring;        // guarded by mu
   std::size_t start = 0;          // index of oldest event; guarded by mu

@@ -132,59 +132,15 @@ namespace detail {
 void EmitEvent(const Event& e);
 }  // namespace detail
 
-/// Builds an instant event (Chrome `ph:"i"`) stamped now. The Make*
-/// builders are the one construction of each event shape, shared by the
-/// emitters below and by callers that queue events for later emission.
-[[nodiscard]] inline Event MakeInstant(Kind kind, const char* name, int rank,
-                                       int tier = -1, std::uint64_t version = 0,
-                                       std::uint64_t bytes = 0, double a = 0.0,
-                                       double b = 0.0) noexcept {
-  Event e;
-  e.ts_ns = Now();
-  e.name = name;
-  e.kind = kind;
-  e.rank = static_cast<std::int16_t>(rank);
-  e.tier = static_cast<std::int16_t>(tier);
-  e.version = version;
-  e.bytes = bytes;
-  e.a = a;
-  e.b = b;
-  return e;
-}
-
-/// Builds a complete span (Chrome `ph:"X"`) that began at `begin_ns` (a
-/// prior Now() reading) and ends now.
-[[nodiscard]] inline Event MakeSpanSince(Kind kind, const char* name,
-                                         std::int64_t begin_ns, int rank,
-                                         int tier = -1,
-                                         std::uint64_t version = 0,
-                                         std::uint64_t bytes = 0,
-                                         double a = 0.0,
-                                         double b = 0.0) noexcept {
-  Event e = MakeInstant(kind, name, rank, tier, version, bytes, a, b);
-  e.dur_ns = e.ts_ns > begin_ns ? e.ts_ns - begin_ns : 0;
-  e.ts_ns = begin_ns;
-  return e;
-}
-
-/// Builds a causal-flow event (Chrome ph "s"/"t"/"f" keyed by `flow_id`).
-[[nodiscard]] inline Event MakeFlow(Kind kind, const char* name,
-                                    std::uint64_t flow_id, FlowPhase phase,
-                                    int rank, int tier = -1,
-                                    std::uint64_t version = 0,
-                                    std::uint64_t bytes = 0) noexcept {
-  Event e = MakeInstant(kind, name, rank, tier, version, bytes);
-  e.flow = phase;
-  e.flow_id = flow_id;
-  return e;
-}
-
 /// Records an instant event (Chrome `ph:"i"`).
 inline void Instant(Kind kind, const char* name, int rank, int tier = -1,
                     std::uint64_t version = 0, std::uint64_t bytes = 0,
                     double a = 0.0, double b = 0.0) {
   if (!enabled()) return;
-  detail::EmitEvent(MakeInstant(kind, name, rank, tier, version, bytes, a, b));
+  detail::EmitEvent(Event{.ts_ns = Now(), .name = name, .kind = kind,
+                          .rank = static_cast<std::int16_t>(rank),
+                          .tier = static_cast<std::int16_t>(tier),
+                          .version = version, .bytes = bytes, .a = a, .b = b});
 }
 
 /// Records a complete span (Chrome `ph:"X"`) that began at `begin_ns`
@@ -193,8 +149,13 @@ inline void SpanSince(Kind kind, const char* name, std::int64_t begin_ns,
                       int rank, int tier = -1, std::uint64_t version = 0,
                       std::uint64_t bytes = 0, double a = 0.0, double b = 0.0) {
   if (!enabled()) return;
-  detail::EmitEvent(
-      MakeSpanSince(kind, name, begin_ns, rank, tier, version, bytes, a, b));
+  const std::int64_t now = Now();
+  detail::EmitEvent(Event{.ts_ns = begin_ns,
+                          .dur_ns = now > begin_ns ? now - begin_ns : 0,
+                          .name = name, .kind = kind,
+                          .rank = static_cast<std::int16_t>(rank),
+                          .tier = static_cast<std::int16_t>(tier),
+                          .version = version, .bytes = bytes, .a = a, .b = b});
 }
 
 /// Records a causal-flow event (Chrome ph "s"/"t"/"f" keyed by `flow_id`).
@@ -203,8 +164,12 @@ inline void Flow(Kind kind, const char* name, std::uint64_t flow_id,
                  FlowPhase phase, int rank, int tier = -1,
                  std::uint64_t version = 0, std::uint64_t bytes = 0) {
   if (!enabled() || flow_id == 0 || phase == FlowPhase::kNone) return;
-  detail::EmitEvent(
-      MakeFlow(kind, name, flow_id, phase, rank, tier, version, bytes));
+  detail::EmitEvent(Event{.ts_ns = Now(), .name = name, .kind = kind,
+                          .flow = phase,
+                          .rank = static_cast<std::int16_t>(rank),
+                          .tier = static_cast<std::int16_t>(tier),
+                          .version = version, .bytes = bytes,
+                          .flow_id = flow_id});
 }
 
 /// RAII span: captures the begin time at construction, emits on destruction.

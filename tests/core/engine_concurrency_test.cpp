@@ -224,7 +224,7 @@ TEST(EngineConcurrencyTest, MultiRankStormConservesBytesAndResidency) {
                    std::memory_order_acquire) <= v) {
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
-        if (i % 2 == 0) {  // hint half the reads, lock-free enqueue path
+        if (i % 2 == 0) {  // hint half the reads
           (void)engine.PrefetchEnqueue(r, v);
           if (!started) {
             (void)engine.PrefetchStart(r);

@@ -3,7 +3,8 @@
 // into the deepest cache tier ahead of T_PF, which only promotes cache
 // copies to the fast tier. Each test asserts an invariant of that pipeline
 // rather than a timing:
-//  * the store serves later hints while the fast tier's pin budget is full;
+//  * the store serves later hints while the fast tier's pin budget is full,
+//    also a hint enqueued while T_PF waits on that budget;
 //  * a WAIT + reverse-order + all-hints shot reads each version the caches
 //    did not hold exactly once, and every restore is byte-exact;
 //  * the Belady guard never evicts a copy hinted sooner than the staged one;
@@ -195,6 +196,41 @@ TEST_F(PrefetchPipelineTest, StoreServesLaterHintsWhilePinBudgetIsFull) {
       << store_->Gets().size() << " distinct versions";
   EXPECT_EQ(engine_->PrefetchDistance(0), 3u);  // still nothing consumed
   for (Version v : order) RestoreExact(v);
+}
+
+TEST_F(PrefetchPipelineTest, HintEnqueuedWhilePinBudgetIsFullIsStaged) {
+  WriteHistory();
+  ASSERT_GE(store_only_.size(), 5u);
+  const std::vector<Version> first(store_only_.begin(),
+                                   store_only_.begin() + 4);
+  const Version fifth = store_only_[4];
+  Hint(first);
+  ASSERT_TRUE(engine_->PrefetchStart(0).ok());
+
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (engine_->PrefetchDistance(0) < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(engine_->PrefetchDistance(0), 3u) << "pin budget never filled";
+  ASSERT_TRUE(store_->WaitFor(
+      [v = first[3]](const std::map<Version, int>& gets) {
+        return gets.count(v) > 0;
+      },
+      5s))
+      << "the fourth version was never staged";
+  // T_PF parks on the pin budget with the fourth version at its head; the
+  // hint below arrives while it waits there.
+  std::this_thread::sleep_for(20ms);
+  Hint({fifth});
+  EXPECT_TRUE(store_->WaitFor(
+      [fifth](const std::map<Version, int>& gets) {
+        return gets.count(fifth) > 0;
+      },
+      5s))
+      << "a hint enqueued while T_PF waits on the pin budget was not staged";
+  for (Version v : first) RestoreExact(v);
+  RestoreExact(fifth);
 }
 
 TEST_F(PrefetchPipelineTest, WaitReverseShotReadsEachUncachedVersionOnce) {

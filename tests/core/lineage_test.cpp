@@ -213,7 +213,6 @@ TEST_F(LineageTest, FlowEventsStitchAdmitToTerminal) {
   constexpr Version kN = 6;
   for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
   ASSERT_TRUE(engine_->WaitForFlushes(0).ok());
-  engine_.reset();  // drain deferred trace queues
 
   const std::string json = ChromeTraceJson();
   const TraceCheck check = ValidateChromeTrace(json);

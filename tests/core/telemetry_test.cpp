@@ -98,6 +98,19 @@ TEST_F(TelemetryTest, BuildTelemetrySampleReflectsEngineActivity) {
   ASSERT_EQ(r1.tiers.size(), 4u);
 }
 
+TEST_F(TelemetryTest, RestoreQueueDepthCountsPendingHints) {
+  Build(/*ranks=*/1);
+  constexpr Version kN = 5;
+  for (Version v = 0; v < kN; ++v) WriteCkpt(0, v);
+  for (Version v = 0; v < kN; ++v) {
+    ASSERT_TRUE(engine_->PrefetchEnqueue(0, v).ok());
+  }
+  EXPECT_EQ(engine_->Probe(0).restore_queue_depth, kN);
+  ASSERT_TRUE(engine_->PrefetchStart(0).ok());
+  for (Version v = 0; v < kN; ++v) RestoreCkpt(0, v);
+  EXPECT_EQ(engine_->Probe(0).restore_queue_depth, 0u);
+}
+
 // --- OpenMetrics exposition ----------------------------------------------
 
 TEST_F(TelemetryTest, OpenMetricsScrapeValidatesAndCarriesCounters) {
