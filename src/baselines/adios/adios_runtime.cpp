@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <future>
 
 #include "simgpu/copy.hpp"
 #include "util/clock.hpp"
@@ -21,17 +22,25 @@ AdiosRuntime::AdiosRuntime(sim::Cluster& cluster,
                            AdiosOptions options, int num_ranks)
     : cluster_(cluster), ssd_(std::move(ssd)), options_(options) {
   assert(ssd_ != nullptr);
-  ranks_.reserve(static_cast<std::size_t>(num_ranks));
+  // Pin every rank's bounce arena side by side, one transient thread per
+  // rank as the engine does, then start the drain threads.
+  std::vector<std::future<std::unique_ptr<RankCtx>>> bring_up;
   for (sim::Rank r = 0; r < num_ranks; ++r) {
-    auto c = std::make_unique<RankCtx>();
-    c->rank = r;
-    c->metrics.restores_from_tier.resize(core::kTierCount, 0);
-    c->bounce = std::make_unique<sim::PinnedArena>(
-        cluster_.topology(), cluster_.topology().node_of_rank(r),
-        options_.bounce_bytes);
+    bring_up.push_back(std::async(std::launch::async, [this, r] {
+      auto c = std::make_unique<RankCtx>();
+      c->rank = r;
+      c->metrics.restores_from_tier.resize(core::kTierCount, 0);
+      c->bounce = std::make_unique<sim::PinnedArena>(
+          cluster_.topology(), cluster_.topology().node_of_rank(r),
+          options_.bounce_bytes);
+      return c;
+    }));
+  }
+  ranks_.reserve(static_cast<std::size_t>(num_ranks));
+  for (auto& rank : bring_up) ranks_.push_back(rank.get());
+  for (auto& c : ranks_) {
     RankCtx* ptr = c.get();
     c->t_drain = std::jthread([this, ptr] { DrainLoop(*ptr); });
-    ranks_.push_back(std::move(c));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 
 #include "simgpu/copy.hpp"
 #include "util/clock.hpp"
@@ -138,62 +139,71 @@ void Engine::Init(int num_ranks) {
     drain_bw_[static_cast<std::size_t>(i)] = static_cast<double>(bw);
   }
 
-  ranks_.reserve(static_cast<std::size_t>(num_ranks));
+  // Bring the ranks up side by side, one transient thread each, the way a
+  // node's processes each start their own client: every rank still pays its
+  // own registration cost, but the pins overlap instead of adding up.
+  std::vector<std::future<std::unique_ptr<RankCtx>>> bring_up;
   for (sim::Rank r = 0; r < num_ranks; ++r) {
-    auto c = std::make_unique<RankCtx>();
-    c->rank = r;
-    const Stopwatch init_sw;
-    c->metrics.evictions_from_tier.resize(stack_.size(), 0);
-    c->metrics.evicted_bytes_from_tier.resize(stack_.size(), 0);
-    c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
-    c->tier_probe = std::make_unique<TierCells[]>(stack_.size());
+    bring_up.push_back(std::async(std::launch::async, [this, r, ncache] {
+      auto c = std::make_unique<RankCtx>();
+      c->rank = r;
+      const Stopwatch init_sw;
+      c->metrics.evictions_from_tier.resize(stack_.size(), 0);
+      c->metrics.evicted_bytes_from_tier.resize(stack_.size(), 0);
+      c->metrics.flush_stage_hist.resize(static_cast<std::size_t>(ncache));
+      c->tier_probe = std::make_unique<TierCells[]>(stack_.size());
 
-    // Allocate every cache tier once, here, before any worker starts
-    // (§4.1.4): the device tier out of the rank's HBM, the others as pinned
-    // host memory (slow: ~4 GB/s registration). Split mode carves the top
-    // half of each tier off as its prefetch partition.
-    const int node = cluster_.topology().node_of_rank(r);
-    c->tiers.resize(static_cast<std::size_t>(ncache));
-    for (int i = 0; i < ncache; ++i) {
-      auto t = std::make_unique<CacheTierRt>();
-      t->capacity = stack_[static_cast<std::size_t>(i)].capacity_bytes;
-      sim::BytePtr base = nullptr;
-      if (stack_.is_device(i)) {
-        auto gpu_mem = cluster_.device(r).Allocate(t->capacity);
-        if (!gpu_mem.ok()) {
-          CKPT_LOG(kError, "engine")
-              << "rank " << r
-              << ": GPU cache allocation failed: " << gpu_mem.status();
-          std::abort();
+      // Allocate every cache tier once, here, before any worker starts
+      // (§4.1.4): the device tier out of the rank's HBM, the others as pinned
+      // host memory (slow: ~4 GB/s registration). Split mode carves the top
+      // half of each tier off as its prefetch partition.
+      const int node = cluster_.topology().node_of_rank(r);
+      c->tiers.resize(static_cast<std::size_t>(ncache));
+      for (int i = 0; i < ncache; ++i) {
+        auto t = std::make_unique<CacheTierRt>();
+        t->capacity = stack_[static_cast<std::size_t>(i)].capacity_bytes;
+        sim::BytePtr base = nullptr;
+        if (stack_.is_device(i)) {
+          auto gpu_mem = cluster_.device(r).Allocate(t->capacity);
+          if (!gpu_mem.ok()) {
+            CKPT_LOG(kError, "engine")
+                << "rank " << r
+                << ": GPU cache allocation failed: " << gpu_mem.status();
+            std::abort();
+          }
+          t->gpu_base = base = *gpu_mem;
+        } else {
+          t->arena = std::make_unique<sim::PinnedArena>(cluster_.topology(),
+                                                        node, t->capacity);
+          base = t->arena->data();
         }
-        t->gpu_base = base = *gpu_mem;
-      } else {
-        t->arena = std::make_unique<sim::PinnedArena>(cluster_.topology(),
-                                                      node, t->capacity);
-        base = t->arena->data();
+        const std::string nm(stack_.name(static_cast<std::size_t>(i)));
+        // Each tier drives its buffers with its *own* resolved policy — the
+        // whole point of per-tier policies is GPU=score over FIFO deep tiers.
+        const EvictionKind kind = stack_.policy(i);
+        if (options_.split_flush_prefetch) {
+          const std::uint64_t pf = t->capacity / 2;
+          t->write_buf = std::make_unique<CacheBuffer>(
+              nm + "-w/" + std::to_string(r), base, t->capacity - pf,
+              MakePolicy(kind));
+          t->prefetch_buf = std::make_unique<CacheBuffer>(
+              nm + "-p/" + std::to_string(r), base + (t->capacity - pf), pf,
+              MakePolicy(kind));
+        } else {
+          t->write_buf = std::make_unique<CacheBuffer>(
+              nm + "/" + std::to_string(r), base, t->capacity,
+              MakePolicy(kind));
+        }
+        c->tiers[static_cast<std::size_t>(i)] = std::move(t);
       }
-      const std::string nm(stack_.name(static_cast<std::size_t>(i)));
-      // Each tier drives its buffers with its *own* resolved policy — the
-      // whole point of per-tier policies is GPU=score over FIFO deep tiers.
-      const EvictionKind kind = stack_.policy(i);
-      if (options_.split_flush_prefetch) {
-        const std::uint64_t pf = t->capacity / 2;
-        t->write_buf = std::make_unique<CacheBuffer>(
-            nm + "-w/" + std::to_string(r), base, t->capacity - pf,
-            MakePolicy(kind));
-        t->prefetch_buf = std::make_unique<CacheBuffer>(
-            nm + "-p/" + std::to_string(r), base + (t->capacity - pf), pf,
-            MakePolicy(kind));
-      } else {
-        t->write_buf = std::make_unique<CacheBuffer>(
-            nm + "/" + std::to_string(r), base, t->capacity, MakePolicy(kind));
-      }
-      c->tiers[static_cast<std::size_t>(i)] = std::move(t);
-    }
 
-    c->metrics.init_s = init_sw.ElapsedSec();
-    ranks_.push_back(std::move(c));
+      c->metrics.init_s = init_sw.ElapsedSec();
+      return c;
+    }));
   }
+  // get() joins each rank's thread and rethrows what its bring-up threw.
+  ranks_.reserve(static_cast<std::size_t>(num_ranks));
+  for (auto& rank : bring_up) ranks_.push_back(rank.get());
 
   // Dedicated background threads (§4.3.1), started once every rank's caches
   // exist: one flush stage per cache tier plus the prefetcher, whose store
@@ -631,6 +641,12 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
     }
     const std::vector<FragmentView> views =
         CacheBuffer::AnnotateViews(snap.frags, meta);
+    // A wait below ends at the first signal since these annotations, also
+    // one sent while the lock is dropped for planning.
+    const std::uint64_t seq = t.reserve_seq;
+    const auto signalled = [&] {
+      return ctx_.shutdown || t.reserve_seq != seq;
+    };
     lock.unlock();
     auto plan = buf.PlanViews(views, size);
     lock.lock();
@@ -667,7 +683,7 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
       }
       trace::Instant(trace::Kind::kEviction, "evict:blocked", ctx_.rank, tier,
                      v, size);
-      t.cv_reserve.wait_for(lock, kReplanMax);
+      t.cv_reserve.wait_for(lock, kReplanMax, signalled);
       continue;
     }
     if (plan->wait_eta <= 0.0) {
@@ -723,7 +739,7 @@ util::StatusOr<std::uint64_t> Engine::ReserveOn(
         std::chrono::duration<double>(plan->wait_eta));
     wait = std::clamp<std::chrono::steady_clock::duration>(wait, kReplanMin,
                                                            kReplanMax);
-    t.cv_reserve.wait_for(lock, wait);
+    t.cv_reserve.wait_for(lock, wait, signalled);
   }
 }
 

@@ -321,6 +321,9 @@ class Engine final : public Runtime {
     /// residency cleared, read_refs dropped, a pin released). Paired with
     /// ctx.mu.
     std::condition_variable_any cv_reserve;
+    /// Bumped under ctx.mu with every cv_reserve signal, so a reservation
+    /// that planned with the lock dropped still sees a signal sent then.
+    std::uint64_t reserve_seq = 0;
     std::jthread worker;  ///< FlushStageLoop for this tier
   };
 
@@ -599,12 +602,17 @@ class Engine final : public Runtime {
   /// A transition that may unblock reservations on cache tier `tier`
   /// (residency cleared, read_refs dropped, pin released).
   static void NotifyReserve(RankCtx& ctx, TierIndex tier) {
-    ctx.tiers[tier]->cv_reserve.notify_all();
+    CKPT_ASSERT_HELD(ctx.mu);
+    CacheTierRt& t = *ctx.tiers[tier];
+    ++t.reserve_seq;
+    t.cv_reserve.notify_all();
   }
   /// Clears that may free space on several tiers at once (record dropped,
   /// flush failure reclaim, shutdown).
   static void NotifyReserveAll(RankCtx& ctx) {
-    for (auto& t : ctx.tiers) t->cv_reserve.notify_all();
+    for (std::size_t i = 0; i < ctx.tiers.size(); ++i) {
+      NotifyReserve(ctx, static_cast<TierIndex>(i));
+    }
   }
   /// FSM / flush progress: WaitForFlushes, Restore's promotion wait, the
   /// flush stage's validity re-checks.

@@ -106,7 +106,9 @@ struct RankMetrics {
   // have their own counters above).
   std::vector<util::Histogram> durability_lag;
 
-  // Engine init cost (slow pinned host-cache allocation, §5.4.2).
+  // This rank's init cost (slow pinned host-cache allocation, §5.4.2). The
+  // ranks come up side by side, so a merged value is rank-seconds, not the
+  // wall time construction took.
   double init_s = 0.0;
 
   std::vector<RestorePoint> restore_series;

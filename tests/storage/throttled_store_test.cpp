@@ -5,8 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include <thread>
-
 #include "storage/mem_store.hpp"
 #include "util/clock.hpp"
 
@@ -88,20 +86,16 @@ TEST(ThrottledStoreTest, DifferentRanksUseDifferentDrives) {
   sim::Topology topo(cfg);
   auto store = MakeSsdStore(topo, std::make_shared<MemStore>());
   std::vector<std::byte> blob(1 << 20, std::byte{4});
-  // Ranks 0 and 1 stripe to different drives: writing both concurrently
-  // should take about as long as one write, not two.
-  util::Stopwatch sw;
+  // Ranks 0 and 1 stripe to different drives: each drive's limiter carries
+  // exactly its own rank's bytes.
+  util::RateLimiter& drive0 = topo.nvme_for_rank(0);
+  util::RateLimiter& drive1 = topo.nvme_for_rank(1);
+  ASSERT_NE(&drive0, &drive1);
   ASSERT_TRUE(store->Put({0, 0}, blob.data(), blob.size()).ok());
-  const double single = sw.ElapsedSec();
-  sw.Restart();
-  {
-    std::jthread other([&] {
-      ASSERT_TRUE(store->Put({1, 1}, blob.data(), blob.size()).ok());
-    });
-    ASSERT_TRUE(store->Put({0, 1}, blob.data(), blob.size()).ok());
-  }
-  const double both = sw.ElapsedSec();
-  EXPECT_LT(both, single * 1.7);
+  ASSERT_TRUE(store->Put({0, 1}, blob.data(), blob.size()).ok());
+  ASSERT_TRUE(store->Put({1, 1}, blob.data(), blob.size()).ok());
+  EXPECT_EQ(drive0.admitted_bytes(), 2 * blob.size());
+  EXPECT_EQ(drive1.admitted_bytes(), blob.size());
 }
 
 }  // namespace

@@ -131,25 +131,26 @@ TEST(RateLimiterTest, WeightedFlowsShareBandwidthProportionally) {
   // Flow 1 (weight 1.0) and flow 2 (weight 0.5) both saturate a 20 MB/s
   // link. SFQ tags give flow 1 twice the admission rate, so while both are
   // backlogged its admitted share must stay well above an even split but
-  // the light flow must not starve.
+  // the light flow must not starve. Two threads per flow keep each flow
+  // backlogged while one of its threads is descheduled.
   RateLimiter rl(20 << 20, /*burst=*/64 << 10);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> heavy{0};
   std::atomic<std::uint64_t> light{0};
+  const auto saturate = [&](const IoTag& tag, std::atomic<std::uint64_t>& n) {
+    while (!stop.load(std::memory_order_relaxed)) {
+      rl.Acquire(64 << 10, tag);
+      n += 64 << 10;
+    }
+  };
   {
     std::vector<std::jthread> threads;
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        rl.Acquire(64 << 10, {.flow = 1, .weight = 1.0});
-        heavy += 64 << 10;
-      }
-    });
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        rl.Acquire(64 << 10, {.flow = 2, .weight = 0.5});
-        light += 64 << 10;
-      }
-    });
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back(
+          [&] { saturate({.flow = 1, .weight = 1.0}, heavy); });
+      threads.emplace_back(
+          [&] { saturate({.flow = 2, .weight = 0.5}, light); });
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     stop = true;
   }
